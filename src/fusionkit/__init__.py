@@ -6,11 +6,10 @@ Foelner conditions on weighted boundaries, and truncated Kesten-type
 spectral tests for the convolution operators.  The two can be run against
 each other and against closed-form answers for the catalog rings.
 """
-from .catalog import (RingSpec, build_deformed_su2_ring, build_group_ring,
-                      build_su2_ring, cyclic_ring, free_group_ring,
-                      group_ring_from_table, integer_lattice_ring,
-                      measure_from_decomposition, tensor_product,
-                      trivial_ring)
+from .catalog import (build_deformed_su2_ring, build_su2_ring, cyclic_ring,
+                      free_group_ring, group_ring_from_table,
+                      integer_lattice_ring, measure_from_decomposition,
+                      tensor_product, trivial_ring)
 from .core import (AxiomCheck, AxiomReport, Element, FusionRing, ProbMeasure,
                    conjugate_element, convolve, indicator, multiply,
                    natural_trace, product_basis, subset_weight, verify_axioms)
@@ -39,10 +38,10 @@ __all__ = [
     "IncompleteTable", "InvalidLabel", "InvalidParam", "InvalidTable",
     "MeasureMissingUnit", "NoConvergence", "NonSymmetricMeasure",
     "NotSelfAdjoint", "ProbMeasure", "RadiusEstimate", "RingMismatch",
-    "RingSpec", "SearchResult", "SpectralEstimate", "TruncationWindow",
-    "Verdict", "ZeroFunction", "amenability_estimate", "boundary",
-    "build_deformed_su2_ring", "build_group_ring", "build_su2_ring",
-    "build_window", "conjugate_element", "convolve", "cyclic_ring",
+    "SearchResult", "SpectralEstimate", "TruncationWindow", "Verdict",
+    "ZeroFunction", "amenability_estimate", "boundary",
+    "build_deformed_su2_ring", "build_su2_ring", "build_window",
+    "conjugate_element", "convolve", "cyclic_ring",
     "dirichlet_norm", "export_table", "fc1_check", "fc2_check", "fc3_check",
     "foelner_search", "free_group_ring", "gns_operator",
     "group_ring_from_table", "indicator", "inner_sigma",

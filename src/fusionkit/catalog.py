@@ -11,7 +11,6 @@ rings have exact integer dimensions.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -364,47 +363,3 @@ def measure_from_decomposition(ring: FusionRing, decomp: Mapping) -> ProbMeasure
     assert sum(weights.values()) == 1
     return ProbMeasure(ring, {a: float(w) for a, w in weights.items()})
 
-
-# ---------------------------------------------------------------------------
-# declarative ring specs
-# ---------------------------------------------------------------------------
-
-_GROUP_KINDS = ("group_Zd", "group_free", "group_finite_table")
-_ALL_KINDS = _GROUP_KINDS + ("su2", "deformed_su2", "tensor_product", "table")
-
-
-@dataclass(frozen=True)
-class RingSpec:
-    """A declarative recipe for a catalog ring; see ``build``."""
-
-    kind: str
-    params: Mapping
-
-    def __post_init__(self):
-        if self.kind not in _ALL_KINDS:
-            raise InvalidParam(f"unknown ring kind {self.kind!r}")
-
-    def build(self) -> FusionRing:
-        kind, params = self.kind, self.params
-        if kind == "group_Zd":
-            return integer_lattice_ring(params["d"])
-        if kind == "group_free":
-            return free_group_ring(params["rank"])
-        if kind == "group_finite_table":
-            return group_ring_from_table(params["labels"], params["table"])
-        if kind == "su2":
-            return build_su2_ring()
-        if kind == "deformed_su2":
-            return build_deformed_su2_ring(params["n"])
-        if kind == "tensor_product":
-            return tensor_product(params["left"].build(), params["right"].build())
-        # kind == "table": general fusion tables live in ringio
-        from . import ringio
-        return ringio.table_ring_from_doc(dict(params))
-
-
-def build_group_ring(spec: RingSpec) -> FusionRing:
-    """Build one of the group-ring kinds from a RingSpec."""
-    if spec.kind not in _GROUP_KINDS:
-        raise InvalidParam(f"{spec.kind!r} is not a group-ring kind")
-    return spec.build()

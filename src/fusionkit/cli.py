@@ -5,7 +5,7 @@ Usage:  fusionkit <subcommand> RING_FILE [options]
 Exit codes: 0 = affirmative result, 1 = negative result,
 2 = input/usage error, 3 = budget exhausted / inconclusive.
 Numbers print with 12 significant digits; CSV cells use full float
-round-trip formatting.  FUSIONKIT_THREADS caps internal parallelism.
+round-trip formatting.
 """
 from __future__ import annotations
 
@@ -49,6 +49,13 @@ def _default_support(ring: FusionRing) -> list:
     return list(ring.generators) if ring.generators else [ring.unit]
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParam(f"{what} must be an integer, got {text!r}") from None
+
+
 def _parse_set_spec(ring: FusionRing, spec: str, support=None) -> list:
     """F-spec forms: interval:A..B, set:a,b,c, ball:r."""
     if spec.startswith("interval:"):
@@ -56,9 +63,12 @@ def _parse_set_spec(ring: FusionRing, spec: str, support=None) -> list:
         lo_text, sep, hi_text = body.partition("..")
         if not sep:
             raise InvalidParam(f"interval spec {spec!r} needs 'interval:A..B'")
-        lo, hi = int(lo_text), int(hi_text)
+        lo = _parse_int(lo_text, "interval bound")
+        hi = _parse_int(hi_text, "interval bound")
         if hi < lo:
             raise InvalidParam(f"empty interval in {spec!r}")
+        if hi - lo + 1 > spectral.DEFAULT_WINDOW_CAP:
+            raise InvalidParam(f"interval {spec!r} exceeds the window cap")
         labels = list(range(lo, hi + 1))
         for label in labels:
             ring.check_label(label)
@@ -66,7 +76,7 @@ def _parse_set_spec(ring: FusionRing, spec: str, support=None) -> list:
     if spec.startswith("set:"):
         return _parse_labels(ring, spec[len("set:"):])
     if spec.startswith("ball:"):
-        radius = int(spec[len("ball:"):])
+        radius = _parse_int(spec[len("ball:"):], "ball radius")
         gens = support if support else _default_support(ring)
         window = spectral.build_window(ring, gens, radius)
         return list(window.labels)
@@ -95,7 +105,7 @@ def _parse_measure_spec(ring: FusionRing, spec: str) -> ProbMeasure:
                 raise InvalidParam(f"decomp entry {part!r} needs LABEL=k")
             label = ring.parse_label(name.strip())
             ring.check_label(label)
-            decomp[label] = decomp.get(label, 0) + int(mult)
+            decomp[label] = decomp.get(label, 0) + _parse_int(mult, "multiplicity")
         return catalog.measure_from_decomposition(ring, decomp)
     raise InvalidParam(
         f"unknown measure spec {spec!r} (use uniform-gens/delta:/decomp:)")

@@ -14,8 +14,6 @@ only in reports.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -23,14 +21,6 @@ from typing import Iterable, Mapping
 from .core import Element, FusionRing, ProbMeasure, subset_weight
 from .errors import (EmptySet, InvalidParam, MeasureMissingUnit,
                      NonSymmetricMeasure, RingMismatch, ZeroFunction)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("FUSIONKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def as_float(value) -> float:
@@ -194,22 +184,19 @@ def _fc2_value(ring: FusionRing, xi, F: set) -> Fraction:
     # expansion over the pairs that cross the cut:
     #   sum_{alpha not in F} sum_{eta in F}
     #       d(eta) d(alpha) / d(xi) * (N(eta,conj xi->alpha) + N(eta,xi->alpha))
+    def exact_dim(label):
+        d = ring.dim(label)
+        return d if isinstance(d, int) else Fraction(d)
+
     xibar = ring.conj(xi)
-    candidates = set()
+    total = 0
     for eta in F:
-        candidates.update(ring._product_cached(eta, xibar))
-        candidates.update(ring._product_cached(eta, xi))
-    candidates -= F
-    dxi = Fraction(ring.dim(xi))
-    total = Fraction(0)
-    for alpha in candidates:
-        dalpha = Fraction(ring.dim(alpha))
-        for eta in F:
-            n = ring._product_cached(eta, xibar).get(alpha, 0) \
-                + ring._product_cached(eta, xi).get(alpha, 0)
-            if n:
-                total += Fraction(ring.dim(eta)) * dalpha * n / dxi
-    return total
+        deta = exact_dim(eta)
+        for p in (ring._product_cached(eta, xibar), ring._product_cached(eta, xi)):
+            for alpha, n in p.items():
+                if alpha not in F:
+                    total += deta * exact_dim(alpha) * n
+    return Fraction(total) / Fraction(ring.dim(xi))
 
 
 def fc2_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> FoelnerReport:
@@ -218,8 +205,6 @@ def fc2_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> Foelner
         for every xi in S:  || rho_xi(chi_F) - chi_F ||_{1,sigma} < eps * || chi_F ||_{1,sigma}.
 
     The per-label values are computed exactly and listed in the report.
-    Set FUSIONKIT_THREADS to evaluate the labels of S concurrently; the
-    aggregation order is fixed, so reports are reproducible.
     """
     if eps <= 0:
         raise InvalidParam(f"epsilon must be positive, got {eps}")
@@ -231,12 +216,7 @@ def fc2_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> Foelner
         ring.check_label(label)
     weight_F = subset_weight(ring, F)
 
-    cap = min(_thread_cap(), len(S))
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            values = list(pool.map(lambda xi: _fc2_value(ring, xi, F), S))
-    else:
-        values = [_fc2_value(ring, xi, F) for xi in S]
+    values = [_fc2_value(ring, xi, F) for xi in S]
 
     eps_exact = Fraction(float(eps))
     satisfied = all(v < eps_exact * weight_F for v in values)

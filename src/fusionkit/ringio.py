@@ -37,19 +37,32 @@ _BUILTIN_NAMES = ("zd", "free", "cyclic", "su2", "deformed_su2", "tensor", "triv
 
 
 def load_ring(source) -> FusionRing:
-    """Load a ring from a path, JSON text, or an already-parsed document."""
+    """Load a ring from a path, JSON text, or an already-parsed document.
+
+    A missing path, malformed JSON or a non-object document raise InvalidParam.
+    """
     if isinstance(source, Mapping):
         return ring_from_doc(source)
     if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
+        name = f"ring file {os.fspath(source)!r}"
         with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return ring_from_doc(doc)
-    if isinstance(source, str):
-        return ring_from_doc(json.loads(source))
-    raise InvalidParam(f"cannot load a ring from {source!r}")
+            source = fh.read()
+    elif isinstance(source, str) and source.lstrip().startswith(("{", "[")):
+        name = "ring JSON text"
+    elif isinstance(source, (str, os.PathLike)):
+        raise InvalidParam(f"no ring file at {os.fspath(source)!r}")
+    else:
+        raise InvalidParam(f"cannot load a ring from {source!r}")
+    try:
+        doc = json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise InvalidParam(f"{name} is not valid JSON: {exc}") from None
+    return ring_from_doc(doc)
 
 
 def ring_from_doc(doc: Mapping) -> FusionRing:
+    if not isinstance(doc, Mapping):
+        raise InvalidParam(f"ring document must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("type")
     if kind == "builtin":
         return _builtin_from_doc(doc)

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from .core import Element, FusionRing, ProbMeasure
+from .core import Element, FusionRing, ProbMeasure, conjugate_element
 from .errors import (BudgetExceeded, EmptySet, InvalidParam, NoConvergence,
                      NonSymmetricMeasure, NotSelfAdjoint, RingMismatch)
 
@@ -162,9 +162,24 @@ def _csr_from_entries(entries: dict, n: int):
     return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
-def _check_window_ring(ring: FusionRing, window: TruncationWindow) -> None:
+def _compress(ring: FusionRing, terms, window: TruncationWindow,
+              selfadjoint: bool) -> CompressedOperator:
+    # entry (alpha, eta) = sum over (xi, c) in terms of c N(xi,eta->alpha),
+    # accumulated exactly and converted to float once
     if window.ring is not ring:
         raise RingMismatch("window belongs to a different ring")
+    index = window._index
+    acc: dict = {}
+    for xi, c in terms:
+        for j, eta in enumerate(window.labels):
+            for alpha, n in ring._product_cached(xi, eta).items():
+                i = index.get(alpha)
+                if i is not None:
+                    key = (i, j)
+                    prev = acc.get(key)  # a first hit skips adding n * c to 0
+                    acc[key] = n * c if prev is None else prev + n * c
+    return CompressedOperator(window, _csr_from_entries(acc, len(window)),
+                              selfadjoint)
 
 
 def l_operator(ring: FusionRing, xi, window: TruncationWindow) -> CompressedOperator:
@@ -174,18 +189,8 @@ def l_operator(ring: FusionRing, xi, window: TruncationWindow) -> CompressedOper
     equals the matrix of l applied to conj(xi) on any conjugation-closed
     window, entry for entry.
     """
-    _check_window_ring(ring, window)
-    ring.check_label(xi)
-    d = ring.dim(xi)
-    index = window._index
-    entries: dict = {}
-    for j, eta in enumerate(window.labels):
-        for alpha, n in ring._product_cached(xi, eta).items():
-            i = index.get(alpha)
-            if i is not None:
-                entries[(i, j)] = n / d
-    matrix = _csr_from_entries(entries, len(window))
-    return CompressedOperator(window, matrix, selfadjoint=(ring.conj(xi) == xi))
+    return _compress(ring, [(xi, 1 / Fraction(ring.dim(xi)))], window,
+                     selfadjoint=(ring.conj(xi) == xi))
 
 
 def l_measure_operator(ring: FusionRing, mu: ProbMeasure,
@@ -197,22 +202,11 @@ def l_measure_operator(ring: FusionRing, mu: ProbMeasure,
     are accumulated as exact rationals so that a symmetric measure yields a
     bitwise-symmetric matrix.
     """
-    _check_window_ring(ring, window)
     if mu.ring is not ring:
         raise RingMismatch("measure belongs to a different ring")
-    index = window._index
-    acc: dict = {}
-    for xi, weight in mu.sorted_items():
-        scale = Fraction(weight) / Fraction(ring.dim(xi))
-        for j, eta in enumerate(window.labels):
-            for alpha, n in ring._product_cached(xi, eta).items():
-                i = index.get(alpha)
-                if i is not None:
-                    key = (i, j)
-                    prev = acc.get(key)
-                    acc[key] = n * scale if prev is None else prev + n * scale
-    matrix = _csr_from_entries(acc, len(window))
-    return CompressedOperator(window, matrix, selfadjoint=mu.symmetric)
+    terms = [(xi, Fraction(weight) / Fraction(ring.dim(xi)))
+             for xi, weight in mu.sorted_items()]
+    return _compress(ring, terms, window, selfadjoint=mu.symmetric)
 
 
 def gns_operator(ring: FusionRing, x: Element, window: TruncationWindow) -> CompressedOperator:
@@ -221,24 +215,47 @@ def gns_operator(ring: FusionRing, x: Element, window: TruncationWindow) -> Comp
     The GNS action of a basis label is d(xi) l_xi, so the matrix of x is
     just sum_xi k_xi N(xi,eta->alpha): exact integers.
     """
-    _check_window_ring(ring, window)
     if x.ring is not ring:
         raise RingMismatch("element belongs to a different ring")
     if any(not isinstance(v, int) for v in x.coeffs.values()):
         raise InvalidParam("gns_operator expects an integer element")
-    index = window._index
-    acc: dict = {}
-    for xi, k in sorted(x.coeffs.items()):
-        for j, eta in enumerate(window.labels):
-            for alpha, n in ring._product_cached(xi, eta).items():
-                i = index.get(alpha)
-                if i is not None:
-                    key = (i, j)
-                    acc[key] = acc.get(key, 0) + k * n
-    matrix = _csr_from_entries(acc, len(window))
-    from .core import conjugate_element
-    return CompressedOperator(window, matrix,
-                              selfadjoint=(conjugate_element(x) == x))
+    return _compress(ring, sorted(x.coeffs.items()), window,
+                     selfadjoint=(conjugate_element(x) == x))
+
+
+def _apply(ring: FusionRing, xi, f: Element, left: bool) -> Element:
+    # right: eta in supp(alpha * conj xi), reading N(eta, xi -> alpha);
+    # left: eta in supp(xi * alpha), reading N(conj xi, eta -> alpha)
+    ring.check_label(xi)
+    if f.ring is not ring:
+        raise RingMismatch("function belongs to a different ring")
+    xibar = ring.conj(xi)
+    candidates = set()
+    for alpha in f.support:
+        candidates.update(ring._product_cached(xi, alpha) if left
+                          else ring._product_cached(alpha, xibar))
+    dxi = ring.dim(xi)
+    out: dict = {}
+    for eta in candidates:
+        p = ring._product_cached(xibar, eta) if left else ring._product_cached(eta, xi)
+        s = 0.0
+        for alpha, value in f.coeffs.items():
+            n = p.get(alpha)
+            if n:
+                s += value * n * ring.dim(alpha)
+        if s:
+            out[eta] = s / (ring.dim(eta) * dxi)
+    return Element(ring, out)
+
+
+def _measure_apply(ring: FusionRing, mu: ProbMeasure, f: Element,
+                   left: bool) -> Element:
+    if mu.ring is not ring or f.ring is not ring:
+        raise RingMismatch("measure/function belong to a different ring")
+    out = Element(ring, {})
+    for xi, weight in mu.sorted_items():
+        out = out + weight * _apply(ring, xi, f, left)
+    return out
 
 
 def rho1_operator_apply(ring: FusionRing, xi, f: Element) -> Element:
@@ -250,35 +267,12 @@ def rho1_operator_apply(ring: FusionRing, xi, f: Element) -> Element:
     Frobenius reciprocity (eta ranges over products of supp(f) with
     conj(xi)).
     """
-    ring.check_label(xi)
-    if f.ring is not ring:
-        raise RingMismatch("function belongs to a different ring")
-    xibar = ring.conj(xi)
-    candidates = set()
-    for alpha in f.support:
-        candidates.update(ring._product_cached(alpha, xibar))
-    dxi = ring.dim(xi)
-    out: dict = {}
-    for eta in candidates:
-        p = ring._product_cached(eta, xi)
-        s = 0.0
-        for alpha, value in f.coeffs.items():
-            n = p.get(alpha)
-            if n:
-                s += value * n * ring.dim(alpha)
-        if s:
-            out[eta] = s / (ring.dim(eta) * dxi)
-    return Element(ring, out)
+    return _apply(ring, xi, f, left=False)
 
 
 def rho_measure_apply(ring: FusionRing, mu: ProbMeasure, f: Element) -> Element:
     """rho_mu(f) = sum_omega mu(omega) rho_omega(f)."""
-    if mu.ring is not ring or f.ring is not ring:
-        raise RingMismatch("measure/function belong to a different ring")
-    out = Element(ring, {})
-    for omega, weight in mu.sorted_items():
-        out = out + weight * rho1_operator_apply(ring, omega, f)
-    return out
+    return _measure_apply(ring, mu, f, left=False)
 
 
 def lambda_operator_apply(ring: FusionRing, xi, f: Element) -> Element:
@@ -289,35 +283,12 @@ def lambda_operator_apply(ring: FusionRing, xi, f: Element) -> Element:
     Used for cross-checking the compressed matrices against the weighted
     picture; the two are intertwined by the rescaling unitary.
     """
-    ring.check_label(xi)
-    if f.ring is not ring:
-        raise RingMismatch("function belongs to a different ring")
-    candidates = set()
-    for alpha in f.support:
-        candidates.update(ring._product_cached(xi, alpha))
-    xibar = ring.conj(xi)
-    dxi = ring.dim(xi)
-    out: dict = {}
-    for eta in candidates:
-        p = ring._product_cached(xibar, eta)
-        s = 0.0
-        for alpha, value in f.coeffs.items():
-            n = p.get(alpha)
-            if n:
-                s += value * n * ring.dim(alpha)
-        if s:
-            out[eta] = s / (dxi * ring.dim(eta))
-    return Element(ring, out)
+    return _apply(ring, xi, f, left=True)
 
 
 def lambda_measure_apply(ring: FusionRing, mu: ProbMeasure, f: Element) -> Element:
     """lambda_mu(f) = sum_xi mu(xi) lambda_xi(f)."""
-    if mu.ring is not ring or f.ring is not ring:
-        raise RingMismatch("measure/function belong to a different ring")
-    out = Element(ring, {})
-    for xi, weight in mu.sorted_items():
-        out = out + weight * lambda_operator_apply(ring, xi, f)
-    return out
+    return _measure_apply(ring, mu, f, left=True)
 
 
 @dataclass(frozen=True)

@@ -159,30 +159,3 @@ class TestMeasureFromDecomposition:
         mu = fk.measure_from_decomposition(dsu2, {0: 1, 1: 2})
         assert mu.weights == {0: float(1 / 7), 1: float(6 / 7)}
         assert math.isclose(sum(mu.weights.values()), 1.0, abs_tol=1e-15)
-
-
-class TestRingSpec:
-    def test_group_kinds(self):
-        assert fk.build_group_ring(fk.RingSpec("group_Zd", {"d": 1})).unit == 0
-        assert fk.build_group_ring(fk.RingSpec("group_free", {"rank": 2})).unit == ""
-        labels = ["e", "g"]
-        table = {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "e"}
-        ring = fk.build_group_ring(
-            fk.RingSpec("group_finite_table", {"labels": labels, "table": table}))
-        assert ring.conj("g") == "g"
-
-    def test_non_group_kind_rejected_by_group_builder(self):
-        with pytest.raises(fk.InvalidParam):
-            fk.build_group_ring(fk.RingSpec("su2", {}))
-
-    def test_unknown_kind(self):
-        with pytest.raises(fk.InvalidParam):
-            fk.RingSpec("weird", {})
-
-    def test_tensor_spec(self):
-        spec = fk.RingSpec("tensor_product", {
-            "left": fk.RingSpec("su2", {}),
-            "right": fk.RingSpec("group_Zd", {"d": 1}),
-        })
-        ring = spec.build()
-        assert ring.unit == (0, 0)

@@ -245,3 +245,50 @@ class TestUsageErrors:
                          {"type": "builtin", "name": "trivial", "params": {}})
         assert main(["spectrum", path, "--measure", "uniform-gens",
                      "--radii", "1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "RING", "--condition", "fc3", "--set", "interval:0..x",
+         "--support", "1", "--eps", "0.5"],
+        ["check", "RING", "--condition", "fc3", "--set", "ball:two",
+         "--support", "1", "--eps", "0.5"],
+        ["spectrum", "RING", "--measure", "decomp:1=one", "--radii", "2"],
+    ])
+    def test_non_integer_spec_numbers(self, z_file, capsys, argv):
+        argv = [z_file if a == "RING" else a for a in argv]
+        assert main(argv) == 2
+        assert "InvalidParam" in capsys.readouterr().err
+
+    def test_interval_over_window_cap(self, z_file, capsys):
+        # one label past spectral.DEFAULT_WINDOW_CAP
+        assert main(["check", z_file, "--condition", "fc3",
+                     "--set", "interval:0..250000", "--support", "1",
+                     "--eps", "0.5"]) == 2
+        assert "InvalidParam" in capsys.readouterr().err
+
+
+class TestRingFileErrors:
+    """Bad ring files raise InvalidParam in the library and exit 2 in the CLI."""
+
+    def check(self, path, capsys):
+        with pytest.raises(fk.InvalidParam):
+            fk.load_ring(path)
+        assert main(["axioms", path, "--radius", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParam") and "Traceback" not in err
+        return err
+
+    def test_missing_path(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.json")
+        assert path in self.check(path, capsys)
+
+    def test_malformed_json_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json", encoding="utf-8")
+        assert str(path) in self.check(str(path), capsys)
+        with pytest.raises(fk.InvalidParam):
+            fk.load_ring("{not json")
+
+    def test_document_not_an_object(self, ring_file, capsys):
+        self.check(ring_file("list.json", []), capsys)
+        with pytest.raises(fk.InvalidParam):
+            fk.ring_from_doc([])

@@ -145,13 +145,18 @@ class TestFC2:
                 assert math.isclose(rep.extra["per_label"][ring.format_label(xi)],
                                     direct, rel_tol=1e-10, abs_tol=1e-10)
 
-    def test_threads_env_gives_same_answer(self, su2, monkeypatch):
-        F = set(range(8))
-        base = fk.fc2_check(su2, {1, 2, 3}, F, 0.9)
-        monkeypatch.setenv("FUSIONKIT_THREADS", "4")
-        threaded = fk.fc2_check(su2, {1, 2, 3}, F, 0.9)
-        assert threaded.extra["per_label"] == base.extra["per_label"]
-        assert threaded.satisfied == base.satisfied
+    def test_non_integer_dims(self):
+        # Fibonacci rules t*t = 1 + t with d(t) the golden ratio (a float):
+        # 2 d(t) / d(t) = 2 is exact when the dimensions enter as rationals
+        phi = (1 + 5 ** 0.5) / 2
+        prods = {("1", "1"): {"1": 1}, ("1", "t"): {"t": 1},
+                 ("t", "1"): {"t": 1}, ("t", "t"): {"1": 1, "t": 1}}
+        ring = fk.FusionRing(unit="1", product_rule=lambda x, y: prods[(x, y)],
+                             conjugate_rule=lambda x: x,
+                             dim_rule=lambda x: phi if x == "t" else 1,
+                             generators=("t",), is_label=lambda x: x in ("1", "t"))
+        for F in ({"1"}, {"t"}):
+            assert fk.fc2_check(ring, {"t"}, F, 1.0).extra["per_label"] == {"t": 2.0}
 
 
 class TestTransitionKernel:

@@ -76,6 +76,14 @@ class TestLOperator:
         with pytest.raises(fk.InvalidLabel):
             fk.l_operator(su2, -2, window)
 
+    def test_window_of_another_ring_rejected(self, su2, dsu2):
+        window = fk.build_window(dsu2, {1}, 3)
+        for build in (lambda: fk.l_operator(su2, 1, window),
+                      lambda: fk.l_measure_operator(su2, fk.ProbMeasure.delta(su2, 1), window),
+                      lambda: fk.gns_operator(su2, fk.Element(su2, {1: 1}), window)):
+            with pytest.raises(fk.RingMismatch):
+                build()
+
     def test_transpose_duality_exact(self, f2, z2):
         for ring in (f2, z2):
             window = fk.build_window(ring, ring.generators, 3)
