@@ -15,8 +15,8 @@ import sys
 
 from . import catalog, foelner, ringio, spectral
 from .core import FusionRing, ProbMeasure, indicator, verify_axioms
-from .errors import (BudgetExceeded, FusionError, InvalidParam, InvalidTable,
-                     NoConvergence)
+from .errors import (BudgetExceeded, FusionError, InvalidLabel, InvalidParam,
+                     InvalidTable, NoConvergence)
 from .spectral import Verdict
 
 EXIT_OK = 0
@@ -31,15 +31,23 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _parse_label(ring: FusionRing, text: str):
+    try:
+        label = ring.parse_label(text)
+    except ValueError:
+        raise InvalidLabel(
+            f"cannot parse {text!r} as a label of {ring.description}") from None
+    ring.check_label(label)
+    return label
+
+
 def _parse_labels(ring: FusionRing, text: str) -> list:
     labels = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        label = ring.parse_label(part)
-        ring.check_label(label)
-        labels.append(label)
+        labels.append(_parse_label(ring, part))
     if not labels:
         raise InvalidParam(f"no labels in {text!r}")
     return labels
@@ -91,8 +99,7 @@ def _parse_measure_spec(ring: FusionRing, spec: str) -> ProbMeasure:
             raise InvalidParam("ring declares no generators for uniform-gens")
         return ProbMeasure.uniform(ring, gens)
     if spec.startswith("delta:"):
-        label = ring.parse_label(spec[len("delta:"):].strip())
-        ring.check_label(label)
+        label = _parse_label(ring, spec[len("delta:"):].strip())
         return ProbMeasure.delta(ring, label)
     if spec.startswith("decomp:"):
         decomp = {}
@@ -103,8 +110,7 @@ def _parse_measure_spec(ring: FusionRing, spec: str) -> ProbMeasure:
             name, sep, mult = part.partition("=")
             if not sep:
                 raise InvalidParam(f"decomp entry {part!r} needs LABEL=k")
-            label = ring.parse_label(name.strip())
-            ring.check_label(label)
+            label = _parse_label(ring, name.strip())
             decomp[label] = decomp.get(label, 0) + _parse_int(mult, "multiplicity")
         return catalog.measure_from_decomposition(ring, decomp)
     raise InvalidParam(
@@ -163,7 +169,7 @@ def cmd_foelner(args) -> int:
 def cmd_spectrum(args) -> int:
     ring = ringio.load_ring(args.ring)
     mu = _parse_measure_spec(ring, args.measure)
-    radii = [int(r) for r in args.radii.split(",") if r.strip()]
+    radii = [_parse_int(r, "radius") for r in args.radii.split(",") if r.strip()]
     report = spectral.amenability_estimate(ring, mu, radii, cap=args.cap,
                                            tol=args.tol)
     for entry in report.entries:

@@ -55,10 +55,12 @@ class NotSelfAdjoint(FusionError):
 
 
 class NoConvergence(FusionError):
-    """Power iteration hit its iteration budget.
+    """The Lanczos eigensolver did not certify its answer: the residual
+    ||Mx - theta x|| of its Ritz pair is not below the tolerance, or ARPACK
+    stopped without converging.
 
     Carries the best available data: ``estimate`` (top of spectrum),
-    ``residual`` and ``iterations``.
+    ``residual`` and ``iterations`` (matvecs).
     """
 
     def __init__(self, message, estimate, residual, iterations):

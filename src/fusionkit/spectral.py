@@ -41,12 +41,15 @@ class TruncationWindow:
     Built breadth-first from a generator support, closed under conjugation.
     Windows with the same generator support nest as the radius grows, and
     the label order of the smaller window is a prefix of the larger one.
+    ``level_sizes[k]`` is the label count after breadth-first level k; a
+    finite ring that saturates early has fewer than ``radius + 1`` levels.
     """
 
-    __slots__ = ("ring", "labels", "radius", "generator_support", "_index")
+    __slots__ = ("ring", "labels", "radius", "generator_support",
+                 "level_sizes", "_index")
 
     def __init__(self, ring: FusionRing, labels: Iterable, radius: int,
-                 generator_support: Iterable):
+                 generator_support: Iterable, level_sizes: Sequence[int]):
         labels = tuple(labels)
         index = {}
         for pos, label in enumerate(labels):
@@ -63,6 +66,7 @@ class TruncationWindow:
         self.labels = labels
         self.radius = radius
         self.generator_support = frozenset(generator_support)
+        self.level_sizes = tuple(level_sizes)
         self._index = index
 
     def __len__(self) -> int:
@@ -76,6 +80,18 @@ class TruncationWindow:
 
     def index(self, label) -> int:
         return self._index[label]
+
+    def prefix(self, radius: int) -> "TruncationWindow":
+        """The window of a radius in 0..self.radius: a prefix of this one,
+        equal to what ``build_window`` returns at that radius."""
+        if not 0 <= radius <= self.radius:
+            raise InvalidParam(
+                f"prefix radius must be in 0..{self.radius}, got {radius}")
+        if radius == self.radius:
+            return self
+        sizes = self.level_sizes[:radius + 1]
+        return TruncationWindow(self.ring, self.labels[:sizes[-1]], radius,
+                                self.generator_support, sizes)
 
     def __repr__(self):
         return (f"TruncationWindow({self.ring.description!r}, "
@@ -106,6 +122,7 @@ def build_window(ring: FusionRing, S: Iterable, radius: int,
     order = [ring.unit]
     seen = {ring.unit}
     frontier = [ring.unit]
+    level_sizes = [1]
     for level in range(1, radius + 1):
         new = []
         for w in frontier:
@@ -124,8 +141,9 @@ def build_window(ring: FusionRing, S: Iterable, radius: int,
                             new.append(cand)
         if not new:
             break
+        level_sizes.append(len(order))
         frontier = new
-    return TruncationWindow(ring, order, radius, S)
+    return TruncationWindow(ring, order, radius, S, level_sizes)
 
 
 class CompressedOperator:
@@ -165,14 +183,16 @@ def _csr_from_entries(entries: dict, n: int):
 def _compress(ring: FusionRing, terms, window: TruncationWindow,
               selfadjoint: bool) -> CompressedOperator:
     # entry (alpha, eta) = sum over (xi, c) in terms of c N(xi,eta->alpha),
-    # accumulated exactly and converted to float once
+    # accumulated exactly and converted to float once.  Each product is read
+    # once, so it is probed rather than cached; every label here was checked
+    # when the window, measure or element was built (l_operator checks xi).
     if window.ring is not ring:
         raise RingMismatch("window belongs to a different ring")
     index = window._index
     acc: dict = {}
     for xi, c in terms:
         for j, eta in enumerate(window.labels):
-            for alpha, n in ring._product_cached(xi, eta).items():
+            for alpha, n in ring._product_probe(xi, eta).items():
                 i = index.get(alpha)
                 if i is not None:
                     key = (i, j)
@@ -293,26 +313,24 @@ def lambda_measure_apply(ring: FusionRing, mu: ProbMeasure, f: Element) -> Eleme
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Top of spectrum of a compressed operator, with convergence data."""
+    """Top of spectrum of a compressed operator, with its residual."""
 
     value: float
-    method: str  # "dense" or "power"
+    method: str  # "dense" or "lanczos"
     iterations: int
     residual: float
-    converged: bool = True
 
 
-def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9,
-                   max_iter: int = 200_000) -> SpectralEstimate:
+def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9) -> SpectralEstimate:
     """Largest eigenvalue of a self-adjoint compression, to absolute
     accuracy ``tol``.
 
     Windows of dimension at most 512 use a dense symmetric eigensolve.
-    Larger ones use power iteration on (I + M)/2, which is positive
-    semidefinite because the spectrum of a probability-measure convolution
-    operator lies in [-1, 1]; the start vector is the deterministic uniform
-    positive vector, and the residual certifies the distance from the
-    Rayleigh quotient to the spectrum.
+    Larger ones use ARPACK's Lanczos solver (``eigsh``) from the
+    deterministic uniform start vector; ``iterations`` counts its matvecs.
+    The Ritz pair (theta, x) is accepted when ||Mx - theta x|| < tol, which
+    puts an eigenvalue of M within tol of theta; otherwise NoConvergence
+    carries theta, the residual and the matvec count.
     """
     if not op.selfadjoint:
         raise NotSelfAdjoint("top_eigenvalue requires a self-adjoint operator")
@@ -323,26 +341,33 @@ def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9,
         eigs = np.linalg.eigvalsh(op.matrix.toarray())
         return SpectralEstimate(value=float(eigs[-1]), method="dense",
                                 iterations=0, residual=0.0)
+    # imported here: scipy.sparse.linalg costs ~9 MB and ~0.1 s, which
+    # callers that stay under the dense limit should not pay
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
     M = op.matrix
-    x = np.full(n, 1.0 / math.sqrt(n))
-    theta = 0.0
-    resid = math.inf
-    for iteration in range(1, max_iter + 1):
-        y = 0.5 * (M @ x) + 0.5 * x
-        theta = float(x @ y)
-        resid = float(np.linalg.norm(y - theta * x))
-        if 2.0 * resid < tol:
-            return SpectralEstimate(value=2.0 * theta - 1.0, method="power",
-                                    iterations=iteration, residual=2.0 * resid)
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            # M = -I is the only way (I+M)/2 annihilates a positive vector
-            return SpectralEstimate(value=-1.0, method="power",
-                                    iterations=iteration, residual=0.0)
-        x = y / norm
-    raise NoConvergence(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations",
-        estimate=2.0 * theta - 1.0, residual=2.0 * resid, iterations=max_iter)
+    matvecs = 0
+
+    def matvec(x):
+        nonlocal matvecs
+        matvecs += 1
+        return M @ x
+
+    v0 = np.full(n, 1.0 / math.sqrt(n))
+    try:
+        vals, vecs = eigsh(LinearOperator((n, n), matvec=matvec, dtype=M.dtype),
+                           k=1, which="LA", tol=0, v0=v0)
+    except ArpackNoConvergence as exc:
+        vals, vecs = exc.eigenvalues, exc.eigenvectors
+    x = vecs[:, 0] if len(vals) else v0
+    y = M @ x
+    theta = float(vals[0]) if len(vals) else float(x @ y)
+    resid = float(np.linalg.norm(y - theta * x))
+    if not resid < tol:
+        raise NoConvergence(
+            f"Lanczos residual {resid:.3g} is not below tol={tol}",
+            estimate=theta, residual=resid, iterations=matvecs)
+    return SpectralEstimate(value=theta, method="lanczos",
+                            iterations=matvecs, residual=resid)
 
 
 class Verdict(str, Enum):
@@ -391,10 +416,12 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
                          stall_threshold: float = 1e-6) -> AmenabilityReport:
     """Run the truncated spectral test over a family of nested windows.
 
-    For each radius: build the window generated by supp(mu), compress l_mu,
-    and take the top eigenvalue.  The verdict is EVIDENCE_AMENABLE when the
-    final gap drops below ``gap_threshold``; EVIDENCE_NONAMENABLE when the
-    sequence has numerically stalled (successive differences below
+    The window generated by supp(mu) is built and l_mu compressed to it
+    once, at the largest radius.  Each smaller window is a prefix of it, and
+    its compression is the leading principal submatrix, so each radius only
+    takes the top eigenvalue of a slice.  The verdict is EVIDENCE_AMENABLE
+    when the final gap drops below ``gap_threshold``; EVIDENCE_NONAMENABLE
+    when the sequence has numerically stalled (successive differences below
     ``stall_threshold`` over at least three radii) at a gap larger than ten
     times ``gap_threshold``; otherwise INCONCLUSIVE.
     """
@@ -406,13 +433,18 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
     radii = sorted(set(int(r) for r in radii))
     if not radii:
         raise InvalidParam("need at least one radius")
+    if radii[0] < 0:
+        raise InvalidParam(f"radius must be >= 0, got {radii[0]}")
     support = tuple(sorted(mu.support))
+    window = build_window(ring, support, radii[-1], cap=cap)
+    op = l_measure_operator(ring, mu, window)
     entries = []
     for radius in radii:
-        window = build_window(ring, support, radius, cap=cap)
-        op = l_measure_operator(ring, mu, window)
-        est = top_eigenvalue(op, tol=tol)
-        entries.append(RadiusEstimate(radius=radius, window_size=len(window),
+        sub = window.prefix(radius)
+        n = len(sub)
+        est = top_eigenvalue(
+            CompressedOperator(sub, op.matrix[:n, :n], op.selfadjoint), tol=tol)
+        entries.append(RadiusEstimate(radius=radius, window_size=n,
                                       lambda_max=est.value, method=est.method,
                                       iterations=est.iterations))
     values = [e.lambda_max for e in entries]

@@ -76,6 +76,12 @@ def test_c2_kesten_spectral_values():
     v100 = fk.top_eigenvalue(fk.l_measure_operator(su2, mu2, window100)).value
     assert v100 == pytest.approx(0.9995162823, abs=1e-9)
 
+    # windows of 1000 and 2000 labels, both past the dense limit
+    large = fk.amenability_estimate(su2, mu2, [999, 1999])
+    for m, entry in zip((1000, 2000), large.entries):
+        assert entry.window_size == m and entry.method == "lanczos"
+        assert abs(entry.lambda_max - math.cos(math.pi / (m + 1))) < 1e-9
+
     amen = fk.amenability_estimate(su2, mu2, [50, 100, 150, 200])
     assert amen.verdict is fk.Verdict.EVIDENCE_AMENABLE
 

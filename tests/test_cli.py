@@ -252,11 +252,24 @@ class TestUsageErrors:
         ["check", "RING", "--condition", "fc3", "--set", "ball:two",
          "--support", "1", "--eps", "0.5"],
         ["spectrum", "RING", "--measure", "decomp:1=one", "--radii", "2"],
+        ["spectrum", "RING", "--measure", "delta:1", "--radii", "2,x"],
     ])
     def test_non_integer_spec_numbers(self, z_file, capsys, argv):
         argv = [z_file if a == "RING" else a for a in argv]
         assert main(argv) == 2
         assert "InvalidParam" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "RING", "--condition", "fc3", "--set", "set:x",
+         "--support", "1", "--eps", "0.5"],
+        ["check", "RING", "--condition", "fc3", "--set", "set:1",
+         "--support", "x", "--eps", "0.5"],
+        ["spectrum", "RING", "--measure", "delta:x", "--radii", "2"],
+    ])
+    def test_unparsable_labels(self, z_file, capsys, argv):
+        argv = [z_file if a == "RING" else a for a in argv]
+        assert main(argv) == 2
+        assert "InvalidLabel" in capsys.readouterr().err
 
     def test_interval_over_window_cap(self, z_file, capsys):
         # one label past spectral.DEFAULT_WINDOW_CAP

@@ -18,6 +18,7 @@ class TestBuildWindow:
     def test_f2_ball_counts(self, f2):
         assert len(fk.build_window(f2, {"a", "b"}, 2)) == 17
         assert len(fk.build_window(f2, {"a", "b"}, 3)) == 53
+        assert fk.build_window(f2, {"a", "b"}, 3).level_sizes == (1, 5, 17, 53)
 
     def test_radius_zero(self, su2):
         assert fk.build_window(su2, {1}, 0).labels == (0,)
@@ -26,6 +27,8 @@ class TestBuildWindow:
         small = fk.build_window(z2, z2.generators, 2)
         large = fk.build_window(z2, z2.generators, 4)
         assert large.labels[:len(small)] == small.labels
+        prefix = large.prefix(2)
+        assert (prefix.labels, prefix.level_sizes) == (small.labels, small.level_sizes)
 
     def test_conjugation_closed(self, f2):
         window = fk.build_window(f2, {"a", "b"}, 3)
@@ -41,6 +44,8 @@ class TestBuildWindow:
     def test_finite_ring_saturates(self, z6):
         window = fk.build_window(z6, z6.generators, 50)
         assert sorted(window.labels) == list(range(6))
+        assert window.level_sizes == (1, 3, 5, 6)
+        assert window.prefix(10).labels == window.labels
 
     def test_empty_support(self, su2):
         with pytest.raises(fk.EmptySet):
@@ -126,6 +131,13 @@ class TestLMeasureOperator:
             assert op.selfadjoint
             assert (op.matrix != op.matrix.T).nnz == 0
 
+    def test_leaves_product_cache_unchanged(self):
+        f2 = fk.free_group_ring(2)  # a fresh cache, not the shared fixture's
+        window = fk.build_window(f2, f2.generators, 4)
+        size = len(f2._cache)
+        fk.l_measure_operator(f2, fk.ProbMeasure.uniform(f2, f2.generators), window)
+        assert len(f2._cache) == size
+
     def test_selfadjoint_flag_follows_symmetry(self, z1):
         window = fk.build_window(z1, {1, -1}, 3)
         op = fk.l_measure_operator(z1, fk.ProbMeasure.delta(z1, 1), window)
@@ -169,12 +181,12 @@ class TestTopEigenvalue:
         expected = (2 / 3) * math.cos(math.pi / 101)
         assert fk.top_eigenvalue(op).value == pytest.approx(expected, abs=1e-9)
 
-    def test_power_iteration_matches_dense(self, f2):
+    def test_lanczos_matches_dense(self, f2):
         window = fk.build_window(f2, f2.generators, 6)  # 1457 > dense limit
         mu = fk.ProbMeasure.uniform(f2, f2.generators)
         op = fk.l_measure_operator(f2, mu, window)
         est = fk.top_eigenvalue(op, tol=1e-10)
-        assert est.method == "power"
+        assert est.method == "lanczos"
         dense_top = float(np.linalg.eigvalsh(op.matrix.toarray())[-1])
         assert est.value == pytest.approx(dense_top, abs=1e-9)
 
@@ -189,8 +201,8 @@ class TestTopEigenvalue:
         mu = fk.ProbMeasure.uniform(f2, f2.generators)
         op = fk.l_measure_operator(f2, mu, window)
         with pytest.raises(fk.NoConvergence) as info:
-            fk.top_eigenvalue(op, tol=1e-12, max_iter=3)
-        assert info.value.iterations == 3
+            fk.top_eigenvalue(op, tol=1e-18)
+        assert info.value.iterations > 0
         assert 0.0 < info.value.estimate < 1.0
         assert info.value.residual > 0.0
 
@@ -283,6 +295,22 @@ class TestAmenabilityEstimate:
         mu = fk.ProbMeasure.delta(su2, 1)
         report = fk.amenability_estimate(su2, mu, [3, 4, 5])
         assert report.verdict is fk.Verdict.INCONCLUSIVE
+
+    def test_negative_radius_rejected(self, su2):
+        with pytest.raises(fk.InvalidParam):
+            fk.amenability_estimate(su2, fk.ProbMeasure.delta(su2, 1), [-1, 5])
+
+    @pytest.mark.parametrize("ring_name, radii", [
+        ("f2", range(1, 8)),  # windows from 5 to 4373 labels, across the dense limit
+        ("z6", (0, 1, 2, 3, 7)),  # saturates at radius 3
+    ])
+    def test_one_estimate_equals_separate_radii(self, request, ring_name, radii):
+        ring = request.getfixturevalue(ring_name)
+        mu = fk.ProbMeasure.uniform(ring, ring.generators)
+        joint = fk.amenability_estimate(ring, mu, radii).entries
+        single = [fk.amenability_estimate(ring, mu, [r]).entries[0] for r in radii]
+        assert [(e.window_size, e.lambda_max) for e in joint] == \
+            [(e.window_size, e.lambda_max) for e in single]
 
     def test_nonsymmetric_rejected(self, z1):
         with pytest.raises(fk.NonSymmetricMeasure):
