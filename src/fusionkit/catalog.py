@@ -110,14 +110,14 @@ def free_group_ring(rank: int) -> FusionRing:
     if not isinstance(rank, int) or not 1 <= rank <= 26:
         raise InvalidParam(f"free rank must be an int in 1..26, got {rank!r}")
     letters = string.ascii_lowercase[:rank]
-    alphabet = set(letters) | {ch.upper() for ch in letters}
+    alphabet = letters + letters.upper()
+    cancelling = tuple(ch + _inv_char(ch) for ch in alphabet)
 
     def is_label(w):
-        if not isinstance(w, str):
-            return False
-        if any(ch not in alphabet for ch in w):
-            return False
-        return all(w[i] != _inv_char(w[i + 1]) for i in range(len(w) - 1))
+        # a reduced word: only alphabet letters (strip leaves nothing) and no
+        # letter next to its inverse; both tests run as string methods in C
+        return (isinstance(w, str) and not w.strip(alphabet)
+                and not any(pair in w for pair in cancelling))
 
     def product(u, v):
         i = len(u)

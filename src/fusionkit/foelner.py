@@ -2,11 +2,12 @@
 
 The boundary of a finite set F relative to a finite set S collects the
 labels of F whose right products by S leak out of F together with the
-labels outside F whose right products by S leak in.  The outside part is
-enumerated without ever scanning the (infinite) complement: by Frobenius
-reciprocity a label alpha outside F can only interact with F through S if
-alpha lies in some supp(eta * conj(xi)) with eta in F, xi in S, and only
-that finite candidate set is probed.
+labels outside F whose right products by S leak in.  Both ``boundary`` and
+the set search keep it in one incremental cut (``_Cut``) that grows F a
+label at a time.  The outside part is found without ever scanning the
+(infinite) complement: by Frobenius reciprocity c lies in supp(alpha * xi)
+only if alpha lies in supp(c * conj(xi)), so adding c touches only that
+finite candidate set.
 
 The FC inequalities are evaluated exactly: sigma-weights of catalog rings
 are integers, epsilon is converted to an exact rational, and floats appear
@@ -14,13 +15,16 @@ only in reports.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .core import Element, FusionRing, ProbMeasure, subset_weight
-from .errors import (EmptySet, InvalidParam, MeasureMissingUnit,
-                     NonSymmetricMeasure, RingMismatch, ZeroFunction)
+from .errors import (BudgetExceeded, EmptySet, InvalidParam,
+                     MeasureMissingUnit, NonSymmetricMeasure, RingMismatch,
+                     ZeroFunction)
+from .spectral import _bfs_levels
 
 
 def as_float(value) -> float:
@@ -50,6 +54,76 @@ class BoundaryResult:
         return self.weight_inner + self.weight_outer
 
 
+class _Cut:
+    """A finite set F, grown one label at a time, and its boundary relative to S.
+
+    ``count[alpha]`` counts the pairs (xi in S, beta in supp(alpha * xi))
+    that cross the cut: with beta outside F when alpha is in F (alpha is
+    inner iff the count is positive), with beta in F when alpha is outside
+    (alpha is outer iff the count is positive).  Adding c changes only the
+    counts of the labels alpha with c in supp(alpha * xi); they are found in
+    supp(c * conj(xi)) and confirmed.  ``order`` lists F in insertion order;
+    ``weight_F`` and ``weight_boundary`` are running sigma-weights.
+    """
+
+    def __init__(self, ring: FusionRing, S: Iterable):
+        self.ring = ring
+        self._steps = [(xi, ring.conj(xi)) for xi in S]
+        self.F: set = set()
+        self.order: list = []
+        self.count: dict = {}
+        self.inner: set = set()
+        self.outer: set = set()
+        self.weight_F = 0
+        self.weight_boundary = 0
+
+    def _effect(self, c) -> tuple:
+        # (count of c once added, {alpha: pairs (xi, c) of alpha}, change
+        # of the boundary weight) for adding c, which must lie outside F
+        ring, F, count, sigma = self.ring, self.F, self.count, self.ring.sigma
+        own = 0
+        hits: dict = {}
+        for xi, xibar in self._steps:
+            own += sum(1 for beta in ring._product_cached(c, xi)
+                       if beta != c and beta not in F)
+            for alpha in ring._product_cached(c, xibar):
+                if alpha != c and c in ring._product_cached(alpha, xi):
+                    hits[alpha] = hits.get(alpha, 0) + 1
+        dw = (sigma(c) if own else 0) - (sigma(c) if c in self.outer else 0)
+        for alpha, k in hits.items():
+            if alpha in F:
+                if count[alpha] == k:
+                    dw -= sigma(alpha)
+            elif not count.get(alpha):
+                dw += sigma(alpha)
+        return own, hits, dw
+
+    def delta(self, c):
+        """w(boundary of F + {c}) - w(boundary of F), leaving the cut unchanged."""
+        return self._effect(c)[2]
+
+    def add(self, c) -> None:
+        """Move the label c (outside F) into F."""
+        own, hits, dw = self._effect(c)
+        F, count = self.F, self.count
+        self.outer.discard(c)
+        F.add(c)
+        self.order.append(c)
+        count[c] = own
+        if own:
+            self.inner.add(c)
+        for alpha, k in hits.items():
+            if alpha in F:
+                count[alpha] -= k
+                if not count[alpha]:
+                    self.inner.discard(alpha)
+            else:
+                count[alpha] = count.get(alpha, 0) + k
+                self.outer.add(alpha)
+        self.weight_F += self.ring.sigma(c)
+        self.weight_boundary += dw
+
+
 def boundary(ring: FusionRing, S: Iterable, F: Iterable) -> BoundaryResult:
     """Compute the boundary of F relative to S (right multiplication)."""
     S = set(S)
@@ -58,29 +132,12 @@ def boundary(ring: FusionRing, S: Iterable, F: Iterable) -> BoundaryResult:
         raise EmptySet("boundary needs non-empty S and F")
     for label in S | F:
         ring.check_label(label)
-
-    inner = set()
-    for alpha in F:
-        for xi in S:
-            if any(beta not in F for beta in ring._product_cached(alpha, xi)):
-                inner.add(alpha)
-                break
-
-    candidates = set()
-    for eta in F:
-        for xi in S:
-            candidates.update(ring._product_cached(eta, ring.conj(xi)))
-    candidates -= F
-    outer = set()
-    for alpha in candidates:
-        for xi in S:
-            if any(beta in F for beta in ring._product_cached(alpha, xi)):
-                outer.add(alpha)
-                break
-
-    return BoundaryResult(inner=frozenset(inner), outer=frozenset(outer),
-                          weight_inner=subset_weight(ring, inner),
-                          weight_outer=subset_weight(ring, outer),
+    cut = _Cut(ring, S)
+    for label in F:
+        cut.add(label)
+    return BoundaryResult(inner=frozenset(cut.inner), outer=frozenset(cut.outer),
+                          weight_inner=subset_weight(ring, cut.inner),
+                          weight_outer=subset_weight(ring, cut.outer),
                           weight_F=subset_weight(ring, F))
 
 
@@ -108,6 +165,17 @@ class FoelnerReport:
         return len(self.set_F)
 
 
+def _check_eps(eps) -> None:
+    # NaN fails every comparison and inf has no exact ratio, so both are
+    # refused here rather than deep inside Fraction
+    try:
+        ok = math.isfinite(eps) and eps > 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidParam(f"epsilon must be positive and finite, got {eps!r}")
+
+
 def _exactly_less(lhs, rhs_scale, weight_F) -> bool:
     # lhs < rhs_scale * weight_F decided in exact rational arithmetic
     return Fraction(lhs) < Fraction(rhs_scale) * Fraction(weight_F)
@@ -118,8 +186,7 @@ def fc3_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> Foelner
 
         sum_{xi in boundary_S(F)} d(xi)^2  <  eps * sum_{xi in F} d(xi)^2.
     """
-    if eps <= 0:
-        raise InvalidParam(f"epsilon must be positive, got {eps}")
+    _check_eps(eps)
     S = set(S)
     F = set(F)
     b = boundary(ring, S, F)
@@ -144,8 +211,7 @@ def fc1_check(ring: FusionRing, mu: ProbMeasure, F: Iterable, eps: float) -> Foe
     carries the cross-check that supp(chi_F * mu) = F union boundary_S(F)
     for S = supp(mu).
     """
-    if eps <= 0:
-        raise InvalidParam(f"epsilon must be positive, got {eps}")
+    _check_eps(eps)
     if mu.ring is not ring:
         raise RingMismatch("measure belongs to a different ring")
     if not mu.symmetric:
@@ -206,8 +272,7 @@ def fc2_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> Foelner
 
     The per-label values are computed exactly and listed in the report.
     """
-    if eps <= 0:
-        raise InvalidParam(f"epsilon must be positive, got {eps}")
+    _check_eps(eps)
     S = sorted(set(S))
     F = set(F)
     if not S or not F:
@@ -349,11 +414,6 @@ class SearchResult:
     curve: tuple
 
 
-def _fc3_ratio(ring: FusionRing, S: set, F) -> tuple:
-    b = boundary(ring, S, F)
-    return b, Fraction(b.weight) / Fraction(b.weight_F)
-
-
 def foelner_search(ring: FusionRing, S: Iterable, eps: float,
                    strategy: str = "balls", budget: int = 2000) -> SearchResult:
     """Search for a finite F with boundary weight ratio below eps.
@@ -363,77 +423,66 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
     label that minimizes the resulting FC3 ratio (ties broken by label
     order).  Stops at the first satisfying F.  When the label budget is
     exhausted the best F seen is returned with ``found`` false; the curve
-    always records every step.  Greedy re-evaluates the boundary per
-    candidate, so keep budgets moderate.
+    always records every step.
     """
-    from .spectral import build_window
-    from .errors import BudgetExceeded
-
     S = set(S)
     if not S:
         raise EmptySet("search needs a non-empty S")
-    if eps <= 0:
-        raise InvalidParam(f"epsilon must be positive, got {eps}")
+    _check_eps(eps)
     if strategy not in ("balls", "greedy"):
         raise InvalidParam(f"unknown strategy {strategy!r}")
     if budget < 1:
         raise InvalidParam(f"budget must be >= 1, got {budget}")
     for label in S:
         ring.check_label(label)
-    eps_exact = Fraction(float(eps))
+    eps_exact = Fraction(eps)
 
+    cut = _Cut(ring, S)
     curve: list = []
-    best = None  # (ratio, labels tuple, report)
+    best = None  # (ratio, prefix length of cut.order)
 
-    def record(step, labels) -> FoelnerReport:
+    def record(step) -> bool:
+        # the FC3 ratio of the current F; true when it is below eps
         nonlocal best
-        rep = fc3_check(ring, S, set(labels), eps)
-        ratio = Fraction(rep.extra["weight_boundary"]) / Fraction(rep.weight_F)
-        curve.append(CurvePoint(step=step, set_size=len(labels),
-                                weight_F=rep.weight_F,
-                                weight_boundary=rep.extra["weight_boundary"],
+        ratio = Fraction(cut.weight_boundary) / Fraction(cut.weight_F)
+        curve.append(CurvePoint(step=step, set_size=len(cut.order),
+                                weight_F=cut.weight_F,
+                                weight_boundary=cut.weight_boundary,
                                 ratio=float(ratio)))
         if best is None or ratio < best[0]:
-            best = (ratio, tuple(labels), rep)
-        return rep
+            best = (ratio, len(cut.order))
+        return ratio < eps_exact
 
+    found = False
     if strategy == "balls":
-        prev_size = 0
-        radius = 0
-        while True:
-            radius += 1
-            try:
-                window = build_window(ring, S, radius, cap=budget)
-            except BudgetExceeded:
-                break
-            rep = record(radius, window.labels)
-            if rep.satisfied:
-                return SearchResult(True, tuple(window.labels), rep, tuple(curve))
-            if len(window) == prev_size:
-                break  # the ring is exhausted; no further growth possible
-            prev_size = len(window)
+        try:
+            for radius, new in enumerate(_bfs_levels(ring, S, budget)):
+                for label in new:
+                    cut.add(label)
+                if radius == 0:
+                    continue  # the unit alone is not a step
+                found = record(radius)
+                if found or not new:
+                    break  # an empty level: the ring is exhausted
+        except BudgetExceeded:
+            if not curve:
+                raise  # not even radius 1 fits the budget
     else:
-        F = [ring.unit]
-        while True:
-            rep = record(len(F), F)
-            if rep.satisfied:
-                return SearchResult(True, tuple(F), rep, tuple(curve))
-            if len(F) >= budget:
+        cut.add(ring.unit)
+        while not (found := record(len(cut.order))):
+            if len(cut.order) >= budget or not cut.outer:
                 break
-            b = boundary(ring, S, set(F))
-            candidates = sorted(b.outer)
-            if not candidates:
-                break
-            Fset = set(F)
-            best_cand = None
-            best_ratio = None
-            for cand in candidates:
-                _, ratio = _fc3_ratio(ring, S, Fset | {cand})
+            w_b, w_F = cut.weight_boundary, cut.weight_F
+            best_cand = best_ratio = None
+            for cand in sorted(cut.outer):
+                ratio = (Fraction(w_b + cut.delta(cand))
+                         / Fraction(w_F + ring.sigma(cand)))
                 if best_ratio is None or ratio < best_ratio:
-                    best_cand = cand
-                    best_ratio = ratio
-            F.append(best_cand)
+                    best_cand, best_ratio = cand, ratio
+            cut.add(best_cand)
 
-    assert best is not None
-    _, labels, rep = best
-    return SearchResult(False, labels, rep, tuple(curve))
+    # F only grows and a satisfying F beats every earlier one, so the
+    # returned set is the prefix of the best ratio either way
+    labels = tuple(cut.order[:best[1]])
+    return SearchResult(found, labels, fc3_check(ring, S, set(labels), eps),
+                        tuple(curve))

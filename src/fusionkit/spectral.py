@@ -15,6 +15,7 @@ closing as the windows grow.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -118,32 +119,48 @@ def build_window(ring: FusionRing, S: Iterable, radius: int,
     if cap < 1:
         raise InvalidParam(f"cap must be >= 1, got {cap}")
 
+    order = []
+    level_sizes = []
+    for new in itertools.islice(_bfs_levels(ring, S, cap), radius + 1):
+        if not new:
+            break
+        order.extend(new)
+        level_sizes.append(len(order))
+    return TruncationWindow(ring, order, radius, S, level_sizes)
+
+
+def _bfs_levels(ring: FusionRing, S: set, cap: int):
+    """Yield the labels first reached at breadth-first level 0, 1, 2, ...
+
+    Level 0 is the unit; level k adds the products of level k - 1 by S,
+    conj(S) and the unit, with their conjugates, in label order.  After
+    the first empty level the ring is exhausted and the generator ends.
+    Raises BudgetExceeded as soon as the label count would exceed ``cap``,
+    in the middle of a level.
+    """
     steps = sorted(S | {ring.conj(xi) for xi in S} | {ring.unit})
-    order = [ring.unit]
     seen = {ring.unit}
     frontier = [ring.unit]
-    level_sizes = [1]
-    for level in range(1, radius + 1):
+    yield frontier
+    level = 0
+    while frontier:
+        level += 1
         new = []
         for w in frontier:
             for t in steps:
                 for alpha in sorted(ring._product_cached(w, t)):
                     for cand in (alpha, ring.conj(alpha)):
                         if cand not in seen:
-                            if len(order) + 1 > cap:
+                            if len(seen) + 1 > cap:
                                 raise BudgetExceeded(
                                     f"window would exceed cap {cap} while "
                                     f"expanding radius {level} "
                                     f"(completed radius {level - 1})",
                                     cap=cap, achieved_radius=level - 1)
                             seen.add(cand)
-                            order.append(cand)
                             new.append(cand)
-        if not new:
-            break
-        level_sizes.append(len(order))
+        yield new
         frontier = new
-    return TruncationWindow(ring, order, radius, S, level_sizes)
 
 
 class CompressedOperator:

@@ -2,9 +2,10 @@
 
 Everything here is deliberately implemented from first principles, without
 going through the fusion-rule oracles under test: character polynomials for
-the SU(2) rules, a definition-level boundary scan, exact return
-probabilities of the simple random walk on a free group via its radial
-projection, and truncated lattice adjacency matrices.
+the SU(2) rules, a definition-level boundary scan and a direct two-scan
+boundary, a letter-by-letter reduced-word test, exact return probabilities
+of the simple random walk on a free group via its radial projection, and
+truncated lattice adjacency matrices.
 """
 from __future__ import annotations
 
@@ -71,6 +72,44 @@ def brute_boundary(ring, S, F, universe):
             if any(set(ring.product(alpha, xi)) & F for xi in S):
                 outer.add(alpha)
     return inner, outer
+
+
+def direct_boundary(ring, S, F):
+    """The boundary by two direct scans: each label of F against its right
+    products by S, then each label of the Frobenius candidate set
+    U supp(eta * conj(xi)) (eta in F, xi in S) outside F.  Returns
+    (inner, outer, weight_inner, weight_outer, weight_F), the weights
+    summed as sigma = d**2 over each set."""
+    S, F = set(S), set(F)
+    inner = {alpha for alpha in F
+             if any(set(ring.product(alpha, xi)) - F for xi in S)}
+    candidates = set()
+    for eta in F:
+        for xi in S:
+            candidates.update(ring.product(eta, ring.conj(xi)))
+    outer = {alpha for alpha in candidates - F
+             if any(set(ring.product(alpha, xi)) & F for xi in S)}
+
+    def weight(labels):
+        return sum(ring.dim(label) ** 2 for label in labels)
+
+    return inner, outer, weight(inner), weight(outer), weight(F)
+
+
+# ---------------------------------------------------------------------------
+# free-group words
+# ---------------------------------------------------------------------------
+
+def is_reduced_word(w, rank):
+    """Whether w is a reduced word over the first ``rank`` letters and
+    their uppercase inverses, checked letter by letter."""
+    if not isinstance(w, str):
+        return False
+    letters = "abcdefghijklmnopqrstuvwxyz"[:rank]
+    alphabet = set(letters) | set(letters.upper())
+    if any(ch not in alphabet for ch in w):
+        return False
+    return all(w[i] != w[i + 1].swapcase() for i in range(len(w) - 1))
 
 
 # ---------------------------------------------------------------------------

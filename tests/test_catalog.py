@@ -1,10 +1,11 @@
+import itertools
 import math
 import os
 
 import pytest
 
 import fusionkit as fk
-from oracles import su2_product_oracle
+from oracles import is_reduced_word, su2_product_oracle
 
 
 class TestGroupRings:
@@ -14,6 +15,16 @@ class TestGroupRings:
     def test_free_word_reduction(self, f2):
         assert fk.product_basis(f2, "ab", "B") == {"a": 1}
         assert fk.product_basis(f2, "aB", "bA") == {"": 1}
+
+    def test_free_labels_are_reduced_words(self, f2):
+        # every word of length <= 6 over a, b, their inverses and the
+        # foreign letters c, C, plus non-string values
+        words = ["".join(p) for n in range(7)
+                 for p in itertools.product("abABcC", repeat=n)]
+        assert len(words) == 55_987
+        others = [None, 0, 1.5, b"ab", ("a",), ["a"], {"a": 1}]
+        for w in words + others:
+            assert f2.contains(w) == is_reduced_word(w, 2), w
 
     def test_cyclic_two(self):
         ring = fk.cyclic_ring(2)

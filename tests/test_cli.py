@@ -117,6 +117,16 @@ class TestCheckCommand:
                      "--set", "interval:0..3", "--eps", "0.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("condition", ["fc1", "fc2", "fc3"])
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_usage_error(self, su2_file, capsys, condition, eps):
+        extra = (["--measure", "decomp:0=1,1=1"] if condition == "fc1"
+                 else ["--support", "1"])
+        code = main(["check", su2_file, "--condition", condition,
+                     "--set", "interval:0..3", "--eps", eps, *extra])
+        assert code == 2
+        assert "InvalidParam" in capsys.readouterr().err
+
 
 class TestSpectrumCommand:
     def test_su2_closed_forms(self, su2_file, capsys, tmp_path):
@@ -164,6 +174,11 @@ class TestSpectrumCommand:
 
 
 class TestFoelnerCommand:
+    def test_nan_eps_usage_error(self, su2_file, capsys):
+        assert main(["foelner", su2_file, "--support", "1", "--eps", "nan",
+                     "--budget", "50"]) == 2
+        assert "InvalidParam" in capsys.readouterr().err
+
     def test_su2_finds_interval(self, su2_file, capsys, tmp_path):
         csv_path = str(tmp_path / "curve.csv")
         code = main(["foelner", su2_file, "--support", "1", "--eps", "0.1",

@@ -1,13 +1,38 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
 from conftest import pool_for, random_symmetric_measure
+from fusionkit.foelner import _Cut
 
-from oracles import brute_boundary
+from oracles import brute_boundary, direct_boundary
+
+
+def fibonacci_ring():
+    # Fibonacci rules t*t = 1 + t with d(t) the golden ratio (a float)
+    phi = (1 + 5 ** 0.5) / 2
+    prods = {("1", "1"): {"1": 1}, ("1", "t"): {"t": 1},
+             ("t", "1"): {"t": 1}, ("t", "t"): {"1": 1, "t": 1}}
+    return fk.FusionRing(unit="1", product_rule=lambda x, y: prods[(x, y)],
+                         conjugate_rule=lambda x: x,
+                         dim_rule=lambda x: phi if x == "t" else 1,
+                         generators=("t",), is_label=lambda x: x in ("1", "t"))
+
+
+@functools.cache
+def cut_ring(name):
+    """A ring for the cut property test and its radius-3 label pool."""
+    ring = {"z2": lambda: fk.integer_lattice_ring(2),
+            "su2": fk.build_su2_ring,
+            "f2": lambda: fk.free_group_ring(2),
+            "su2xz3": lambda: fk.tensor_product(fk.build_su2_ring(),
+                                                fk.cyclic_ring(3))}[name]()
+    return ring, pool_for(ring, 3)
 
 
 class TestBoundary:
@@ -49,6 +74,29 @@ class TestBoundary:
                 assert {a for a in b.outer if a in set(universe)} == outer
 
 
+class TestCut:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["z2", "su2", "f2", "su2xz3"]), st.data())
+    def test_matches_direct_boundary_after_each_add(self, name, data):
+        ring, pool = cut_ring(name)
+        S = data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=3))
+        F = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8,
+                               unique=True))
+        cut = _Cut(ring, S)
+        for n, label in enumerate(F, start=1):
+            cut.add(label)
+            inner, outer, w_in, w_out, w_F = direct_boundary(ring, S, F[:n])
+            assert (cut.inner, cut.outer) == (inner, outer)
+            assert (cut.weight_boundary, cut.weight_F) == (w_in + w_out, w_F)
+            b = fk.boundary(ring, S, F[:n])
+            assert (b.inner, b.outer) == (inner, outer)
+            assert (b.weight_inner, b.weight_outer, b.weight_F) == (w_in, w_out, w_F)
+            for c in outer:
+                _, _, c_in, c_out, _ = direct_boundary(ring, S, F[:n] + [c])
+                assert cut.delta(c) == c_in + c_out - w_in - w_out
+            assert (cut.inner, cut.outer) == (inner, outer)  # delta left it alone
+
+
 class TestFC3:
     def test_su2_interval_worked_example(self, su2):
         rep = fk.fc3_check(su2, {1}, set(range(101)), 0.06)
@@ -75,6 +123,19 @@ class TestFC3:
     def test_epsilon_validated(self, su2):
         with pytest.raises(fk.InvalidParam):
             fk.fc3_check(su2, {1}, {0, 1}, 0.0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -0.5, "0.1"])
+def test_non_finite_or_non_positive_epsilon_rejected(su2, eps):
+    mu = fk.ProbMeasure.uniform(su2, [0, 1])
+    with pytest.raises(fk.InvalidParam):
+        fk.fc1_check(su2, mu, {0, 1}, eps)
+    with pytest.raises(fk.InvalidParam):
+        fk.fc2_check(su2, {1}, {0, 1}, eps)
+    with pytest.raises(fk.InvalidParam):
+        fk.fc3_check(su2, {1}, {0, 1}, eps)
+    with pytest.raises(fk.InvalidParam):
+        fk.foelner_search(su2, {1}, eps)
 
 
 class TestFC1:
@@ -146,15 +207,8 @@ class TestFC2:
                                     direct, rel_tol=1e-10, abs_tol=1e-10)
 
     def test_non_integer_dims(self):
-        # Fibonacci rules t*t = 1 + t with d(t) the golden ratio (a float):
         # 2 d(t) / d(t) = 2 is exact when the dimensions enter as rationals
-        phi = (1 + 5 ** 0.5) / 2
-        prods = {("1", "1"): {"1": 1}, ("1", "t"): {"t": 1},
-                 ("t", "1"): {"t": 1}, ("t", "t"): {"1": 1, "t": 1}}
-        ring = fk.FusionRing(unit="1", product_rule=lambda x, y: prods[(x, y)],
-                             conjugate_rule=lambda x: x,
-                             dim_rule=lambda x: phi if x == "t" else 1,
-                             generators=("t",), is_label=lambda x: x in ("1", "t"))
+        ring = fibonacci_ring()
         for F in ({"1"}, {"t"}):
             assert fk.fc2_check(ring, {"t"}, F, 1.0).extra["per_label"] == {"t": 2.0}
 
@@ -297,6 +351,65 @@ class TestFoelnerSearch:
             fk.foelner_search(su2, {1}, 0.1, strategy="magic")
         with pytest.raises(fk.EmptySet):
             fk.foelner_search(su2, set(), 0.1)
+
+    def test_budget_below_radius_one(self, z2):
+        # the radius-1 ball of Z^2 has 5 labels; nothing fits a budget of 4
+        with pytest.raises(fk.BudgetExceeded):
+            fk.foelner_search(z2, z2.generators, 0.1, strategy="balls", budget=4)
+
+
+class TestSearchPins:
+    """Search outputs pinned to closed forms and to values fixed at the
+    seed commit (the benchmark checks the same ones)."""
+
+    def test_z2_greedy_stalls(self, z2):
+        result = fk.foelner_search(z2, z2.generators, 0.05, strategy="greedy",
+                                   budget=80)
+        rep = result.report
+        assert (result.found, rep.set_size, rep.extra["weight_boundary"],
+                rep.weight_F, len(result.curve)) == (False, 80, 164, 80, 80)
+
+    def test_z2_balls_l1_curve(self, z2):
+        # the l1 ball of radius r has 2r^2 + 2r + 1 points, 4r inner and
+        # 4(r + 1) outer boundary points; 12/25 > 0.1 > 324/3281 at r = 40
+        result = fk.foelner_search(z2, z2.generators, 0.1, strategy="balls",
+                                   budget=4000)
+        assert result.found
+        assert [p.step for p in result.curve] == list(range(1, 41))
+        for p in result.curve:
+            r = p.step
+            assert (p.weight_boundary, p.weight_F) == (8 * r + 4, 2 * r * r + 2 * r + 1)
+        assert set(result.labels) == {(x, y) for x in range(-40, 41)
+                                      for y in range(-40, 41)
+                                      if abs(x) + abs(y) <= 40}
+
+    def test_deformed_balls_curve(self, dsu2):
+        # balls are the intervals [0, r] with boundary {r, r + 1}; the
+        # dimensions of the n = 3 family obey d(k+1) = 3 d(k) - d(k-1)
+        d = [1, 3]
+        while len(d) < 602:
+            d.append(3 * d[-1] - d[-2])
+        result = fk.foelner_search(dsu2, {1}, 0.5, strategy="balls", budget=600)
+        assert not result.found
+        assert [p.step for p in result.curve] == list(range(1, 600))
+        for p in result.curve:
+            r = p.step
+            assert p.set_size == r + 1
+            assert (p.weight_boundary, p.weight_F) == (
+                d[r] ** 2 + d[r + 1] ** 2, sum(x * x for x in d[:r + 1]))
+
+    @pytest.mark.parametrize("strategy,eps", [("balls", 0.1), ("greedy", 0.3)])
+    def test_float_dims_curve_matches_fc3(self, strategy, eps):
+        ring = fk.tensor_product(fibonacci_ring(), fk.integer_lattice_ring(1))
+        S = {("t", 0), ("1", 1)}
+        result = fk.foelner_search(ring, S, eps, strategy=strategy, budget=400)
+        assert result.found
+        for p in result.curve:
+            rep = fk.fc3_check(ring, S, result.labels[:p.set_size], eps)
+            assert math.isclose(p.weight_F, rep.weight_F, rel_tol=1e-12)
+            assert math.isclose(p.weight_boundary, rep.extra["weight_boundary"],
+                                rel_tol=1e-12)
+            assert math.isclose(p.ratio, rep.extra["ratio"], rel_tol=1e-12)
 
 
 class TestSupportIdentity:
