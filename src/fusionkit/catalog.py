@@ -97,10 +97,6 @@ def cyclic_ring(n: int) -> FusionRing:
     )
 
 
-def _inv_char(ch: str) -> str:
-    return ch.swapcase()
-
-
 def free_group_ring(rank: int) -> FusionRing:
     """The group ring of the free group F_rank.
 
@@ -111,7 +107,7 @@ def free_group_ring(rank: int) -> FusionRing:
         raise InvalidParam(f"free rank must be an int in 1..26, got {rank!r}")
     letters = string.ascii_lowercase[:rank]
     alphabet = letters + letters.upper()
-    cancelling = tuple(ch + _inv_char(ch) for ch in alphabet)
+    cancelling = tuple(ch + ch.swapcase() for ch in alphabet)
 
     def is_label(w):
         # a reduced word: only alphabet letters (strip leaves nothing) and no
@@ -122,7 +118,7 @@ def free_group_ring(rank: int) -> FusionRing:
     def product(u, v):
         i = len(u)
         j = 0
-        while i > 0 and j < len(v) and u[i - 1] == _inv_char(v[j]):
+        while i > 0 and j < len(v) and u[i - 1] == v[j].swapcase():
             i -= 1
             j += 1
         return {u[:i] + v[j:]: 1}

@@ -11,10 +11,14 @@ checked on an explicitly named finite window of labels.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping
+
+import numpy as np
+import scipy.sparse as sparse
 
 from .errors import InvalidLabel, InvalidParam, RingMismatch
 
@@ -99,10 +103,14 @@ class FusionRing:
         # Like _product_cached but never inserts into the cache: used for
         # one-off probes (e.g. axiom sweeps) whose key set would otherwise
         # grow cubically with the window.  Labels must already be known good.
+        # A rule's dict without zeros is returned as is, so callers must
+        # not mutate the result.
         hit = self._cache.get((xi, eta))
         if hit is not None:
             return hit
         raw = self._product_rule(xi, eta)
+        if type(raw) is dict and all(raw.values()):
+            return raw
         return {alpha: n for alpha, n in raw.items() if n != 0}
 
     def conj(self, xi):
@@ -265,12 +273,14 @@ def convolve(f: Element, g: Element) -> Element:
 def subset_weight(ring: FusionRing, labels: Iterable):
     """The sigma-weight of a finite label set: sum of d(alpha)**2 over it.
 
-    Exact integer for integer-dimensional rings; the empty set weighs 0.
+    Exact (int or Fraction) when every sigma is; float sigmas are summed
+    with ``math.fsum``, which rounds once, so the weight does not depend on
+    the iteration order of the set.  The empty set weighs 0.
     """
-    total = 0
-    for label in set(labels):
-        total += ring.sigma(label)
-    return total
+    sigmas = [ring.sigma(label) for label in set(labels)]
+    if any(isinstance(s, float) for s in sigmas):
+        return math.fsum(sigmas)
+    return sum(sigmas)
 
 
 class ProbMeasure:
@@ -397,6 +407,188 @@ def _window_labels(window) -> list:
     return list(labels)
 
 
+def _frobenius_counterexample(ring, labels, conj):
+    """The first window triple (xi, eta, alpha) violating Frobenius
+    reciprocity, as a message, or None.
+
+    Three maps keyed by (i*n + j)*n + k hold the nonzero entries of
+    N(xi_i, eta_j -> alpha_k), N(conj xi_i, alpha_k -> eta_j) and
+    N(alpha_k, conj eta_j -> xi_i); a triple fails where the second or the
+    third disagrees with the first.  The second map is dropped before the
+    third is built.  The window products are in the product cache, where
+    ``_product_probe`` reads them.
+    """
+    n = len(labels)
+    index = {label: i for i, label in enumerate(labels)}
+    probe = ring._product_probe
+
+    def first_mismatch(other):
+        return min((key for entries in (direct, other) for key in entries
+                    if direct.get(key, 0) != other.get(key, 0)), default=None)
+
+    direct: dict = {}
+    left: dict = {}
+    for i, xi in enumerate(labels):
+        xibar = conj[xi]
+        for j, eta in enumerate(labels):
+            base = (i * n + j) * n
+            for alpha, c in probe(xi, eta).items():
+                k = index.get(alpha)
+                if k is not None:
+                    direct[base + k] = c
+        for k, alpha in enumerate(labels):
+            for eta, c in probe(xibar, alpha).items():
+                j = index.get(eta)
+                if j is not None:
+                    left[(i * n + j) * n + k] = c
+    key_left = first_mismatch(left)
+    c_left = left.get(key_left, 0)
+    del left
+    right: dict = {}
+    for k, alpha in enumerate(labels):
+        for j, eta in enumerate(labels):
+            for xi, c in probe(alpha, conj[eta]).items():
+                i = index.get(xi)
+                if i is not None:
+                    right[(i * n + j) * n + k] = c
+    key_right = first_mismatch(right)
+
+    if key_left is None and key_right is None:
+        return None
+    use_left = key_right is None or key_left is not None and key_left <= key_right
+    key = key_left if use_left else key_right
+    ij, k = divmod(key, n)
+    i, j = divmod(ij, n)
+    fmt = ring.format_label
+    xi, eta, alpha = labels[i], labels[j], labels[k]
+    c = direct.get(key, 0)
+    if use_left:
+        return (f"N({fmt(xi)},{fmt(eta)}->{fmt(alpha)}) = {c} but "
+                f"N(conj {fmt(xi)},{fmt(alpha)}->{fmt(eta)}) = {c_left}")
+    return (f"N({fmt(xi)},{fmt(eta)}->{fmt(alpha)}) = {c} but "
+            f"N({fmt(alpha)},conj {fmt(eta)}->{fmt(xi)}) = {right.get(key, 0)}")
+
+
+_chain = itertools.chain.from_iterable
+
+#: product maps _product_csr holds at once; a block of a large window has
+#: n * |B_xi| rows, and only their CSR arrays are kept
+_CHUNK = 4096
+
+#: int64 sums of products of structure constants are exact below this bound
+_INT64_LIMIT = 2 ** 63
+
+
+class _Inexact(Exception):
+    """args (x, y, label, N): int64 cannot sum the coefficient N of x*y at
+    label exactly."""
+
+
+def _inexact_entry(products, width):
+    """(row, label, N) of the first coefficient that int64 cannot sum
+    exactly over ``width`` terms (not an int, a bool, or N**2 * width >=
+    2**63), or None."""
+    def values():
+        return _chain(map(dict.values, products))
+
+    if set(map(type, values())) <= {int} and \
+            max(max(values(), default=0), -min(values(), default=0)) ** 2 \
+            * width < _INT64_LIMIT:
+        return None
+    for row, p in enumerate(products):
+        for label, c in p.items():
+            if not isinstance(c, int) or isinstance(c, bool) \
+                    or c * c * width >= _INT64_LIMIT:
+                return row, label, c
+    return None
+
+
+def _product_csr(probe, left, right, columns: dict, width: int):
+    """CSR arrays (data, indices, indptr) of the products x*y for (x, y) in
+    ``itertools.product(left, right)``, one row per pair.
+
+    Each label goes to its column in ``columns``; a label not there yet
+    gets the next free one.  Raises _Inexact at the first coefficient that
+    int64 cannot sum exactly over ``width`` terms.
+    """
+    pairs = itertools.product(left, right)
+    counts = [np.zeros(1, dtype=np.int32)]  # the leading 0 of indptr
+    indices = [np.zeros(0, dtype=np.int32)]
+    data = [np.zeros(0, dtype=np.int64)]
+    for start in itertools.count(0, _CHUNK):
+        products = list(itertools.starmap(probe, itertools.islice(pairs, _CHUNK)))
+        if not products:
+            break
+        found = _inexact_entry(products, width)
+        if found is not None:
+            row, label, c = found
+            x, y = divmod(start + row, len(right))
+            raise _Inexact(left[x], right[y], label, c)
+        fresh = [label for label in dict.fromkeys(_chain(products))
+                 if label not in columns]
+        columns.update(zip(fresh, itertools.count(len(columns))))
+        counts.append(np.fromiter(map(len, products), dtype=np.int32,
+                                  count=len(products)))
+        indices.append(np.fromiter(map(columns.__getitem__, _chain(products)),
+                                   dtype=np.int32))
+        data.append(np.fromiter(_chain(map(dict.values, products)),
+                                dtype=np.int64))
+    return (np.concatenate(data), np.concatenate(indices),
+            np.cumsum(np.concatenate(counts), dtype=np.int32))
+
+
+def _associativity_counterexample(ring, labels):
+    """The first window triple with (xi*eta)*zeta != xi*(eta*zeta), as a
+    message, or None.
+
+    P holds the window products, one row per pair (xi_i, eta_j) at
+    i*n + j, one column per label of B.  For each xi_i in window order,
+    rows (j, k) of kron(P_i, I_n) @ R_i are (xi_i eta_j) zeta_k and those of
+    P @ L_i are xi_i (eta_j zeta_k), where R_i[(beta, k), gamma] =
+    N(beta, zeta_k -> gamma) for beta in the supports of the row block P_i
+    and L_i[beta, gamma] = N(xi_i, beta -> gamma).  Gamma is indexed
+    afresh in each block, and nothing outlives a block.  The window
+    products are in the product cache, where ``_product_probe`` reads them.
+    """
+    n = len(labels)
+    fmt = ring.format_label
+    probe = ring._product_probe
+    b_labels = list(dict.fromkeys(_chain(itertools.starmap(
+        probe, itertools.product(labels, labels)))))
+    width = len(b_labels)
+    try:
+        P = sparse.csr_matrix(
+            _product_csr(probe, labels, labels,
+                         dict(zip(b_labels, itertools.count())), width),
+            shape=(n * n, width))
+        identity = sparse.identity(n, dtype=np.int64, format="csr")
+        for i, xi in enumerate(labels):
+            block = P[i * n:(i + 1) * n]
+            used, local = np.unique(block.indices, return_inverse=True)
+            block = sparse.csr_matrix(
+                (block.data, local.ravel(), block.indptr), shape=(n, len(used)))
+            betas = [b_labels[b] for b in used.tolist()]
+            gamma: dict = {}
+            R = _product_csr(probe, betas, labels, gamma, width)
+            L = _product_csr(probe, (xi,), b_labels, gamma, width)
+            lhs = sparse.kron(block, identity, format="csr") @ sparse.csr_matrix(
+                R, shape=(len(betas) * n, len(gamma)))
+            rhs = P @ sparse.csr_matrix(L, shape=(width, len(gamma)))
+            differ = np.flatnonzero(np.diff((lhs != rhs).indptr))
+            if differ.size:
+                j, k = divmod(int(differ[0]), n)
+                eta, zeta = labels[j], labels[k]
+                return (f"({fmt(xi)}*{fmt(eta)})*{fmt(zeta)} != "
+                        f"{fmt(xi)}*({fmt(eta)}*{fmt(zeta)})")
+    except _Inexact as exc:
+        x, y, label, c = exc.args
+        entry = f"N({fmt(x)},{fmt(y)}->{fmt(label)}) = {c!r}"
+        if not isinstance(c, int) or isinstance(c, bool):
+            return f"{entry}: only int coefficients are checked exactly"
+        return f"{entry}: too large for exact int64 sums over {width} labels"
+    return None
+
+
 def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     """Check the fusion-ring axioms on all labels/pairs/triples of a window.
 
@@ -404,8 +596,27 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     of the structure constants, Frobenius reciprocity, dimension
     multiplicativity, associativity, and the dimension bound
     (N(xi,eta->alpha) > 0 implies d(alpha) d(eta) >= d(xi)).  The report
-    names the window; nothing is claimed beyond it.  A table-backed ring
-    missing a probed product raises IncompleteTable.
+    names the window; nothing is claimed beyond it.  A failing check names
+    the first failing label, pair or triple in window order.
+
+    Cost, for a window of n labels whose products have at most s terms:
+    the n**2 window products are probed once and cached.  Frobenius
+    reciprocity runs over the nonzero entries of three product tables, in
+    O(n**2 * s).  Associativity takes one block of sparse integer matrix
+    products per first factor xi; the block reads n * (|B| + |B_xi|)
+    second-stage products without caching them, where B is the union of
+    the supports of the window products and B_xi that of the products
+    xi * eta.  Temporaries live for one block only.
+
+    Associativity is decided in int64 arithmetic, which is exact only when
+    every coefficient it reads is an ``int`` (``bool`` excluded) and
+    max|N|**2 * |B| < 2**63.  Otherwise the check fails and its
+    counterexample names the first coefficient that breaks the guard.  A
+    coefficient sum that cancels to zero counts as an absent term.
+
+    Every product the checks need is read before any is compared, so a
+    table-backed ring missing any of them raises IncompleteTable, even when
+    an earlier triple would already fail.
     """
     labels = _window_labels(window)
     if not labels:
@@ -419,6 +630,9 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     unit = ring.unit
     conj = {l: ring.conj(l) for l in labels}
     dims = {l: ring.dim(l) for l in labels}
+    # the triple checks run over each label once, in window order: a
+    # repeated label only repeats triples first met at its first occurrence
+    distinct = list(dict.fromkeys(labels))
 
     # all pairwise products inside the window, probed once
     prods: dict = {}
@@ -475,30 +689,7 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
 
     # Frobenius reciprocity on window triples:
     # N(xi,eta->alpha) = N(conj xi, alpha -> eta) = N(alpha, conj eta -> xi)
-    bad = None
-    for xi in labels:
-        xibar = conj[xi]
-        for eta in labels:
-            p = prods[(xi, eta)]
-            etabar = conj[eta]
-            for alpha in labels:
-                n = p.get(alpha, 0)
-                n_left = prods[(xibar, alpha)].get(eta, 0) \
-                    if (xibar, alpha) in prods else ring._product_probe(xibar, alpha).get(eta, 0)
-                if n != n_left:
-                    bad = (f"N({fmt(xi)},{fmt(eta)}->{fmt(alpha)}) = {n} but "
-                           f"N(conj {fmt(xi)},{fmt(alpha)}->{fmt(eta)}) = {n_left}")
-                    break
-                n_right = prods[(alpha, etabar)].get(xi, 0) \
-                    if (alpha, etabar) in prods else ring._product_probe(alpha, etabar).get(xi, 0)
-                if n != n_right:
-                    bad = (f"N({fmt(xi)},{fmt(eta)}->{fmt(alpha)}) = {n} but "
-                           f"N({fmt(alpha)},conj {fmt(eta)}->{fmt(xi)}) = {n_right}")
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    bad = _frobenius_counterexample(ring, distinct, conj)
     checks.append(AxiomCheck("frobenius_reciprocity", bad is None, bad))
 
     # dimension multiplicativity: sum_alpha N*d(alpha) = d(xi)*d(eta)
@@ -515,30 +706,8 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
             break
     checks.append(AxiomCheck("dimension_multiplicativity", bad is None, bad))
 
-    # associativity: (xi eta) zeta = xi (eta zeta) as coefficient maps;
-    # second-stage factors can leave the window, so probe without caching
-    bad = None
-    probe = ring._product_probe
-    for xi in labels:
-        for eta in labels:
-            p = prods[(xi, eta)]
-            for zeta in labels:
-                lhs: dict = {}
-                for beta, n in p.items():
-                    for gamma, m in probe(beta, zeta).items():
-                        lhs[gamma] = lhs.get(gamma, 0) + n * m
-                rhs: dict = {}
-                for beta, n in prods[(eta, zeta)].items():
-                    for gamma, m in probe(xi, beta).items():
-                        rhs[gamma] = rhs.get(gamma, 0) + n * m
-                if lhs != rhs:
-                    bad = (f"({fmt(xi)}*{fmt(eta)})*{fmt(zeta)} != "
-                           f"{fmt(xi)}*({fmt(eta)}*{fmt(zeta)})")
-                    break
-            if bad:
-                break
-        if bad:
-            break
+    # associativity: (xi eta) zeta = xi (eta zeta) as coefficient maps
+    bad = _associativity_counterexample(ring, distinct)
     checks.append(AxiomCheck("associativity", bad is None, bad))
 
     # dimension bound: N(xi,eta->alpha) > 0 implies d(alpha)*d(eta) >= d(xi)

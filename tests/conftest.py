@@ -43,6 +43,17 @@ def su2xz(su2, z1):
     return fk.tensor_product(su2, z1)
 
 
+def fibonacci_ring():
+    # Fibonacci rules t*t = 1 + t with d(t) the golden ratio (a float)
+    phi = (1 + 5 ** 0.5) / 2
+    prods = {("1", "1"): {"1": 1}, ("1", "t"): {"t": 1},
+             ("t", "1"): {"t": 1}, ("t", "t"): {"1": 1, "t": 1}}
+    return fk.FusionRing(unit="1", product_rule=lambda x, y: prods[(x, y)],
+                         conjugate_rule=lambda x: x,
+                         dim_rule=lambda x: phi if x == "t" else 1,
+                         generators=("t",), is_label=lambda x: x in ("1", "t"))
+
+
 def pool_for(ring, radius=4):
     """A finite label pool: the window generated by the declared generators."""
     gens = ring.generators if ring.generators else (ring.unit,)

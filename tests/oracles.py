@@ -3,9 +3,10 @@
 Everything here is deliberately implemented from first principles, without
 going through the fusion-rule oracles under test: character polynomials for
 the SU(2) rules, a definition-level boundary scan and a direct two-scan
-boundary, a letter-by-letter reduced-word test, exact return probabilities
-of the simple random walk on a free group via its radial projection, and
-truncated lattice adjacency matrices.
+boundary, a letter-by-letter reduced-word test and a stack free reduction,
+triple-loop Frobenius and associativity scans, exact return probabilities of the simple random walk
+on a free group via its radial projection, and truncated lattice adjacency
+matrices.
 """
 from __future__ import annotations
 
@@ -97,6 +98,65 @@ def direct_boundary(ring, S, F):
 
 
 # ---------------------------------------------------------------------------
+# axiom checks by triple loops
+# ---------------------------------------------------------------------------
+
+def _window_products(ring, labels):
+    return {(x, y): ring.product(x, y) for x in labels for y in labels}
+
+
+def direct_frobenius(ring, labels):
+    """The first window triple, in loop order, violating
+    N(xi,eta->alpha) = N(conj xi,alpha->eta) = N(alpha,conj eta->xi),
+    as a message, or None."""
+    fmt = ring.format_label
+    prods = _window_products(ring, labels)
+
+    def coefficient(x, y, label):
+        p = prods[(x, y)] if (x, y) in prods else ring.product(x, y)
+        return p.get(label, 0)
+
+    for xi in labels:
+        xibar = ring.conj(xi)
+        for eta in labels:
+            etabar = ring.conj(eta)
+            for alpha in labels:
+                n = prods[(xi, eta)].get(alpha, 0)
+                n_left = coefficient(xibar, alpha, eta)
+                if n != n_left:
+                    return (f"N({fmt(xi)},{fmt(eta)}->{fmt(alpha)}) = {n} but "
+                            f"N(conj {fmt(xi)},{fmt(alpha)}->{fmt(eta)}) = {n_left}")
+                n_right = coefficient(alpha, etabar, xi)
+                if n != n_right:
+                    return (f"N({fmt(xi)},{fmt(eta)}->{fmt(alpha)}) = {n} but "
+                            f"N({fmt(alpha)},conj {fmt(eta)}->{fmt(xi)}) = {n_right}")
+    return None
+
+
+def direct_associativity(ring, labels):
+    """The first window triple, in loop order, with
+    (xi*eta)*zeta != xi*(eta*zeta) as coefficient maps, as a message, or
+    None."""
+    fmt = ring.format_label
+    prods = _window_products(ring, labels)
+    for xi in labels:
+        for eta in labels:
+            for zeta in labels:
+                lhs: dict = {}
+                for beta, n in prods[(xi, eta)].items():
+                    for gamma, m in ring.product(beta, zeta).items():
+                        lhs[gamma] = lhs.get(gamma, 0) + n * m
+                rhs: dict = {}
+                for beta, n in prods[(eta, zeta)].items():
+                    for gamma, m in ring.product(xi, beta).items():
+                        rhs[gamma] = rhs.get(gamma, 0) + n * m
+                if lhs != rhs:
+                    return (f"({fmt(xi)}*{fmt(eta)})*{fmt(zeta)} != "
+                            f"{fmt(xi)}*({fmt(eta)}*{fmt(zeta)})")
+    return None
+
+
+# ---------------------------------------------------------------------------
 # free-group words
 # ---------------------------------------------------------------------------
 
@@ -110,6 +170,18 @@ def is_reduced_word(w, rank):
     if any(ch not in alphabet for ch in w):
         return False
     return all(w[i] != w[i + 1].swapcase() for i in range(len(w) - 1))
+
+
+def free_reduce(word):
+    """Free reduction of a word with uppercase inverses, one letter at a
+    time on a stack."""
+    stack = []
+    for ch in word:
+        if stack and stack[-1] == ch.swapcase():
+            stack.pop()
+        else:
+            stack.append(ch)
+    return "".join(stack)
 
 
 # ---------------------------------------------------------------------------

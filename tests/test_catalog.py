@@ -5,7 +5,7 @@ import os
 import pytest
 
 import fusionkit as fk
-from oracles import is_reduced_word, su2_product_oracle
+from oracles import free_reduce, is_reduced_word, su2_product_oracle
 
 
 class TestGroupRings:
@@ -25,6 +25,15 @@ class TestGroupRings:
         others = [None, 0, 1.5, b"ab", ("a",), ["a"], {"a": 1}]
         for w in words + others:
             assert f2.contains(w) == is_reduced_word(w, 2), w
+
+    def test_free_products_are_free_reductions(self):
+        f2 = fk.free_group_ring(2)
+        words = [w for n in range(5)
+                 for w in map("".join, itertools.product("abAB", repeat=n))
+                 if is_reduced_word(w, 2)]
+        for u in words:
+            for v in words:
+                assert fk.product_basis(f2, u, v) == {free_reduce(u + v): 1}
 
     def test_cyclic_two(self):
         ring = fk.cyclic_ring(2)

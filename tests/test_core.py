@@ -1,12 +1,20 @@
+import functools
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
-from conftest import pool_for, random_integer_function, random_real_function
+from conftest import (fibonacci_ring, pool_for, random_integer_function,
+                      random_real_function)
 
-from oracles import su2_product_oracle
+from oracles import direct_associativity, direct_frobenius, su2_product_oracle
 
 
 class TestProductBasis:
@@ -160,6 +168,33 @@ class TestSubsetWeight:
     def test_deformed(self, dsu2):
         assert fk.subset_weight(dsu2, {0, 1, 2}) == 1 + 9 + 64
 
+    def test_fraction_sigmas_stay_exact(self):
+        ring = fk.FusionRing(unit=0, product_rule=lambda x, y: {(x + y) % 3: 1},
+                             conjugate_rule=lambda x: (-x) % 3,
+                             dim_rule=lambda x: Fraction(x + 1, 2),
+                             is_label=lambda x: x in (0, 1, 2))
+        assert fk.subset_weight(ring, [0, 1, 2]) == Fraction(1 + 4 + 9, 4)
+
+    def test_float_weight_independent_of_hash_seed(self):
+        # 36 str-labelled pairs with float sigma; their set order follows
+        # PYTHONHASHSEED, and a left-to-right float sum follows the order
+        code = ("import fusionkit as fk\n"
+                "from conftest import fibonacci_ring\n"
+                "ring = fk.tensor_product(fibonacci_ring(), fk.integer_lattice_ring(1))\n"
+                "window = fk.build_window(ring, ring.generators, 9)\n"
+                "print(repr(fk.subset_weight(ring, window.labels)))\n")
+        path = os.pathsep.join([os.path.dirname(os.path.dirname(fk.__file__)),
+                                os.path.dirname(__file__)])
+        outputs = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+            outputs.add(subprocess.run([sys.executable, "-c", code], env=env,
+                                       capture_output=True, text=True,
+                                       check=True).stdout)
+        ring = fk.tensor_product(fibonacci_ring(), fk.integer_lattice_ring(1))
+        window = fk.build_window(ring, ring.generators, 9)
+        assert outputs == {repr(fk.subset_weight(ring, window.labels)) + "\n"}
+
 
 class TestProbMeasure:
     def test_sum_must_be_one(self, su2):
@@ -236,6 +271,118 @@ class TestVerifyAxioms:
     def test_window_must_contain_unit(self, su2):
         with pytest.raises(fk.InvalidParam):
             fk.verify_axioms(su2, [1, 2])
+
+    def test_missing_product_raises_after_a_failing_triple(self):
+        # (1*1)*1 != 1*(1*1) fails before the triple loop would need 1*3,
+        # but every product the check reads is read before any comparison
+        table = {(1, 1): {2: 1}, (1, 2): {1: 1}, (2, 1): {0: 1}, (2, 2): {3: 1}}
+
+        def rule(x, y):
+            if x == 0 or y == 0:
+                return {x + y: 1}
+            try:
+                return table[(x, y)]
+            except KeyError:
+                raise fk.IncompleteTable(f"no entry for ({x}, {y})")
+
+        ring = fk.FusionRing(unit=0, product_rule=rule,
+                             conjugate_rule=lambda x: x, dim_rule=lambda x: 1,
+                             is_label=lambda x: x in (0, 1, 2, 3))
+        assert direct_associativity(ring, [0, 1, 2]) == "(1*1)*1 != 1*(1*1)"
+        with pytest.raises(fk.IncompleteTable):
+            fk.verify_axioms(ring, [0, 1, 2])
+
+    def test_su2_radius_30_rule_evaluations(self):
+        calls = []
+
+        def rule(m, n):
+            calls.append((m, n))
+            return fk.catalog._su2_product(m, n)
+
+        ring = fk.FusionRing(unit=0, product_rule=rule,
+                             conjugate_rule=lambda k: k, dim_rule=lambda k: k + 1,
+                             is_label=fk.catalog._su2_is_label)
+        window = fk.build_window(ring, (1,), 30)
+        calls.clear()
+        assert fk.verify_axioms(ring, window).passed
+        # the n**3 triple loop made 162,101 rule evaluations here
+        assert len(calls) == 16_246
+
+    @pytest.mark.parametrize("name,radius", [("su2", 30), ("f2", 3)])
+    def test_peak_traced_memory(self, name, radius):
+        ring = {"su2": fk.build_su2_ring, "f2": lambda: fk.free_group_ring(2)}[name]()
+        window = fk.build_window(ring, ring.generators, radius)
+        tracemalloc.start()
+        try:
+            assert fk.verify_axioms(ring, window).passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    @pytest.mark.parametrize("coefficient,structure,associativity", [
+        (0.5, "N(1,1->2) = 0.5",
+         "N(1,1->2) = 0.5: only int coefficients are checked exactly"),
+        (True, None, "N(1,1->2) = True: only int coefficients are checked exactly"),
+        (-1, "N(1,1->2) = -1", "(1*1)*2 != 1*(1*2)"),
+        (2 ** 32, None,
+         "N(1,1->2) = 4294967296: too large for exact int64 sums over 3 labels"),
+    ])
+    def test_coefficient_outside_int64_exactness(self, coefficient, structure,
+                                                 associativity):
+        ring = patched_ring(fk.cyclic_ring(3), {(1, 1): {2: coefficient}})
+        checks = {c.name: c for c in fk.verify_axioms(ring, [0, 1, 2]).checks}
+        assert checks["structure_constants"].counterexample == structure
+        assert not checks["associativity"].passed
+        assert checks["associativity"].counterexample == associativity
+        if coefficient == -1:  # exact in int64: the triple loop agrees
+            assert direct_associativity(ring, [0, 1, 2]) == associativity
+        frobenius = checks["frobenius_reciprocity"]
+        expected = direct_frobenius(ring, [0, 1, 2])
+        assert (frobenius.passed, frobenius.counterexample) == (expected is None, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["su2", "z6", "f2", "su2xz3"]), st.data())
+    def test_mutated_product_matches_triple_loops(self, name, data):
+        base, window, pool = axiom_window(name)
+        pick = st.one_of(st.sampled_from(window), st.sampled_from(pool))
+        x, y = data.draw(pick), data.draw(pick)
+        product = base.product(x, y)
+        if data.draw(st.booleans()):
+            label = data.draw(st.sampled_from(list(product)))
+        else:
+            label = data.draw(st.sampled_from([l for l in pool if l not in product]))
+        product[label] = product.get(label, 0) + data.draw(st.integers(1, 2))
+        ring = patched_ring(base, {(x, y): product})
+        checks = {c.name: c for c in fk.verify_axioms(ring, window).checks}
+        for check, oracle in (("frobenius_reciprocity", direct_frobenius),
+                              ("associativity", direct_associativity)):
+            expected = oracle(ring, window)
+            assert (checks[check].passed, checks[check].counterexample) == \
+                (expected is None, expected)
+
+
+def patched_ring(base, overrides):
+    """``base`` with the products of the pairs in ``overrides`` replaced."""
+    def rule(x, y):
+        p = overrides.get((x, y))
+        return dict(p) if p is not None else base.product(x, y)
+
+    return fk.FusionRing(unit=base.unit, product_rule=rule,
+                         conjugate_rule=base.conj, dim_rule=base.dim,
+                         description=f"patched {base.description}",
+                         is_label=base.contains, format_label=base.format_label)
+
+
+@functools.cache
+def axiom_window(name):
+    """A ring, a window of it for the axiom checks, and a larger label pool."""
+    ring, radius = {"su2": (fk.build_su2_ring(), 4),
+                    "z6": (fk.cyclic_ring(6), 2),
+                    "f2": (fk.free_group_ring(2), 2),
+                    "su2xz3": (fk.tensor_product(fk.build_su2_ring(),
+                                                 fk.cyclic_ring(3)), 2)}[name]
+    return ring, pool_for(ring, radius), pool_for(ring, radius + 1)
 
 
 class TestElementBasics:

@@ -7,21 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
-from conftest import pool_for, random_symmetric_measure
+from conftest import fibonacci_ring, pool_for, random_symmetric_measure
 from fusionkit.foelner import _Cut
 
 from oracles import brute_boundary, direct_boundary
-
-
-def fibonacci_ring():
-    # Fibonacci rules t*t = 1 + t with d(t) the golden ratio (a float)
-    phi = (1 + 5 ** 0.5) / 2
-    prods = {("1", "1"): {"1": 1}, ("1", "t"): {"t": 1},
-             ("t", "1"): {"t": 1}, ("t", "t"): {"1": 1, "t": 1}}
-    return fk.FusionRing(unit="1", product_rule=lambda x, y: prods[(x, y)],
-                         conjugate_rule=lambda x: x,
-                         dim_rule=lambda x: phi if x == "t" else 1,
-                         generators=("t",), is_label=lambda x: x in ("1", "t"))
 
 
 @functools.cache
