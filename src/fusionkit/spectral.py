@@ -149,6 +149,8 @@ def _bfs_levels(ring: FusionRing, S: set, cap: int):
         for w in frontier:
             for t in steps:
                 for alpha in sorted(ring._product_cached(w, t)):
+                    if alpha in seen:
+                        continue  # its conjugate entered together with it
                     for cand in (alpha, ring.conj(alpha)):
                         if cand not in seen:
                             if len(seen) + 1 > cap:
@@ -168,8 +170,9 @@ class CompressedOperator:
 
     ``selfadjoint`` is set when the defining data is symmetric (symmetric
     measure, self-conjugate label); in that case the stored matrix equals
-    its transpose entrywise exactly, because entries are accumulated from
-    symmetric exact data and converted to float once at the end.
+    its transpose entrywise exactly, because each entry is an exact integer
+    numerator over one common denominator, turned into a float by one
+    correctly rounded division.
     """
 
     __slots__ = ("window", "matrix", "selfadjoint")
@@ -188,35 +191,38 @@ class CompressedOperator:
         return f"CompressedOperator({self.shape[0]}x{self.shape[1]}, {tag})"
 
 
-def _csr_from_entries(entries: dict, n: int):
-    # deterministic assembly: entries sorted by (row, col)
-    items = sorted(entries.items())
-    rows = np.fromiter((ij[0] for ij, _ in items), dtype=np.int64, count=len(items))
-    cols = np.fromiter((ij[1] for ij, _ in items), dtype=np.int64, count=len(items))
-    data = np.fromiter((float(v) for _, v in items), dtype=np.float64, count=len(items))
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
 def _compress(ring: FusionRing, terms, window: TruncationWindow,
               selfadjoint: bool) -> CompressedOperator:
-    # entry (alpha, eta) = sum over (xi, c) in terms of c N(xi,eta->alpha),
-    # accumulated exactly and converted to float once.  Each product is read
-    # once, so it is probed rather than cached; every label here was checked
-    # when the window, measure or element was built (l_operator checks xi).
+    # entry (alpha, eta) = sum over (xi, c) in terms of c N(xi,eta->alpha).
+    # With D the lcm of the denominators of the exact (int or Fraction)
+    # coefficients c, the entry is the integer numerator sum of a_xi N,
+    # a_xi = c D, over D; it is divided once, and int/int true division is
+    # correctly rounded, so the float equals that of the exact rational.
+    # Each product is read once, so it is probed rather than cached; every
+    # label here was checked when the window, measure or element was built
+    # (l_operator checks xi).
     if window.ring is not ring:
         raise RingMismatch("window belongs to a different ring")
-    index = window._index
-    acc: dict = {}
+    n = len(window)
+    terms = [(xi, Fraction(c)) for xi, c in terms]
+    D = math.lcm(*(c.denominator for _, c in terms))
+    row = {alpha: i * n for alpha, i in window._index.items()}
+    acc: dict = {}  # i * n + j -> int numerator
     for xi, c in terms:
+        a = c.numerator * (D // c.denominator)
         for j, eta in enumerate(window.labels):
-            for alpha, n in ring._product_probe(xi, eta).items():
-                i = index.get(alpha)
-                if i is not None:
-                    key = (i, j)
-                    prev = acc.get(key)  # a first hit skips adding n * c to 0
-                    acc[key] = n * c if prev is None else prev + n * c
-    return CompressedOperator(window, _csr_from_entries(acc, len(window)),
-                              selfadjoint)
+            for alpha, N in ring._product_probe(xi, eta).items():
+                base = row.get(alpha)
+                if base is not None:
+                    key = base + j
+                    acc[key] = acc.get(key, 0) + a * N
+    keys = sorted(acc)
+    data = np.fromiter((acc[key] / D for key in keys), dtype=np.float64,
+                       count=len(keys))
+    keys = np.array(keys, dtype=np.int64)
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    matrix = sparse.csr_matrix((data, keys % n, indptr), shape=(n, n))
+    return CompressedOperator(window, matrix, selfadjoint)
 
 
 def l_operator(ring: FusionRing, xi, window: TruncationWindow) -> CompressedOperator:
@@ -236,8 +242,9 @@ def l_measure_operator(ring: FusionRing, mu: ProbMeasure,
 
     The self-adjoint flag is set exactly when mu is symmetric (the adjoint
     of l_xi is l applied to conj(xi), by Frobenius reciprocity).  Entries
-    are accumulated as exact rationals so that a symmetric measure yields a
-    bitwise-symmetric matrix.
+    are summed as exact integer numerators over the common denominator of
+    the mu(xi)/d(xi), and each is divided once with correct rounding, so a
+    symmetric measure yields a bitwise-symmetric matrix.
     """
     if mu.ring is not ring:
         raise RingMismatch("measure belongs to a different ring")

@@ -4,8 +4,10 @@ Everything here is deliberately implemented from first principles, without
 going through the fusion-rule oracles under test: character polynomials for
 the SU(2) rules, a definition-level boundary scan and a direct two-scan
 boundary, a letter-by-letter reduced-word test and a stack free reduction,
-triple-loop Frobenius and associativity scans, exact return probabilities of the simple random walk
-on a free group via its radial projection, and truncated lattice adjacency
+triple-loop Frobenius and associativity scans, a breadth-first window that
+conjugates every product label it meets, operator compression accumulated
+in `Fraction`s, exact return probabilities of the simple random walk on a
+free group via its radial projection, and truncated lattice adjacency
 matrices.
 """
 from __future__ import annotations
@@ -14,6 +16,9 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sparse
+
+from fusionkit.errors import BudgetExceeded
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +159,60 @@ def direct_associativity(ring, labels):
                     return (f"({fmt(xi)}*{fmt(eta)})*{fmt(zeta)} != "
                             f"{fmt(xi)}*({fmt(eta)}*{fmt(zeta)})")
     return None
+
+
+# ---------------------------------------------------------------------------
+# windows and compressed operators
+# ---------------------------------------------------------------------------
+
+def direct_window(ring, S, radius, cap):
+    """(labels, level_sizes) of the breadth-first window: every product
+    label met and its conjugate are tested against the labels seen so far.
+    Raises BudgetExceeded, with the last completed radius, as soon as the
+    label count would exceed ``cap``."""
+    steps = sorted(set(S) | {ring.conj(xi) for xi in S} | {ring.unit})
+    labels, sizes = [ring.unit], [1]
+    seen = {ring.unit}
+    frontier = [ring.unit]
+    for level in range(1, radius + 1):
+        new = []
+        for w in frontier:
+            for t in steps:
+                for alpha in sorted(ring.product(w, t)):
+                    for cand in (alpha, ring.conj(alpha)):
+                        if cand not in seen:
+                            if len(seen) + 1 > cap:
+                                raise BudgetExceeded(
+                                    "cap", cap=cap, achieved_radius=level - 1)
+                            seen.add(cand)
+                            new.append(cand)
+        if not new:
+            break
+        labels.extend(new)
+        sizes.append(len(labels))
+        frontier = new
+    return tuple(labels), tuple(sizes)
+
+
+def direct_compress(ring, terms, window):
+    """CSR matrix with entry (alpha, eta) = sum over (xi, c) in terms of
+    c N(xi,eta->alpha), summed in `Fraction`s per (row, column) and
+    converted to float once."""
+    index = {label: i for i, label in enumerate(window.labels)}
+    acc: dict = {}
+    for xi, c in terms:
+        c = Fraction(c)
+        for j, eta in enumerate(window.labels):
+            for alpha, n in ring.product(xi, eta).items():
+                i = index.get(alpha)
+                if i is not None:
+                    acc[(i, j)] = acc.get((i, j), Fraction(0)) + n * c
+    items = sorted(acc.items())
+    rows = np.array([ij[0] for ij, _ in items], dtype=np.int64)
+    cols = np.array([ij[1] for ij, _ in items], dtype=np.int64)
+    data = np.array([float(v) for _, v in items], dtype=np.float64)
+    m = len(window.labels)
+    return sparse.csr_matrix((data, (rows, cols)), shape=(m, m))
 
 
 # ---------------------------------------------------------------------------

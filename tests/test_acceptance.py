@@ -76,11 +76,14 @@ def test_c2_kesten_spectral_values():
     v100 = fk.top_eigenvalue(fk.l_measure_operator(su2, mu2, window100)).value
     assert v100 == pytest.approx(0.9995162823, abs=1e-9)
 
-    # windows of 1000 and 2000 labels, both past the dense limit
+    # windows of 1000 and 2000 labels, both past the dense limit; the
+    # solver's cost is bounded by its matvec count, not by wall time
+    # (2,041 and 7,111 matvecs with SciPy 1.17's ARPACK)
     large = fk.amenability_estimate(su2, mu2, [999, 1999])
-    for m, entry in zip((1000, 2000), large.entries):
+    for m, max_matvecs, entry in zip((1000, 2000), (4_000, 14_000), large.entries):
         assert entry.window_size == m and entry.method == "lanczos"
         assert abs(entry.lambda_max - math.cos(math.pi / (m + 1))) < 1e-9
+        assert 0 < entry.iterations <= max_matvecs
 
     amen = fk.amenability_estimate(su2, mu2, [50, 100, 150, 200])
     assert amen.verdict is fk.Verdict.EVIDENCE_AMENABLE
@@ -90,7 +93,6 @@ def test_c2_kesten_spectral_values():
     assert non.lambda_max == pytest.approx(2 / 3, abs=1e-3)
 
     elapsed = time.perf_counter() - start
-    assert elapsed < 10.0, f"spectral values took {elapsed:.2f}s"
     _announce("C2", f"path closed forms to 1e-9 + verdicts, {elapsed:.2f}s")
 
 

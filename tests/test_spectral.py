@@ -1,13 +1,36 @@
+import functools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
-from conftest import pool_for, random_symmetric_measure
+from conftest import fibonacci_ring, pool_for, random_symmetric_measure
 
-from oracles import lattice_ball_top_eigenvalue
+from oracles import direct_compress, direct_window, lattice_ball_top_eigenvalue
+
+
+def assert_bitwise_equal(a, b):
+    """Equal shape and equal CSR indptr, indices and data, dtype and bytes."""
+    assert a.shape == b.shape
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+        assert x.dtype == y.dtype
+        assert x.tobytes() == y.tobytes()
+
+
+def window_outcome(ring, S, radius, cap, oracle=False):
+    """(labels, level_sizes) of a window, or the cap and the radius it
+    stopped at, from ``build_window`` or the direct oracle."""
+    try:
+        if oracle:
+            return direct_window(ring, S, radius, cap)
+        window = fk.build_window(ring, S, radius, cap=cap)
+    except fk.BudgetExceeded as exc:
+        return ("budget", exc.cap, exc.achieved_radius)
+    return window.labels, window.level_sizes
 
 
 class TestBuildWindow:
@@ -50,6 +73,146 @@ class TestBuildWindow:
     def test_empty_support(self, su2):
         with pytest.raises(fk.EmptySet):
             fk.build_window(su2, set(), 3)
+
+
+class TestWindowOracle:
+    @pytest.mark.parametrize("name, radius", [
+        ("z2", 6), ("su2", 12), ("f2", 4), ("z6", 9), ("su2xz3", 4)])
+    def test_matches_direct_window_at_every_cap(self, name, radius):
+        ring, S = oracle_ring(name)
+        full = direct_window(ring, S, radius, fk.spectral.DEFAULT_WINDOW_CAP)
+        sizes = full[1]
+        # caps at, just past and between the level boundaries, so most of
+        # them cut a level in the middle
+        caps = {1, sizes[-1] + 1}
+        for lo, hi in zip(sizes, sizes[1:]):
+            caps.update({lo, lo + 1, (lo + hi) // 2, hi - 1})
+        for cap in sorted(caps):
+            assert window_outcome(ring, S, radius, cap) == \
+                window_outcome(ring, S, radius, cap, oracle=True)
+        assert window_outcome(ring, S, radius, sizes[-1]) == full
+
+    def test_free_group_label_checks(self):
+        # each label entering the window is conjugated once, not once per
+        # product that reaches it; the per-occurrence loop made 8,740 checks
+        base = fk.free_group_ring(2)
+        calls = []
+
+        def is_label(w):
+            calls.append(w)
+            return base.contains(w)
+
+        ring = fk.FusionRing(unit=base.unit, product_rule=base._product_rule,
+                             conjugate_rule=base._conjugate_rule,
+                             dim_rule=base._dim_rule, is_label=is_label)
+        window = fk.build_window(ring, base.generators, 6)
+        assert len(window) == 1457
+        assert len(calls) == 7_043
+
+
+@functools.cache
+def oracle_ring(name):
+    """A ring of the oracle tests and its generator support."""
+    ring = {"su2": fk.build_su2_ring, "dsu2": lambda: fk.build_deformed_su2_ring(3),
+            "f2": lambda: fk.free_group_ring(2), "z6": lambda: fk.cyclic_ring(6),
+            "z2": lambda: fk.integer_lattice_ring(2),
+            "su2xz3": lambda: fk.tensor_product(fk.build_su2_ring(), fk.cyclic_ring(3)),
+            "fib": fibonacci_ring}[name]()
+    return ring, frozenset(ring.generators)
+
+
+def draw_weights(data, ring, labels, symmetric):
+    """Weights on ``labels`` (conjugate-closed with equal weights on each
+    conjugate pair when ``symmetric``), as Fractions or as their floats,
+    over a total that is mostly not a power of 2."""
+    classes = []
+    for label in labels:
+        if symmetric:
+            cls = frozenset({label, ring.conj(label)})
+            if cls not in classes:
+                classes.append(cls)
+        else:
+            classes.append(frozenset({label}))
+    ints = [data.draw(st.integers(1, 12)) for _ in classes]
+    total = sum(ints)
+    as_float = data.draw(st.booleans())
+    weights = {}
+    for cls, k in zip(classes, ints):
+        share = Fraction(k, total * len(cls))
+        for label in cls:
+            weights[label] = float(share) if as_float else share
+    return weights
+
+
+class TestCompressOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["su2", "dsu2", "f2", "z6", "su2xz3", "fib"]),
+           st.integers(0, 3), st.data())
+    def test_matches_fraction_assembly(self, name, radius, data):
+        ring, S = oracle_ring(name)
+        window = fk.build_window(ring, S, radius)
+        pool = pool_for(ring, 2)
+        pick = st.sampled_from(pool)
+
+        xi = data.draw(pick)
+        op = fk.l_operator(ring, xi, window)
+        assert_bitwise_equal(op.matrix, direct_compress(
+            ring, [(xi, 1 / Fraction(ring.dim(xi)))], window))
+
+        symmetric = data.draw(st.booleans())
+        support = data.draw(st.lists(pick, min_size=1, max_size=4, unique=True))
+        mu = fk.ProbMeasure(ring, draw_weights(data, ring, support, symmetric))
+        op = fk.l_measure_operator(ring, mu, window)
+        assert_bitwise_equal(op.matrix, direct_compress(
+            ring, [(x, Fraction(w) / Fraction(ring.dim(x)))
+                   for x, w in mu.sorted_items()], window))
+        if symmetric:
+            assert op.selfadjoint
+            transpose = op.matrix.T.tocsr()
+            transpose.sort_indices()
+            assert_bitwise_equal(op.matrix, transpose)
+
+        x = fk.Element(ring, {label: data.draw(st.integers(-4, 4)) for label in
+                              data.draw(st.lists(pick, max_size=4, unique=True))})
+        op = fk.gns_operator(ring, x, window)
+        assert_bitwise_equal(op.matrix, direct_compress(
+            ring, sorted(x.coeffs.items()), window))
+
+    def test_entry_rounded_once_after_exact_sum(self):
+        # entry (t, t) of mu = 1/3 delta_1 + 2/3 delta_t on the Fibonacci
+        # ring is 1/3 + (2/3)/phi; adding the two rounded terms in floats
+        # gives a different last bit
+        ring = fibonacci_ring()
+        window = fk.build_window(ring, {"t"}, 1)
+        mu = fk.ProbMeasure(ring, {"1": Fraction(1, 3), "t": Fraction(2, 3)})
+        terms = [(x, Fraction(w) / Fraction(ring.dim(x))) for x, w in mu.sorted_items()]
+        op = fk.l_measure_operator(ring, mu, window)
+        assert_bitwise_equal(op.matrix, direct_compress(ring, terms, window))
+        t = window.index("t")
+        assert op.matrix[t, t] == float(sum(c for _, c in terms))
+        assert op.matrix[t, t] != sum(float(c) for _, c in terms)
+
+    def test_cancelled_entry_stays_stored(self):
+        # x = 1 - chi_2 on SU(2): entry (2, 2) is 1 - N(2,2->2) = 0, kept as
+        # a stored zero like every other entry some product reaches
+        ring, S = oracle_ring("su2")
+        window = fk.build_window(ring, S, 3)
+        x = fk.Element(ring, {0: 1, 2: -1})
+        op = fk.gns_operator(ring, x, window)
+        assert_bitwise_equal(op.matrix, direct_compress(
+            ring, sorted(x.coeffs.items()), window))
+        assert op.matrix.nnz == 8 and op.matrix[2, 2] == 0.0
+
+    @pytest.mark.parametrize("name", ["su2", "f2", "su2xz3"])
+    def test_radius_zero_window_drops_every_product(self, name):
+        ring, S = oracle_ring(name)
+        window = fk.build_window(ring, S, 0)
+        mu = fk.ProbMeasure.uniform(ring, S)
+        op = fk.l_measure_operator(ring, mu, window)
+        assert op.matrix.shape == (1, 1) and op.matrix.nnz == 0
+        assert_bitwise_equal(op.matrix, direct_compress(
+            ring, [(x, Fraction(w) / Fraction(ring.dim(x)))
+                   for x, w in mu.sorted_items()], window))
 
 
 class TestLOperator:
