@@ -36,10 +36,16 @@ def trivial_ring() -> FusionRing:
     )
 
 
+#: largest rank of Z^d: its 2d generators are d-tuples, built up front
+MAX_LATTICE_RANK = 64
+
+
 def integer_lattice_ring(d: int) -> FusionRing:
-    """The group ring of Z^d.  Labels are ints for d = 1, int tuples otherwise."""
-    if not isinstance(d, int) or d < 1:
-        raise InvalidParam(f"lattice rank must be a positive int, got {d!r}")
+    """The group ring of Z^d for d in 1..MAX_LATTICE_RANK.  Labels are ints
+    for d = 1, int tuples otherwise."""
+    if not isinstance(d, int) or not 1 <= d <= MAX_LATTICE_RANK:
+        raise InvalidParam(
+            f"lattice rank must be an int in 1..{MAX_LATTICE_RANK}, got {d!r}")
     if d == 1:
         return FusionRing(
             unit=0,

@@ -80,20 +80,23 @@ class FusionRing:
     def product(self, xi, eta) -> dict:
         """Structure constants of ``xi * eta`` as a fresh ``{label: N}`` map.
 
-        Zero coefficients are never stored.  Results are memoized internally;
-        the returned map is a copy, so callers may mutate it freely.
+        Both labels are checked.  Zero coefficients are never stored.
+        Results are memoized internally; the returned map is a copy, so
+        callers may mutate it freely.
         """
+        self.check_label(xi)
+        self.check_label(eta)
         return dict(self._product_cached(xi, eta))
 
     def _product_cached(self, xi, eta) -> dict:
         # Internal read-only view of the memoized product.  Callers must not
-        # mutate the returned dict.
+        # mutate the returned dict.  The labels are not checked: every
+        # caller passes labels checked where they entered the public API,
+        # or labels read off products of such labels.
         key = (xi, eta)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        self.check_label(xi)
-        self.check_label(eta)
         raw = self._product_rule(xi, eta)
         result = {alpha: n for alpha, n in raw.items() if n != 0}
         self._cache[key] = result
@@ -402,6 +405,12 @@ class AxiomReport:
         return "\n".join(lines)
 
 
+def _finite(d) -> bool:
+    # ints and Fractions are finite however large; math.isfinite would
+    # overflow converting a huge int to a float
+    return isinstance(d, (int, Fraction)) or math.isfinite(d)
+
+
 def _window_labels(window) -> list:
     labels = getattr(window, "labels", window)
     return list(labels)
@@ -592,9 +601,10 @@ def _associativity_counterexample(ring, labels):
 def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     """Check the fusion-ring axioms on all labels/pairs/triples of a window.
 
-    Checks unit law, involution properties, non-negativity and integrality
-    of the structure constants, Frobenius reciprocity, dimension
-    multiplicativity, associativity, and the dimension bound
+    Checks unit law, involution properties (with every d finite and
+    >= 1), non-negativity and integrality of the structure constants,
+    Frobenius reciprocity, dimension multiplicativity, associativity, and
+    the dimension bound
     (N(xi,eta->alpha) > 0 implies d(alpha) d(eta) >= d(xi)).  The report
     names the window; nothing is claimed beyond it.  A failing check names
     the first failing label, pair or triple in window order.
@@ -657,13 +667,17 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
             break
     checks.append(AxiomCheck("unit_law", bad is None, bad))
 
-    # involution: conj is an involution fixing e, preserving dim; d >= 1
+    # involution: conj is an involution fixing e, preserving dim; d is
+    # finite and >= 1
     bad = None
     if conj[unit] != unit:
         bad = f"conj(e) = {fmt(conj[unit])}"
     else:
         for xi in labels:
             xibar = conj[xi]
+            if not _finite(dims[xi]):
+                bad = f"d({fmt(xi)}) = {dims[xi]} is not finite"
+                break
             if ring.conj(xibar) != xi:
                 bad = f"conj(conj({fmt(xi)})) = {fmt(ring.conj(xibar))}"
                 break

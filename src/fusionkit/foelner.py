@@ -273,12 +273,13 @@ def fc2_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> Foelner
     The per-label values are computed exactly and listed in the report.
     """
     _check_eps(eps)
-    S = sorted(set(S))
+    S = set(S)
     F = set(F)
     if not S or not F:
         raise EmptySet("FC2 needs non-empty S and F")
-    for label in set(S) | F:
+    for label in S | F:
         ring.check_label(label)
+    S = sorted(S)
     weight_F = subset_weight(ring, F)
 
     values = [_fc2_value(ring, xi, F) for xi in S]

@@ -24,6 +24,7 @@ InvalidTable with the axiom report attached.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Mapping
 
@@ -83,6 +84,9 @@ def _builtin_from_doc(doc: Mapping) -> FusionRing:
     params = doc.get("params", {}) or {}
     if name not in _BUILTIN_NAMES:
         raise InvalidParam(f"unknown builtin ring {name!r}")
+    if not isinstance(params, Mapping):
+        raise InvalidParam(
+            f"builtin 'params' must be an object, got {type(params).__name__}")
     if name == "zd":
         return catalog.integer_lattice_ring(_require_int(params, "d"))
     if name == "free":
@@ -106,6 +110,8 @@ def _builtin_from_doc(doc: Mapping) -> FusionRing:
 def _coerce_dim(value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidTable(f"dimension {value!r} is not a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidTable(f"dimension {value!r} is not finite")
     if isinstance(value, float) and value.is_integer():
         return int(value)
     return value
@@ -116,23 +122,27 @@ def table_ring_from_doc(doc: Mapping) -> FusionRing:
     labels = doc.get("labels")
     if not isinstance(labels, list) or not labels:
         raise InvalidTable("table needs a non-empty 'labels' list")
-    if len(set(labels)) != len(labels):
-        raise InvalidTable("table labels must be unique")
     for label in labels:
         if not isinstance(label, str) or PAIR_SEPARATOR in label or not label:
             raise InvalidTable(
                 f"label {label!r} must be non-empty text without {PAIR_SEPARATOR!r}")
     label_set = set(labels)
+    if len(label_set) != len(labels):
+        raise InvalidTable("table labels must be unique")
+
+    def is_label(x):
+        # the labels are str, so anything else (unhashable values too) is not
+        return isinstance(x, str) and x in label_set
 
     unit = doc.get("unit")
-    if unit not in label_set:
+    if not is_label(unit):
         raise InvalidTable(f"unit {unit!r} is not among the labels")
 
     conj_map = doc.get("conjugate")
     if not isinstance(conj_map, Mapping) or set(conj_map) != label_set:
         raise InvalidTable("'conjugate' must map every label")
     for label, image in conj_map.items():
-        if image not in label_set:
+        if not is_label(image):
             raise InvalidTable(f"conjugate of {label!r} is the unknown label {image!r}")
 
     dim_map = doc.get("dim")
@@ -145,6 +155,8 @@ def table_ring_from_doc(doc: Mapping) -> FusionRing:
         raise InvalidTable("'products' must be a mapping of 'A|B' keys")
     products: dict = {}
     for key, entry in products_raw.items():
+        if not isinstance(key, str):
+            raise InvalidTable(f"product key {key!r} is not of the form 'A|B'")
         parts = key.split(PAIR_SEPARATOR)
         if len(parts) != 2:
             raise InvalidTable(f"product key {key!r} is not of the form 'A|B'")
@@ -184,7 +196,7 @@ def table_ring_from_doc(doc: Mapping) -> FusionRing:
         dim_rule=lambda x: dims[x],
         description=description,
         generators=tuple(l for l in labels if l != unit),
-        is_label=lambda x: x in label_set,
+        is_label=is_label,
     )
     report = verify_axioms(ring, labels)
     if not report.passed:

@@ -44,6 +44,11 @@ class TruncationWindow:
     the label order of the smaller window is a prefix of the larger one.
     ``level_sizes[k]`` is the label count after breadth-first level k; a
     finite ring that saturates early has fewer than ``radius + 1`` levels.
+
+    Constructing a window directly checks its labels: no duplicates, the
+    unit first, closed under conjugation.  ``build_window`` and ``prefix``
+    skip these checks, since the breadth-first search yields windows that
+    pass them by construction.
     """
 
     __slots__ = ("ring", "labels", "radius", "generator_support",
@@ -63,6 +68,19 @@ class TruncationWindow:
             if ring.conj(label) not in index:
                 raise InvalidParam(
                     f"window is not closed under conjugation at {label!r}")
+        self._set(ring, labels, radius, generator_support, level_sizes, index)
+
+    @classmethod
+    def _trusted(cls, ring, labels: tuple, radius: int, generator_support,
+                 level_sizes) -> "TruncationWindow":
+        # a window whose labels are distinct, unit first and closed under
+        # conjugation by construction, built without checking them again
+        window = object.__new__(cls)
+        window._set(ring, labels, radius, generator_support, level_sizes,
+                    dict(zip(labels, itertools.count())))
+        return window
+
+    def _set(self, ring, labels, radius, generator_support, level_sizes, index):
         self.ring = ring
         self.labels = labels
         self.radius = radius
@@ -91,8 +109,8 @@ class TruncationWindow:
         if radius == self.radius:
             return self
         sizes = self.level_sizes[:radius + 1]
-        return TruncationWindow(self.ring, self.labels[:sizes[-1]], radius,
-                                self.generator_support, sizes)
+        return TruncationWindow._trusted(self.ring, self.labels[:sizes[-1]],
+                                         radius, self.generator_support, sizes)
 
     def __repr__(self):
         return (f"TruncationWindow({self.ring.description!r}, "
@@ -126,7 +144,7 @@ def build_window(ring: FusionRing, S: Iterable, radius: int,
             break
         order.extend(new)
         level_sizes.append(len(order))
-    return TruncationWindow(ring, order, radius, S, level_sizes)
+    return TruncationWindow._trusted(ring, tuple(order), radius, S, level_sizes)
 
 
 def _bfs_levels(ring: FusionRing, S: set, cap: int):
@@ -136,8 +154,10 @@ def _bfs_levels(ring: FusionRing, S: set, cap: int):
     conj(S) and the unit, with their conjugates, in label order.  After
     the first empty level the ring is exhausted and the generator ends.
     Raises BudgetExceeded as soon as the label count would exceed ``cap``,
-    in the middle of a level.
+    in the middle of a level.  S must be checked labels; every other label
+    is a product of checked labels, so none is checked again.
     """
+    conj = ring._conjugate_rule
     steps = sorted(S | {ring.conj(xi) for xi in S} | {ring.unit})
     seen = {ring.unit}
     frontier = [ring.unit]
@@ -151,7 +171,7 @@ def _bfs_levels(ring: FusionRing, S: set, cap: int):
                 for alpha in sorted(ring._product_cached(w, t)):
                     if alpha in seen:
                         continue  # its conjugate entered together with it
-                    for cand in (alpha, ring.conj(alpha)):
+                    for cand in (alpha, conj(alpha)):
                         if cand not in seen:
                             if len(seen) + 1 > cap:
                                 raise BudgetExceeded(
@@ -193,29 +213,58 @@ class CompressedOperator:
 
 def _compress(ring: FusionRing, terms, window: TruncationWindow,
               selfadjoint: bool) -> CompressedOperator:
-    # entry (alpha, eta) = sum over (xi, c) in terms of c N(xi,eta->alpha).
-    # With D the lcm of the denominators of the exact (int or Fraction)
-    # coefficients c, the entry is the integer numerator sum of a_xi N,
-    # a_xi = c D, over D; it is divided once, and int/int true division is
-    # correctly rounded, so the float equals that of the exact rational.
-    # Each product is read once, so it is probed rather than cached; every
-    # label here was checked when the window, measure or element was built
-    # (l_operator checks xi).
+    """Compression of sum over (xi, c) in ``terms`` of c N(xi, . -> .).
+
+    Entry (alpha, eta) is the sum of c N(xi,eta->alpha).  With D the lcm of
+    the denominators of the exact (int or Fraction) coefficients c, it is
+    the integer numerator sum of a_xi N, a_xi = c D, over D; it is divided
+    once, and int/int true division is correctly rounded, so the float
+    equals that of the exact rational.
+
+    When ``selfadjoint`` is set, symmetric assembly reads each conjugate
+    pair once: for xi != conj(xi) with equal coefficients, the conj(xi)
+    term is the transpose of the xi term, since Frobenius reciprocity gives
+    N(conj xi, eta -> alpha) = N(xi, alpha -> eta).  So the products
+    xi * eta are read once and a N is added at both (alpha, eta) and
+    (eta, alpha).  This relies on Frobenius reciprocity of the ring, which
+    ``verify_axioms`` checks and ``load_ring`` enforces for tables.
+    Self-conjugate terms, and every term of a non-symmetric operator, read
+    their own products.  Integer sums do not depend on the order of
+    addition, so either way the matrix is the same to the bit.
+
+    Each product is read once, so it is probed rather than cached; every
+    label here was checked when the window, measure or element was built
+    (l_operator checks xi).
+    """
     if window.ring is not ring:
         raise RingMismatch("window belongs to a different ring")
     n = len(window)
     terms = [(xi, Fraction(c)) for xi, c in terms]
     D = math.lcm(*(c.denominator for _, c in terms))
-    row = {alpha: i * n for alpha, i in window._index.items()}
+    coefficient = dict(terms)
+    index = window._index
+    labels = window.labels
+    probe = ring._product_probe
+    paired = set()  # conjugates already added as transposes
     acc: dict = {}  # i * n + j -> int numerator
     for xi, c in terms:
+        if xi in paired:
+            continue
         a = c.numerator * (D // c.denominator)
-        for j, eta in enumerate(window.labels):
-            for alpha, N in ring._product_probe(xi, eta).items():
-                base = row.get(alpha)
-                if base is not None:
-                    key = base + j
-                    acc[key] = acc.get(key, 0) + a * N
+        xibar = ring.conj(xi) if selfadjoint else xi
+        pair = xibar != xi and coefficient.get(xibar) == c
+        if pair:
+            paired.add(xibar)
+        for j, eta in enumerate(labels):
+            for alpha, N in probe(xi, eta).items():
+                i = index.get(alpha)
+                if i is not None:
+                    aN = a * N
+                    key = i * n + j
+                    acc[key] = acc.get(key, 0) + aN
+                    if pair:
+                        key = j * n + i
+                        acc[key] = acc.get(key, 0) + aN
     keys = sorted(acc)
     data = np.fromiter((acc[key] / D for key in keys), dtype=np.float64,
                        count=len(keys))

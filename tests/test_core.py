@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
@@ -400,3 +401,83 @@ class TestElementBasics:
         assert (x + y).coeffs == {3: 1}
         assert (x - x).coeffs == {}
         assert (2 * x).coeffs == {1: 4}
+
+
+# every public entry that takes labels checks them there: the rule oracle
+# behind it trusts the labels it is given
+LABEL_ENTRIES = {
+    "product_left": lambda ring, bad, ctx: ring.product(bad, ring.unit),
+    "product_right": lambda ring, bad, ctx: ring.product(ring.unit, bad),
+    "product_basis": lambda ring, bad, ctx: fk.product_basis(ring, ring.unit, bad),
+    "element": lambda ring, bad, ctx: fk.Element(ring, {ring.unit: 1, bad: 2}),
+    "measure": lambda ring, bad, ctx: fk.ProbMeasure(ring, {ring.unit: 0.5, bad: 0.5}),
+    "build_window": lambda ring, bad, ctx: fk.build_window(ring, {*ctx.S, bad}, 2),
+    "l_operator": lambda ring, bad, ctx: fk.l_operator(ring, bad, ctx.window),
+    "rho1_apply": lambda ring, bad, ctx: fk.rho1_operator_apply(ring, bad, ctx.f),
+    "lambda_apply": lambda ring, bad, ctx: fk.lambda_operator_apply(ring, bad, ctx.f),
+    "boundary_S": lambda ring, bad, ctx: fk.boundary(ring, {*ctx.S, bad}, ctx.F),
+    "boundary_F": lambda ring, bad, ctx: fk.boundary(ring, ctx.S, {*ctx.F, bad}),
+    "fc1_F": lambda ring, bad, ctx: fk.fc1_check(ring, ctx.mu, {*ctx.F, bad}, 0.5),
+    "fc2_S": lambda ring, bad, ctx: fk.fc2_check(ring, {*ctx.S, bad}, ctx.F, 0.5),
+    "fc2_F": lambda ring, bad, ctx: fk.fc2_check(ring, ctx.S, {*ctx.F, bad}, 0.5),
+    "fc3_S": lambda ring, bad, ctx: fk.fc3_check(ring, {*ctx.S, bad}, ctx.F, 0.5),
+    "fc3_F": lambda ring, bad, ctx: fk.fc3_check(ring, ctx.S, {*ctx.F, bad}, 0.5),
+    "foelner_search": lambda ring, bad, ctx: fk.foelner_search(ring, {*ctx.S, bad}, 0.1),
+    "verify_axioms": lambda ring, bad, ctx: fk.verify_axioms(ring, [ring.unit, bad]),
+}
+
+NON_LABELS = {
+    "f2": ("aA", "c", "a b", 7, ("a",), None),
+    "z2": ((1,), (1, 2, 3), (1, "x"), (0.5, 0), "a", 5),
+}
+
+
+@functools.cache
+def label_context(name):
+    ring = {"f2": lambda: fk.free_group_ring(2),
+            "z2": lambda: fk.integer_lattice_ring(2)}[name]()
+    S = frozenset(ring.generators)
+    window = fk.build_window(ring, S, 2)
+    F = frozenset(window.labels)
+    return ring, types.SimpleNamespace(
+        S=S, window=window, F=F, f=fk.indicator(ring, F),
+        mu=fk.ProbMeasure.uniform(ring, S | {ring.unit}))
+
+
+class TestLabelChecksAtBoundary:
+    @pytest.mark.parametrize("entry", sorted(LABEL_ENTRIES))
+    @pytest.mark.parametrize("name, bad", [
+        (name, bad) for name, bads in NON_LABELS.items() for bad in bads])
+    def test_non_label_raises_invalid_label(self, name, bad, entry):
+        ring, ctx = label_context(name)
+        cached = dict(ring._cache)
+        with pytest.raises(fk.InvalidLabel):
+            LABEL_ENTRIES[entry](ring, bad, ctx)
+        # the check comes before any product is read
+        assert ring._cache == cached
+
+    @pytest.mark.parametrize("name", sorted(NON_LABELS))
+    def test_public_window_constructor_checks(self, name):
+        ring, ctx = label_context(name)
+        labels, S, sizes = ctx.window.labels, ctx.S, ctx.window.level_sizes
+        window = fk.TruncationWindow(ring, labels, 2, S, sizes)
+        assert window.labels == labels
+        assert window.index(labels[-1]) == len(labels) - 1
+        a = ring.generators[0]
+        for bad_labels, message in (
+                ((*labels, labels[1]), "duplicate"),
+                ((labels[1], labels[0], *labels[2:]), "unit"),
+                ((), "unit"),
+                ((ring.unit, a), "closed under conjugation")):
+            with pytest.raises(fk.InvalidParam, match=message):
+                fk.TruncationWindow(ring, bad_labels, 2, S, sizes)
+
+    def test_built_windows_pass_the_public_checks(self, f2, z6, su2xz):
+        for ring in (f2, z6, su2xz):
+            window = fk.build_window(ring, ring.generators, 3)
+            for w in (window, window.prefix(2), window.prefix(0)):
+                again = fk.TruncationWindow(ring, w.labels, w.radius,
+                                            w.generator_support, w.level_sizes)
+                assert again.labels == w.labels
+                assert again._index == w._index
+                assert again.level_sizes == w.level_sizes

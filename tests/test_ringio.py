@@ -1,6 +1,10 @@
+import copy
 import json
+import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
 
@@ -162,4 +166,224 @@ class TestLoadErrors:
         doc = z2_table_doc()
         doc["conjugate"] = {"e": "e"}
         with pytest.raises(fk.InvalidTable):
+            fk.ring_from_doc(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"type": "builtin", "name": "zd", "params": [1]},
+        {"type": "builtin", "name": "free", "params": "rank"},
+        {"type": "builtin", "name": "cyclic", "params": 6},
+    ])
+    def test_params_must_be_an_object(self, doc):
+        with pytest.raises(fk.InvalidParam):
+            fk.ring_from_doc(doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("labels", ["e", ["g"]]),
+        ("labels", ["e", {"g": 1}]),
+        ("unit", ["e"]),
+        ("unit", {"e": 1}),
+        ("conjugate", {"e": "e", "g": ["g"]}),
+        ("conjugate", {"e": {"e": 1}, "g": "g"}),
+    ])
+    def test_unhashable_table_entries(self, field, value):
+        doc = z2_table_doc()
+        doc[field] = value
+        with pytest.raises(fk.InvalidTable):
+            fk.ring_from_doc(doc)
+
+    @pytest.mark.parametrize("key", [3, None, ("e", "g"), b"e|g"])
+    def test_non_text_product_key(self, key):
+        doc = z2_table_doc()
+        doc["products"][key] = doc["products"].pop("e|g")
+        with pytest.raises(fk.InvalidTable):
+            fk.ring_from_doc(doc)
+
+    def test_unhashable_label_is_not_a_label(self):
+        ring = fk.ring_from_doc(z2_table_doc())
+        with pytest.raises(fk.InvalidLabel):
+            ring.product("e", ["g"])
+
+    def test_huge_lattice_rank_rejected_before_allocating(self):
+        tracemalloc.start()
+        try:
+            for d in (fk.catalog.MAX_LATTICE_RANK + 1, 10 ** 9, 10 ** 30):
+                with pytest.raises(fk.InvalidParam):
+                    fk.ring_from_doc({"type": "builtin", "name": "zd",
+                                      "params": {"d": d}})
+                with pytest.raises(fk.InvalidParam):
+                    fk.integer_lattice_ring(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        ring = fk.integer_lattice_ring(fk.catalog.MAX_LATTICE_RANK)
+        assert len(ring.generators) == 2 * fk.catalog.MAX_LATTICE_RANK
+
+
+ONE_LABEL_TEXT = ('{"type": "table", "labels": ["e"], "unit": "e", '
+                  '"conjugate": {"e": "e"}, "dim": {"e": %s}, '
+                  '"products": {"e|e": {"e": 1}}}')
+
+
+class TestNonFiniteDimensions:
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+    def test_load_ring_rejects(self, value):
+        with pytest.raises(fk.InvalidTable, match="not finite"):
+            fk.load_ring(ONE_LABEL_TEXT % value)
+
+    def test_finite_one_label_table_loads(self):
+        assert fk.load_ring(ONE_LABEL_TEXT % "1.0").dim("e") == 1
+
+    @pytest.mark.parametrize("d", [math.inf, math.nan])
+    def test_verify_axioms_fails_involution(self, d):
+        ring = fk.FusionRing(unit="e", product_rule=lambda x, y: {"e": 1},
+                             conjugate_rule=lambda x: x,
+                             dim_rule=lambda x: d, is_label=lambda x: x == "e")
+        report = fk.verify_axioms(ring, ["e"])
+        involution = report.failures()[0]
+        assert involution.name == "involution"
+        assert involution.counterexample == f"d(e) = {d} is not finite"
+
+    def test_huge_int_dimension_is_finite(self):
+        # d(k) of deformed SU(2) at n = 3 leaves the float range near
+        # k = 737 and stays an exact, finite int
+        ring = fk.build_deformed_su2_ring(3)
+        window = [0, 800]
+        assert ring.dim(800) > 10 ** 309
+        report = fk.verify_axioms(ring, window)
+        assert report.checks[1].name == "involution" and report.checks[1].passed
+
+
+# -- malformed documents: a typed error or a ring that round-trips ----------
+
+HASHABLE_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.just(2 ** 70), st.floats(),
+    st.text(alphabet="eg01|", max_size=3), st.tuples(st.integers(0, 2)))
+JUNK = st.one_of(
+    HASHABLE_JUNK, st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(alphabet="eg|", max_size=2), st.integers(0, 2),
+                    max_size=2))
+
+
+def base_tables():
+    return [z2_table_doc(), fk.export_table(fk.cyclic_ring(3), range(3))]
+
+
+def mutate_table(data, doc):
+    """Apply a few drawn corruptions, some of them harmless, to a valid
+    table document."""
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(
+            ["drop", "field", "label", "conjugate", "dim", "key", "entry",
+             "coefficient"]))
+        fields = ["type", "labels", "unit", "conjugate", "dim", "products"]
+        if kind == "drop":
+            doc.pop(data.draw(st.sampled_from(fields)), None)
+        elif kind == "field":
+            doc[data.draw(st.sampled_from(fields))] = data.draw(JUNK)
+        target = doc.get({"label": "labels", "conjugate": "conjugate",
+                          "dim": "dim"}.get(kind, "products"))
+        if kind == "label" and isinstance(target, list) and target:
+            target[data.draw(st.integers(0, len(target) - 1))] = data.draw(JUNK)
+        elif kind in ("conjugate", "dim") and isinstance(target, dict) and target:
+            key = data.draw(st.sampled_from(sorted(target, key=repr)))
+            target[key] = data.draw(JUNK if kind == "conjugate" else
+                                    st.one_of(JUNK, st.integers(-1, 4)))
+        elif kind in ("key", "entry", "coefficient") \
+                and isinstance(target, dict) and target:
+            key = data.draw(st.sampled_from(sorted(target, key=repr)))
+            if kind == "key":
+                target[data.draw(HASHABLE_JUNK)] = target.pop(key)
+            elif kind == "entry":
+                target[key] = data.draw(JUNK)
+            elif isinstance(target[key], dict) and target[key]:
+                alpha = data.draw(st.sampled_from(sorted(target[key], key=repr)))
+                target[key][alpha] = data.draw(st.one_of(JUNK, st.integers(-1, 3)))
+    return doc
+
+
+
+
+def either(good, bad):
+    """``good`` or ``bad`` with even odds (st.one_of would weight each
+    branch of a nested one_of alike)."""
+    return st.booleans().flatmap(lambda ok: good if ok else bad)
+
+
+PARAM_VALUE = either(st.integers(-1, 8), st.one_of(JUNK, st.just(10 ** 12)))
+BUILTIN_PARAMS = st.one_of(
+    JUNK,
+    st.fixed_dictionaries({}, optional={
+        "d": PARAM_VALUE, "rank": PARAM_VALUE, "n": PARAM_VALUE,
+        "left": JUNK, "right": JUNK}))
+
+
+PARAM_KEY = {"zd": "d", "free": "rank", "cyclic": "n", "deformed_su2": "n"}
+
+
+@st.composite
+def builtin_docs(draw, depth=0):
+    """Builtin documents: a name, valid or not, with params that are often
+    the right key and often not."""
+    name = draw(either(st.sampled_from(
+        ["zd", "free", "cyclic", "su2", "deformed_su2", "tensor", "trivial"]),
+        HASHABLE_JUNK))
+    if name == "tensor" and depth < 2 and draw(st.booleans()):
+        params = {"left": draw(builtin_docs(depth + 1)),
+                  "right": draw(builtin_docs(depth + 1))}
+    elif PARAM_KEY.get(name) is not None and draw(st.booleans()):
+        params = {PARAM_KEY[name]: draw(PARAM_VALUE)}
+    else:
+        params = draw(BUILTIN_PARAMS)
+    return {"type": "builtin", "name": name, "params": params}
+
+
+def assert_round_trip(ring, labels):
+    """export_table of ``labels`` reloads to the same product, dim and
+    conjugation maps."""
+    fmt = ring.format_label
+    reloaded = fk.ring_from_doc(fk.export_table(ring, labels))
+    assert reloaded.unit == fmt(ring.unit)
+    for x in labels:
+        assert reloaded.dim(fmt(x)) == ring.dim(x)
+        assert reloaded.conj(fmt(x)) == fmt(ring.conj(x))
+        for y in labels:
+            assert reloaded.product(fmt(x), fmt(y)) == \
+                {fmt(k): n for k, n in ring.product(x, y).items()}
+
+
+class TestMalformedDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 1), st.data())
+    def test_table_loads_and_round_trips_or_raises_typed(self, base, data):
+        doc = mutate_table(data, copy.deepcopy(base_tables()[base]))
+        try:
+            ring = fk.ring_from_doc(doc)
+        except fk.FusionError:
+            return
+        assert_round_trip(ring, doc["labels"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(builtin_docs())
+    def test_builtin_loads_and_round_trips_or_raises_typed(self, doc):
+        try:
+            ring = fk.ring_from_doc(doc)
+        except fk.FusionError:
+            return
+        assert ring.product(ring.unit, ring.unit) == {ring.unit: 1}
+        # a small finite ring saturates its window and exports whole
+        try:
+            window = fk.build_window(ring, ring.generators or {ring.unit}, 4,
+                                     cap=64)
+        except fk.BudgetExceeded:
+            return
+        if len(window.level_sizes) <= 4:
+            assert_round_trip(ring, window.labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(JUNK)
+    def test_non_object_document(self, doc):
+        if isinstance(doc, dict):
+            doc = {"type": doc}
+        with pytest.raises(fk.InvalidParam):
             fk.ring_from_doc(doc)

@@ -93,8 +93,10 @@ class TestWindowOracle:
         assert window_outcome(ring, S, radius, sizes[-1]) == full
 
     def test_free_group_label_checks(self):
-        # each label entering the window is conjugated once, not once per
-        # product that reaches it; the per-occurrence loop made 8,740 checks
+        # only S is checked, once as given and once when conjugated into the
+        # steps; the labels the search reaches are products of checked
+        # labels and are not checked again (the per-product checks made
+        # 7,043 calls, and the per-occurrence loop before them 8,740)
         base = fk.free_group_ring(2)
         calls = []
 
@@ -107,7 +109,34 @@ class TestWindowOracle:
                              dim_rule=base._dim_rule, is_label=is_label)
         window = fk.build_window(ring, base.generators, 6)
         assert len(window) == 1457
-        assert len(calls) == 7_043
+        assert len(calls) == 8
+        assert window.prefix(3).labels == window.labels[:53]
+        assert len(calls) == 8
+
+    def test_free_group_symmetric_assembly_rule_evaluations(self):
+        # a symmetric measure reads one label of each conjugate pair: the
+        # products A*eta and B*eta, not a*eta and b*eta as well (5,808
+        # evaluations); the products A*t and B*t of the window's search are
+        # cached already
+        base = fk.free_group_ring(2)
+        rule_calls = []
+
+        def product_rule(u, v):
+            rule_calls.append((u, v))
+            return base._product_rule(u, v)
+
+        ring = fk.FusionRing(unit=base.unit, product_rule=product_rule,
+                             conjugate_rule=base._conjugate_rule,
+                             dim_rule=base._dim_rule, is_label=base._is_label)
+        window = fk.build_window(ring, base.generators, 6)
+        mu = fk.ProbMeasure.uniform(ring, base.generators)
+        del rule_calls[:]
+        op = fk.l_measure_operator(ring, mu, window)
+        assert len(rule_calls) == 2_904
+        assert {u for u, _ in rule_calls} == {"A", "B"}
+        assert_bitwise_equal(op.matrix, direct_compress(
+            ring, [(x, Fraction(w) / Fraction(ring.dim(x)))
+                   for x, w in mu.sorted_items()], window))
 
 
 @functools.cache
@@ -161,6 +190,9 @@ class TestCompressOracle:
 
         symmetric = data.draw(st.booleans())
         support = data.draw(st.lists(pick, min_size=1, max_size=4, unique=True))
+        if data.draw(st.booleans()):
+            # a self-conjugate label among the conjugate pairs
+            support = list(dict.fromkeys([ring.unit, *support]))
         mu = fk.ProbMeasure(ring, draw_weights(data, ring, support, symmetric))
         op = fk.l_measure_operator(ring, mu, window)
         assert_bitwise_equal(op.matrix, direct_compress(
@@ -172,11 +204,61 @@ class TestCompressOracle:
             transpose.sort_indices()
             assert_bitwise_equal(op.matrix, transpose)
 
-        x = fk.Element(ring, {label: data.draw(st.integers(-4, 4)) for label in
-                              data.draw(st.lists(pick, max_size=4, unique=True))})
+        paired = data.draw(st.booleans())
+        coeffs = {}
+        for label in data.draw(st.lists(pick, max_size=4, unique=True)):
+            k = data.draw(st.integers(-4, 4))
+            coeffs[label] = k
+            if paired:  # equal coefficients on each conjugate pair
+                coeffs[ring.conj(label)] = k
+        x = fk.Element(ring, coeffs)
         op = fk.gns_operator(ring, x, window)
         assert_bitwise_equal(op.matrix, direct_compress(
             ring, sorted(x.coeffs.items()), window))
+        if paired:
+            assert op.selfadjoint
+
+    @pytest.mark.parametrize("name, weights, coeffs", [
+        # the unit and a self-conjugate (2, 0) beside conjugate pairs
+        ("su2xz3", {(0, 0): 1, (1, 1): 2, (1, 2): 2, (2, 0): 3, (0, 1): 1,
+                    (0, 2): 1},
+         {(0, 0): 2, (1, 1): -3, (1, 2): -3, (2, 0): 1, (2, 1): 5, (2, 2): 5}),
+        ("f2", {"": 2, "a": 1, "A": 1, "ab": 3, "BA": 3, "b": 1, "B": 1},
+         {"": -1, "a": 2, "A": 2, "ab": -3, "BA": -3, "bb": 1, "BB": 1}),
+        ("z6", {0: 1, 3: 2, 1: 3, 5: 3}, {0: 4, 3: -1, 2: 2, 4: 2}),
+    ])
+    def test_pairs_beside_self_conjugate_terms(self, name, weights, coeffs):
+        ring, S = oracle_ring(name)
+        window = fk.build_window(ring, S, 3)
+        total = sum(weights.values())
+        mu = fk.ProbMeasure(ring, {x: Fraction(w, total) for x, w in weights.items()})
+        x = fk.Element(ring, coeffs)
+        assert mu.symmetric and fk.conjugate_element(x) == x
+        for op, terms in (
+                (fk.l_measure_operator(ring, mu, window),
+                 [(xi, Fraction(w) / Fraction(ring.dim(xi)))
+                  for xi, w in mu.sorted_items()]),
+                (fk.gns_operator(ring, x, window), sorted(x.coeffs.items()))):
+            assert op.selfadjoint
+            assert_bitwise_equal(op.matrix, direct_compress(ring, terms, window))
+            transpose = op.matrix.T.tocsr()
+            transpose.sort_indices()
+            assert_bitwise_equal(op.matrix, transpose)
+
+    def test_conjugates_with_unequal_coefficients_not_paired(self):
+        # d(2) != d(1) breaks an axiom, so mu(1) = mu(2) gives the two
+        # conjugate terms different coefficients; each reads its own products
+        base = fk.cyclic_ring(3)
+        ring = fk.FusionRing(unit=0, product_rule=base._product_rule,
+                             conjugate_rule=base._conjugate_rule,
+                             dim_rule=lambda x: 2 if x == 2 else 1,
+                             is_label=base._is_label)
+        window = fk.build_window(ring, {1}, 2)
+        mu = fk.ProbMeasure.uniform(ring, [1, 2])
+        op = fk.l_measure_operator(ring, mu, window)
+        assert op.selfadjoint
+        assert_bitwise_equal(op.matrix, direct_compress(
+            ring, [(1, Fraction(1, 2)), (2, Fraction(1, 4))], window))
 
     def test_entry_rounded_once_after_exact_sum(self):
         # entry (t, t) of mu = 1/3 delta_1 + 2/3 delta_t on the Fibonacci
