@@ -64,6 +64,11 @@ def _parse_int(text: str, what: str) -> int:
         raise InvalidParam(f"{what} must be an integer, got {text!r}") from None
 
 
+def _parse_radii(text: str) -> list:
+    """--radii: comma-separated integers; blank entries are skipped."""
+    return [_parse_int(r, "radius") for r in text.split(",") if r.strip()]
+
+
 def _parse_set_spec(ring: FusionRing, spec: str, support=None) -> list:
     """F-spec forms: interval:A..B, set:a,b,c, ball:r."""
     if spec.startswith("interval:"):
@@ -169,7 +174,7 @@ def cmd_foelner(args) -> int:
 def cmd_spectrum(args) -> int:
     ring = ringio.load_ring(args.ring)
     mu = _parse_measure_spec(ring, args.measure)
-    radii = [_parse_int(r, "radius") for r in args.radii.split(",") if r.strip()]
+    radii = _parse_radii(args.radii)
     report = spectral.amenability_estimate(ring, mu, radii, cap=args.cap,
                                            tol=args.tol)
     for entry in report.entries:

@@ -493,17 +493,26 @@ class _Inexact(Exception):
     label exactly."""
 
 
+def _int64_values(values: list, width: int):
+    """``values`` as an int64 array when every one is an ``int`` (not a
+    subclass) with N**2 * width < 2**63, else None."""
+    if not {*map(type, values)} <= {int}:
+        return None
+    try:
+        array = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+    if array.size:
+        bound = max(int(array.max()), -int(array.min()))
+        if bound * bound * width >= _INT64_LIMIT:
+            return None
+    return array
+
+
 def _inexact_entry(products, width):
     """(row, label, N) of the first coefficient that int64 cannot sum
     exactly over ``width`` terms (not an int, a bool, or N**2 * width >=
     2**63), or None."""
-    def values():
-        return _chain(map(dict.values, products))
-
-    if set(map(type, values())) <= {int} and \
-            max(max(values(), default=0), -min(values(), default=0)) ** 2 \
-            * width < _INT64_LIMIT:
-        return None
     for row, p in enumerate(products):
         for label, c in p.items():
             if not isinstance(c, int) or isinstance(c, bool) \
@@ -518,7 +527,8 @@ def _product_csr(probe, left, right, columns: dict, width: int):
 
     Each label goes to its column in ``columns``; a label not there yet
     gets the next free one.  Raises _Inexact at the first coefficient that
-    int64 cannot sum exactly over ``width`` terms.
+    int64 cannot sum exactly over ``width`` terms.  The products are read
+    in chunks of _CHUNK; each chunk's labels and values are collected once.
     """
     pairs = itertools.product(left, right)
     counts = [np.zeros(1, dtype=np.int32)]  # the leading 0 of indptr
@@ -528,20 +538,23 @@ def _product_csr(probe, left, right, columns: dict, width: int):
         products = list(itertools.starmap(probe, itertools.islice(pairs, _CHUNK)))
         if not products:
             break
-        found = _inexact_entry(products, width)
-        if found is not None:
-            row, label, c = found
-            x, y = divmod(start + row, len(right))
-            raise _Inexact(left[x], right[y], label, c)
-        fresh = [label for label in dict.fromkeys(_chain(products))
-                 if label not in columns]
-        columns.update(zip(fresh, itertools.count(len(columns))))
+        values = [*_chain(map(dict.values, products))]
+        exact = _int64_values(values, width)
+        if exact is None:
+            found = _inexact_entry(products, width)
+            if found is not None:
+                row, label, c = found
+                x, y = divmod(start + row, len(right))
+                raise _Inexact(left[x], right[y], label, c)
+            exact = np.array(values, dtype=np.int64)  # int subclasses
+        keys = [*_chain(products)]
+        columns.update(zip(set(keys).difference(columns),
+                           itertools.count(len(columns))))
         counts.append(np.fromiter(map(len, products), dtype=np.int32,
                                   count=len(products)))
-        indices.append(np.fromiter(map(columns.__getitem__, _chain(products)),
-                                   dtype=np.int32))
-        data.append(np.fromiter(_chain(map(dict.values, products)),
-                                dtype=np.int64))
+        indices.append(np.fromiter(map(columns.__getitem__, keys),
+                                   dtype=np.int32, count=len(keys)))
+        data.append(exact)
     return (np.concatenate(data), np.concatenate(indices),
             np.cumsum(np.concatenate(counts), dtype=np.int32))
 
@@ -554,10 +567,13 @@ def _associativity_counterexample(ring, labels):
     i*n + j, one column per label of B.  For each xi_i in window order,
     rows (j, k) of kron(P_i, I_n) @ R_i are (xi_i eta_j) zeta_k and those of
     P @ L_i are xi_i (eta_j zeta_k), where R_i[(beta, k), gamma] =
-    N(beta, zeta_k -> gamma) for beta in the supports of the row block P_i
-    and L_i[beta, gamma] = N(xi_i, beta -> gamma).  Gamma is indexed
-    afresh in each block, and nothing outlives a block.  The window
-    products are in the product cache, where ``_product_probe`` reads them.
+    N(beta, zeta_k -> gamma) for beta in B_i, the supports of the row block
+    P_i, and L_i[beta, gamma] = N(xi_i, beta -> gamma).  The n rows of one
+    beta form its row group.  A block keeps the groups of the betas that
+    the next block needs, re-indexed to the next block's gamma, and reads
+    the other groups in one batch, in B order; nothing else outlives a
+    block.  The window products are in the product cache, where
+    ``_product_probe`` reads them.
     """
     n = len(labels)
     fmt = ring.format_label
@@ -570,25 +586,57 @@ def _associativity_counterexample(ring, labels):
             _product_csr(probe, labels, labels,
                          dict(zip(b_labels, itertools.count())), width),
             shape=(n * n, width))
+
+        def support(i):
+            return np.unique(P.indices[P.indptr[i * n]:P.indptr[(i + 1) * n]])
+
         identity = sparse.identity(n, dtype=np.int64, format="csr")
+        group = np.zeros(width, dtype=np.int32)  # beta -> its row group in R
+        # the carried row groups: their betas, their rows, and the labels
+        # of the gamma columns those rows use
+        kept = np.zeros(0, dtype=np.int64)
+        carried = carried_gamma = None
+        used = support(0)
         for i, xi in enumerate(labels):
-            block = P[i * n:(i + 1) * n]
-            used, local = np.unique(block.indices, return_inverse=True)
-            block = sparse.csr_matrix(
-                (block.data, local.ravel(), block.indptr), shape=(n, len(used)))
-            betas = [b_labels[b] for b in used.tolist()]
+            new = used[~np.isin(used, kept)]
             gamma: dict = {}
-            R = _product_csr(probe, betas, labels, gamma, width)
+            data, indices, indptr = _product_csr(
+                probe, [b_labels[b] for b in new.tolist()], labels, gamma, width)
+            if kept.size:
+                # one lookup per distinct carried gamma label
+                table = np.zeros(carried.shape[1], dtype=np.int32)
+                table[list(carried_gamma)] = [gamma.setdefault(label, len(gamma))
+                                              for label in carried_gamma.values()]
+                data = np.concatenate((data, carried.data))
+                indices = np.concatenate((indices, table[carried.indices]))
+                indptr = np.concatenate((indptr, carried.indptr[1:] + indptr[-1]))
+                carried = carried_gamma = None  # R holds the rows now
             L = _product_csr(probe, (xi,), b_labels, gamma, width)
-            lhs = sparse.kron(block, identity, format="csr") @ sparse.csr_matrix(
-                R, shape=(len(betas) * n, len(gamma)))
+            order = np.concatenate((new, kept))
+            group[order] = np.arange(len(order), dtype=np.int32)
+            R = sparse.csr_matrix((data, indices, indptr),
+                                  shape=(len(order) * n, len(gamma)))
+            block = P[i * n:(i + 1) * n]
+            block = sparse.csr_matrix(
+                (block.data, group[block.indices], block.indptr),
+                shape=(n, len(order)))
+            lhs = sparse.kron(block, identity, format="csr") @ R
             rhs = P @ sparse.csr_matrix(L, shape=(width, len(gamma)))
             differ = np.flatnonzero(np.diff((lhs != rhs).indptr))
+            del lhs, rhs  # before the rows are carried and the next reads
             if differ.size:
                 j, k = divmod(int(differ[0]), n)
                 eta, zeta = labels[j], labels[k]
                 return (f"({fmt(xi)}*{fmt(eta)})*{fmt(zeta)} != "
                         f"{fmt(xi)}*({fmt(eta)}*{fmt(zeta)})")
+            if i + 1 < n:
+                used = support(i + 1)
+                keep = np.flatnonzero(np.isin(order, used))
+                kept = order[keep]
+                carried = R[(keep[:, None] * n + np.arange(n)).ravel()]
+                names = list(gamma)
+                carried_gamma = {g: names[g]
+                                 for g in np.unique(carried.indices).tolist()}
     except _Inexact as exc:
         x, y, label, c = exc.args
         entry = f"N({fmt(x)},{fmt(y)}->{fmt(label)}) = {c!r}"
@@ -613,10 +661,15 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     the n**2 window products are probed once and cached.  Frobenius
     reciprocity runs over the nonzero entries of three product tables, in
     O(n**2 * s).  Associativity takes one block of sparse integer matrix
-    products per first factor xi; the block reads n * (|B| + |B_xi|)
-    second-stage products without caching them, where B is the union of
-    the supports of the window products and B_xi that of the products
-    xi * eta.  Temporaries live for one block only.
+    products per first factor xi, where B is the union of the supports of
+    the window products and B_xi that of the products xi * eta.  Block xi
+    reads the |B| products xi * beta, and the n products beta * zeta of
+    each beta in B_xi that the block before it did not hold; it keeps the
+    rows of the betas the next block shares.  So a run of consecutive
+    blocks whose B_xi contain beta reads each beta * zeta once, and a
+    beta that leaves and comes back is read again.  None of these
+    second-stage products is cached, and besides the window products at
+    most one block's rows live at a time.
 
     Associativity is decided in int64 arithmetic, which is exact only when
     every coefficient it reads is an ``int`` (``bool`` excluded) and

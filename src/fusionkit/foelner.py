@@ -135,10 +135,17 @@ def boundary(ring: FusionRing, S: Iterable, F: Iterable) -> BoundaryResult:
     cut = _Cut(ring, S)
     for label in F:
         cut.add(label)
+    return _boundary_of(cut)
+
+
+def _boundary_of(cut: _Cut) -> BoundaryResult:
+    # the weights are subset_weight sums over the sets, not the cut's
+    # running sums, so float dimensions give the same bits however F grew
+    ring = cut.ring
     return BoundaryResult(inner=frozenset(cut.inner), outer=frozenset(cut.outer),
                           weight_inner=subset_weight(ring, cut.inner),
                           weight_outer=subset_weight(ring, cut.outer),
-                          weight_F=subset_weight(ring, F))
+                          weight_F=subset_weight(ring, cut.F))
 
 
 @dataclass(frozen=True)
@@ -189,12 +196,16 @@ def fc3_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> Foelner
     _check_eps(eps)
     S = set(S)
     F = set(F)
-    b = boundary(ring, S, F)
+    return _fc3_report(S, F, boundary(ring, S, F), eps)
+
+
+def _fc3_report(S: set, F: set, b: BoundaryResult, eps: float) -> FoelnerReport:
+    # the FC3 report of F, whose boundary relative to S is b
     lhs = b.weight
-    satisfied = _exactly_less(lhs, eps, b.weight_F)
     return FoelnerReport(
         condition="FC3", epsilon=eps, lhs=as_float(lhs),
-        rhs=float(eps) * as_float(b.weight_F), satisfied=satisfied,
+        rhs=float(eps) * as_float(b.weight_F),
+        satisfied=_exactly_less(lhs, eps, b.weight_F),
         set_F=tuple(sorted(F)), weight_F=b.weight_F,
         support=tuple(sorted(S)),
         extra={"boundary_inner": b.inner, "boundary_outer": b.outer,
@@ -425,6 +436,10 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
     order).  Stops at the first satisfying F.  When the label budget is
     exhausted the best F seen is returned with ``found`` false; the curve
     always records every step.
+
+    The report equals ``fc3_check(ring, S, labels, eps)`` field for field.
+    When the returned set is the whole grown F, it is read off the search's
+    own cut; an earlier best prefix gets a boundary of its own.
     """
     S = set(S)
     if not S:
@@ -483,7 +498,10 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
             cut.add(best_cand)
 
     # F only grows and a satisfying F beats every earlier one, so the
-    # returned set is the prefix of the best ratio either way
+    # returned set is the prefix of the best ratio either way; the report
+    # reads the search's own cut when that prefix is all of it
     labels = tuple(cut.order[:best[1]])
-    return SearchResult(found, labels, fc3_check(ring, S, set(labels), eps),
+    b = _boundary_of(cut) if best[1] == len(cut.order) \
+        else boundary(ring, S, labels)
+    return SearchResult(found, labels, _fc3_report(S, set(labels), b, eps),
                         tuple(curve))

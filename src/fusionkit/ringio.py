@@ -36,11 +36,16 @@ PAIR_SEPARATOR = "|"
 
 _BUILTIN_NAMES = ("zd", "free", "cyclic", "su2", "deformed_su2", "tensor", "trivial")
 
+#: most ``tensor`` documents nested inside one another in one ring
+#: document; deeper nesting raises InvalidParam before anything is built
+MAX_TENSOR_DEPTH = 32
+
 
 def load_ring(source) -> FusionRing:
     """Load a ring from a path, JSON text, or an already-parsed document.
 
-    A missing path, malformed JSON or a non-object document raise InvalidParam.
+    A missing path, malformed JSON, JSON nested too deeply to decode or a
+    non-object document raise InvalidParam.
     """
     if isinstance(source, Mapping):
         return ring_from_doc(source)
@@ -58,15 +63,27 @@ def load_ring(source) -> FusionRing:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
         raise InvalidParam(f"{name} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidParam(f"{name} nests too deeply to decode") from None
     return ring_from_doc(doc)
 
 
 def ring_from_doc(doc: Mapping) -> FusionRing:
+    """Build a ring from a parsed document.
+
+    A ``tensor`` builtin holds two ring documents; they nest at most
+    MAX_TENSOR_DEPTH deep.
+    """
+    return _ring_from_doc(doc, 0)
+
+
+def _ring_from_doc(doc: Mapping, depth: int) -> FusionRing:
+    # depth: the tensor documents that hold this one
     if not isinstance(doc, Mapping):
         raise InvalidParam(f"ring document must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("type")
     if kind == "builtin":
-        return _builtin_from_doc(doc)
+        return _builtin_from_doc(doc, depth)
     if kind == "table":
         return table_ring_from_doc(doc)
     raise InvalidParam(f"ring document type must be 'builtin' or 'table', got {kind!r}")
@@ -79,7 +96,7 @@ def _require_int(params: Mapping, key: str) -> int:
     return value
 
 
-def _builtin_from_doc(doc: Mapping) -> FusionRing:
+def _builtin_from_doc(doc: Mapping, depth: int) -> FusionRing:
     name = doc.get("name")
     params = doc.get("params", {}) or {}
     if name not in _BUILTIN_NAMES:
@@ -104,7 +121,11 @@ def _builtin_from_doc(doc: Mapping) -> FusionRing:
     right = params.get("right")
     if not isinstance(left, Mapping) or not isinstance(right, Mapping):
         raise InvalidParam("tensor builtin needs 'left' and 'right' ring documents")
-    return catalog.tensor_product(ring_from_doc(left), ring_from_doc(right))
+    if depth >= MAX_TENSOR_DEPTH:
+        raise InvalidParam(
+            f"tensor documents nest more than {MAX_TENSOR_DEPTH} deep")
+    return catalog.tensor_product(_ring_from_doc(left, depth + 1),
+                                  _ring_from_doc(right, depth + 1))
 
 
 def _coerce_dim(value):

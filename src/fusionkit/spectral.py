@@ -328,14 +328,15 @@ def _apply(ring: FusionRing, xi, f: Element, left: bool) -> Element:
         candidates.update(ring._product_cached(xi, alpha) if left
                           else ring._product_cached(alpha, xibar))
     dxi = ring.dim(xi)
+    # each sum reads only supp(p) within supp(f), in the order of f's
+    # coefficients, so its float additions match a scan over all of f
+    position = {alpha: i for i, alpha in enumerate(f.coeffs)}
     out: dict = {}
     for eta in candidates:
         p = ring._product_cached(xibar, eta) if left else ring._product_cached(eta, xi)
         s = 0.0
-        for alpha, value in f.coeffs.items():
-            n = p.get(alpha)
-            if n:
-                s += value * n * ring.dim(alpha)
+        for alpha in sorted((a for a in p if a in position), key=position.__getitem__):
+            s += f.coeffs[alpha] * p[alpha] * ring.dim(alpha)
         if s:
             out[eta] = s / (ring.dim(eta) * dxi)
     return Element(ring, out)

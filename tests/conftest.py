@@ -105,3 +105,11 @@ def random_integer_function(ring, rng: random.Random, pool, size=4, lo=-3, hi=3)
 def random_subset(rng: random.Random, pool, max_size=6):
     k = rng.randint(1, min(max_size, len(pool)))
     return set(rng.sample(list(pool), k))
+
+
+def nested_tensor_text(depth):
+    """A tensor builtin of cyclic(2) rings nested ``depth`` deep, as JSON
+    text (json.dumps itself would recurse too deeply at depth 2,000)."""
+    leaf = '{"type": "builtin", "name": "cyclic", "params": {"n": 2}}'
+    head = '{"type": "builtin", "name": "tensor", "params": {"left": '
+    return head * depth + leaf + (', "right": ' + leaf + '}}') * depth

@@ -6,7 +6,8 @@ the SU(2) rules, a definition-level boundary scan and a direct two-scan
 boundary, a letter-by-letter reduced-word test and a stack free reduction,
 triple-loop Frobenius and associativity scans, a breadth-first window that
 conjugates every product label it meets, operator compression accumulated
-in `Fraction`s, exact return probabilities of the simple random walk on a
+in `Fraction`s, convolution applies that scan every coefficient of f for
+each output label, exact return probabilities of the simple random walk on a
 free group via its radial projection, and truncated lattice adjacency
 matrices.
 """
@@ -213,6 +214,29 @@ def direct_compress(ring, terms, window):
     data = np.array([float(v) for _, v in items], dtype=np.float64)
     m = len(window.labels)
     return sparse.csr_matrix((data, (rows, cols)), shape=(m, m))
+
+
+def direct_apply(ring, xi, f, left):
+    """The coefficient map of rho_xi(f) (``left`` false) or lambda_xi(f)
+    (``left`` true): the candidate labels eta come from supp(alpha * conj
+    xi) or supp(xi * alpha) for alpha in supp(f), and each sum scans every
+    coefficient of f, in f's order."""
+    xibar = ring.conj(xi)
+    candidates = set()
+    for alpha in f.coeffs:
+        candidates.update(ring.product(xi, alpha) if left
+                          else ring.product(alpha, xibar))
+    out = {}
+    for eta in candidates:
+        p = ring.product(xibar, eta) if left else ring.product(eta, xi)
+        s = 0.0
+        for alpha, value in f.coeffs.items():
+            n = p.get(alpha)
+            if n:
+                s += value * n * ring.dim(alpha)
+        if s:
+            out[eta] = s / (ring.dim(eta) * ring.dim(xi))
+    return out
 
 
 # ---------------------------------------------------------------------------

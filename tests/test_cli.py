@@ -3,8 +3,11 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fusionkit as fk
+from fusionkit import cli
+from conftest import nested_tensor_text
 from fusionkit.cli import main
 
 
@@ -320,3 +323,113 @@ class TestRingFileErrors:
         self.check(ring_file("list.json", []), capsys)
         with pytest.raises(fk.InvalidParam):
             fk.ring_from_doc([])
+
+    @pytest.mark.parametrize("depth", [fk.ringio.MAX_TENSOR_DEPTH + 1, 2_000])
+    def test_tensor_nested_too_deep(self, tmp_path, capsys, depth):
+        path = tmp_path / "deep.json"
+        path.write_text(nested_tensor_text(depth), encoding="utf-8")
+        self.check(str(path), capsys)
+
+
+# ---------------------------------------------------------------------------
+# spec parsers under random text
+# ---------------------------------------------------------------------------
+
+SPEC_CHARS = "0123456789-+.,:;=()_ \t\neEaAbBx٣\x00\ud800"
+
+
+def spec_text(prefixes):
+    """Text built from spec punctuation, digits and label letters, bare or
+    behind one of the spec ``prefixes``."""
+    tail = st.text(alphabet=SPEC_CHARS, max_size=14)
+    return st.one_of(tail, st.tuples(st.sampled_from(prefixes), tail).map("".join))
+
+
+SPEC_RINGS = {
+    "z6": {"type": "builtin", "name": "cyclic", "params": {"n": 6}},
+    "z3xz2": {"type": "builtin", "name": "tensor", "params": {
+        "left": {"type": "builtin", "name": "cyclic", "params": {"n": 3}},
+        "right": {"type": "builtin", "name": "cyclic", "params": {"n": 2}}}},
+    "su2": {"type": "builtin", "name": "su2", "params": {}},
+    "z2": {"type": "builtin", "name": "zd", "params": {"d": 2}},
+    "f2": {"type": "builtin", "name": "free", "params": {"rank": 2}},
+    "su2xz": {"type": "builtin", "name": "tensor", "params": {
+        "left": {"type": "builtin", "name": "su2", "params": {}},
+        "right": {"type": "builtin", "name": "zd", "params": {"d": 1}}}},
+}
+
+
+@pytest.fixture(scope="module")
+def spec_files(tmp_path_factory):
+    """The SPEC_RINGS documents as ring files, by name."""
+    files = {}
+    for name, doc in SPEC_RINGS.items():
+        path = tmp_path_factory.mktemp("spec") / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        files[name] = str(path)
+    return files
+
+
+def parsed_or_exit_2(parse, argv_for, name, spec_files, capsys):
+    """Run ``parse(ring)``; if it raises, the error is a FusionError and the
+    CLI run of ``argv_for(path, unit)`` exits 2 and prints no traceback."""
+    ring = fk.ring_from_doc(SPEC_RINGS[name])
+    try:
+        parse(ring)
+    except fk.FusionError:
+        pass
+    else:
+        return
+    capsys.readouterr()
+    assert main(argv_for(spec_files[name], ring.format_label(ring.unit))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestSpecParsers:
+    """Every spec either parses or raises a typed FusionError, and the CLI
+    turns that error into exit 2.  Set specs run on finite rings, where a
+    ball never meets the window cap (that is exit 3, a budget)."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(["z6", "z3xz2"]),
+           spec_text(["set:", "interval:", "ball:", "interval:0..", "set:1,"]))
+    def test_set_spec(self, spec_files, capsys, name, spec):
+        parsed_or_exit_2(
+            lambda ring: cli._parse_set_spec(ring, spec, ring.generators),
+            lambda path, unit: ["check", path, "--condition", "fc3",
+                                f"--set={spec}", "--support", "1", "--eps", "0.5"],
+            name, spec_files, capsys)
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(list(SPEC_RINGS)),
+           spec_text(["delta:", "decomp:", "decomp:1=", "delta:(", "uniform-gens"]))
+    def test_measure_spec(self, spec_files, capsys, name, spec):
+        parsed_or_exit_2(
+            lambda ring: cli._parse_measure_spec(ring, spec),
+            lambda path, unit: ["spectrum", path, f"--measure={spec}",
+                                "--radii", "1"],
+            name, spec_files, capsys)
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(list(SPEC_RINGS)), spec_text(["(", "1,", "a,", "e,"]))
+    def test_support(self, spec_files, capsys, name, spec):
+        parsed_or_exit_2(
+            lambda ring: cli._parse_labels(ring, spec),
+            lambda path, unit: ["check", path, "--condition", "fc3",
+                                f"--set=set:{unit}", f"--support={spec}",
+                                "--eps", "0.5"],
+            name, spec_files, capsys)
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec_text(["1,", "2,3", ",", "-"]))
+    def test_radii(self, spec_files, capsys, radii):
+        parsed_or_exit_2(
+            lambda ring: cli._parse_radii(radii),
+            lambda path, unit: ["spectrum", path, f"--measure=delta:{unit}",
+                                f"--radii={radii}"],
+            "z6", spec_files, capsys)

@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import os
@@ -306,8 +307,26 @@ class TestVerifyAxioms:
         window = fk.build_window(ring, (1,), 30)
         calls.clear()
         assert fk.verify_axioms(ring, window).passed
-        # the n**3 triple loop made 162,101 rule evaluations here
-        assert len(calls) == 16_246
+        # the n**3 triple loop made 162,101 rule evaluations here, and
+        # blocks that re-read their second-stage products 16,246
+        assert len(calls) == 2_761
+
+    @pytest.mark.parametrize("name", ["su2", "dsu2"])
+    def test_radius_30_reads_each_product_once(self, name):
+        base = {"su2": fk.build_su2_ring,
+                "dsu2": lambda: fk.build_deformed_su2_ring(3)}[name]()
+        calls = collections.Counter()
+
+        def rule(x, y):
+            calls[(x, y)] += 1
+            return base._product_rule(x, y)
+
+        ring = fk.FusionRing(unit=base.unit, product_rule=rule,
+                             conjugate_rule=base.conj, dim_rule=base.dim,
+                             is_label=base.contains)
+        window = fk.build_window(ring, base.generators, 30)
+        assert fk.verify_axioms(ring, window).passed
+        assert max(calls.values()) == 1
 
     @pytest.mark.parametrize("name,radius", [("su2", 30), ("f2", 3)])
     def test_peak_traced_memory(self, name, radius):
@@ -361,6 +380,28 @@ class TestVerifyAxioms:
             expected = oracle(ring, window)
             assert (checks[check].passed, checks[check].counterexample) == \
                 (expected is None, expected)
+
+    @pytest.mark.parametrize("name,x,y", [("su2", 2, 1), ("su2", 3, 2),
+                                          ("z6", 1, 2), ("f2", "a", "b")])
+    def test_mutation_fails_in_a_block_with_carried_rows(self, name, x, y):
+        # the failing block keeps row groups from the block before it,
+        # among them the mutated product's, which is read there first
+        base, window, _ = axiom_window(name)
+        product = base.product(x, y)
+        label = min(product, key=repr)
+        product[label] += 1
+        ring = patched_ring(base, {(x, y): product})
+        checks = {c.name: c for c in fk.verify_axioms(ring, window).checks}
+        expected = direct_associativity(ring, window)
+        assert checks["associativity"].counterexample == expected
+        failing = next(i for i, xi in enumerate(window)
+                       if expected.startswith(f"({base.format_label(xi)}*"))
+        assert failing > 0
+
+        def support(xi):
+            return {b for eta in window for b in base.product(xi, eta)}
+
+        assert x in support(window[failing - 1]) & support(window[failing])
 
 
 def patched_ring(base, overrides):

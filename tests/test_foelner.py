@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -399,6 +400,75 @@ class TestSearchPins:
             assert math.isclose(p.weight_boundary, rep.extra["weight_boundary"],
                                 rel_tol=1e-12)
             assert math.isclose(p.ratio, rep.extra["ratio"], rel_tol=1e-12)
+
+
+
+@functools.cache
+def search_ring(name):
+    """A ring and the support S that the search-report test grows F by."""
+    ring = {"z2": lambda: fk.integer_lattice_ring(2),
+            "su2": fk.build_su2_ring,
+            "f2": lambda: fk.free_group_ring(2),
+            "dsu2": lambda: fk.build_deformed_su2_ring(3),
+            "fibz": lambda: fk.tensor_product(fibonacci_ring(),
+                                              fk.integer_lattice_ring(1)),
+            "su2xz": lambda: fk.tensor_product(fk.build_su2_ring(),
+                                               fk.integer_lattice_ring(1))}[name]()
+    return ring, set(ring.generators)
+
+
+def bits(value):
+    """A value with its floats spelled exactly, for bitwise comparison."""
+    if isinstance(value, float):
+        return float, value.hex()
+    if isinstance(value, (tuple, list)):
+        return type(value), [bits(v) for v in value]
+    if isinstance(value, dict):
+        return dict, {k: bits(v) for k, v in value.items()}
+    return type(value), value
+
+
+def assert_report_equal(got, want):
+    for f in dataclasses.fields(fk.FoelnerReport):
+        assert bits(getattr(got, f.name)) == bits(getattr(want, f.name)), f.name
+
+
+class TestSearchReport:
+    """The search reports from its own cut exactly what fc3_check reports
+    for the returned set."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["z2", "su2", "f2", "dsu2", "fibz", "su2xz"]),
+           st.sampled_from(["balls", "greedy"]),
+           st.sampled_from([0.01, 0.1, 0.3, 1.0, 2.5]), st.integers(1, 60))
+    def test_report_equals_fc3_check(self, name, strategy, eps, budget):
+        ring, S = search_ring(name)
+        try:
+            result = fk.foelner_search(ring, S, eps, strategy=strategy,
+                                       budget=budget)
+        except fk.BudgetExceeded:
+            return  # the radius-1 ball does not fit the budget
+        assert_report_equal(result.report,
+                            fk.fc3_check(ring, S, set(result.labels), eps))
+
+    def test_best_prefix_shorter_than_final_set(self):
+        ring, S = search_ring("su2xz")
+        result = fk.foelner_search(ring, S, 0.01, strategy="greedy", budget=10)
+        assert len(result.labels) < result.curve[-1].set_size
+        assert_report_equal(result.report,
+                            fk.fc3_check(ring, S, set(result.labels), 0.01))
+
+    @pytest.mark.parametrize("strategy", ["balls", "greedy"])
+    def test_float_dims_bitwise(self, strategy):
+        # the curve's running weight sums differ from the once-rounded
+        # subset weights in the last bits here; the report has the latter
+        ring, S = search_ring("fibz")
+        result = fk.foelner_search(ring, S, 0.01, strategy=strategy, budget=60)
+        last = result.curve[-1]
+        assert len(result.labels) == last.set_size
+        assert last.weight_F != result.report.weight_F
+        assert_report_equal(result.report,
+                            fk.fc3_check(ring, S, result.labels, 0.01))
 
 
 class TestSupportIdentity:

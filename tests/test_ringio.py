@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
+from conftest import nested_tensor_text
 
 
 def z2_table_doc():
@@ -218,6 +219,26 @@ class TestLoadErrors:
         assert peak < 1 << 20
         ring = fk.integer_lattice_ring(fk.catalog.MAX_LATTICE_RANK)
         assert len(ring.generators) == 2 * fk.catalog.MAX_LATTICE_RANK
+
+    @pytest.mark.parametrize("depth", [fk.ringio.MAX_TENSOR_DEPTH + 1, 2_000])
+    def test_tensor_nesting_bounded(self, depth):
+        leaf = {"type": "builtin", "name": "cyclic", "params": {"n": 2}}
+        doc = leaf
+        for _ in range(depth):
+            doc = {"type": "builtin", "name": "tensor",
+                   "params": {"left": doc, "right": leaf}}
+        with pytest.raises(fk.InvalidParam, match="nest"):
+            fk.ring_from_doc(doc)
+        with pytest.raises(fk.InvalidParam, match="nest"):
+            fk.load_ring(nested_tensor_text(depth))
+
+    def test_tensor_nesting_at_the_bound_loads(self):
+        ring = fk.load_ring(nested_tensor_text(fk.ringio.MAX_TENSOR_DEPTH))
+        assert fk.verify_axioms(ring, [ring.unit]).passed
+        # the unit and one generator per cyclic factor
+        window = fk.build_window(ring, ring.generators, 1)
+        assert len(window) == fk.ringio.MAX_TENSOR_DEPTH + 2
+
 
 
 ONE_LABEL_TEXT = ('{"type": "table", "labels": ["e"], "unit": "e", '

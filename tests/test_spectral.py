@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import fusionkit as fk
 from conftest import fibonacci_ring, pool_for, random_symmetric_measure
 
-from oracles import direct_compress, direct_window, lattice_ball_top_eigenvalue
+from oracles import (direct_apply, direct_compress, direct_window,
+                     lattice_ball_top_eigenvalue)
 
 
 def assert_bitwise_equal(a, b):
@@ -403,6 +404,38 @@ class TestRhoApply:
     def test_zero_function(self, su2):
         out = fk.rho1_operator_apply(su2, 1, fk.Element(su2, {}))
         assert not out.coeffs
+
+    @pytest.mark.parametrize("name", ["f2", "su2", "z2", "fib"])
+    def test_matches_full_scan_bitwise(self, name):
+        # the F2 case is the indicator of the radius-6 ball (1,457 labels);
+        # the others carry random real values, and SU(2) products by 4 and
+        # 7 have up to 8 terms, so the order of the float additions shows
+        ring = {"f2": lambda: fk.free_group_ring(2), "su2": fk.build_su2_ring,
+                "z2": lambda: fk.integer_lattice_ring(2),
+                "fib": fibonacci_ring}[name]()
+        steps = (1, 4, 7) if name == "su2" else ring.generators
+        rng = random.Random(11)
+        if name == "f2":
+            f = fk.indicator(ring, fk.build_window(ring, ring.generators, 6))
+        else:
+            f = fk.Element(ring, {label: rng.uniform(-2.0, 2.0)
+                                  for label in pool_for(ring, 12)})
+
+        def hex_map(coeffs):
+            return {label: value.hex() for label, value in coeffs.items()}
+
+        for xi in steps:
+            for left, apply in ((False, fk.rho1_operator_apply),
+                                (True, fk.lambda_operator_apply)):
+                assert hex_map(apply(ring, xi, f).coeffs) == \
+                    hex_map(direct_apply(ring, xi, f, left))
+        mu = fk.ProbMeasure.uniform(ring, steps)
+        for left, apply in ((False, fk.rho_measure_apply),
+                            (True, fk.lambda_measure_apply)):
+            want = fk.Element(ring, {})
+            for xi, weight in mu.sorted_items():
+                want = want + weight * fk.Element(ring, direct_apply(ring, xi, f, left))
+            assert hex_map(apply(ring, mu, f).coeffs) == hex_map(want.coeffs)
 
 
 class TestTopEigenvalue:
