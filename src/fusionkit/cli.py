@@ -292,6 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse drops a bare "--" after "=", so "--radii=--" parses to []
+    # rather than a string; no option takes a list
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            print(f"error: --{name} needs a value, got '--'", file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except (BudgetExceeded, NoConvergence) as exc:

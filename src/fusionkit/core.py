@@ -92,7 +92,9 @@ class FusionRing:
         # Internal read-only view of the memoized product.  Callers must not
         # mutate the returned dict.  The labels are not checked: every
         # caller passes labels checked where they entered the public API,
-        # or labels read off products of such labels.
+        # or labels read off products of such labels.  Used where a product
+        # is read again: the public window search and verify_axioms' window
+        # products, the Foelner cuts and FC checks, the convolutions.
         key = (xi, eta)
         hit = self._cache.get(key)
         if hit is not None:
@@ -103,11 +105,13 @@ class FusionRing:
         return result
 
     def _product_probe(self, xi, eta) -> dict:
-        # Like _product_cached but never inserts into the cache: used for
-        # one-off probes (e.g. axiom sweeps) whose key set would otherwise
-        # grow cubically with the window.  Labels must already be known good.
-        # A rule's dict without zeros is returned as is, so callers must
-        # not mutate the result.
+        # Like _product_cached but never inserts into the cache: used where
+        # a product is read once, so caching it would only grow the cache
+        # (the axiom sweeps, whose key set grows cubically with the window;
+        # operator assembly; the window search of amenability_estimate and
+        # of the balls search).  Labels must already be known good.  A
+        # rule's dict without zeros is returned as is, so callers must not
+        # mutate the result.
         hit = self._cache.get((xi, eta))
         if hit is not None:
             return hit
@@ -677,9 +681,13 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     counterexample names the first coefficient that breaks the guard.  A
     coefficient sum that cancels to zero counts as an absent term.
 
-    Every product the checks need is read before any is compared, so a
-    table-backed ring missing any of them raises IncompleteTable, even when
-    an earlier triple would already fail.
+    The window products are all read before any check compares them, and
+    each associativity block reads all of its products before it compares
+    any; associativity stops at the first failing block.  So a
+    table-backed ring missing a product raises IncompleteTable when that
+    product is read before or in the first failing block, even when an
+    earlier triple would already fail.  A product that only a later block
+    would read is never read, and its absence raises nothing.
     """
     labels = _window_labels(window)
     if not labels:

@@ -437,6 +437,11 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
     exhausted the best F seen is returned with ``found`` false; the curve
     always records every step.
 
+    Both strategies cache the products their cut reads.  When the window
+    search of ``balls`` expands w, the cut has cached w * xi and
+    w * conj(xi) already; the products w * e, which nothing reads again,
+    are probed and not cached.
+
     The report equals ``fc3_check(ring, S, labels, eps)`` field for field.
     When the returned set is the whole grown F, it is read off the search's
     own cut; an earlier best prefix gets a boundary of its own.
@@ -472,7 +477,8 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
     found = False
     if strategy == "balls":
         try:
-            for radius, new in enumerate(_bfs_levels(ring, S, budget)):
+            levels = _bfs_levels(ring, S, budget, ring._product_probe)
+            for radius, new in enumerate(levels):
                 for label in new:
                     cut.add(label)
                 if radius == 0:

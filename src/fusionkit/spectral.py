@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -126,20 +127,29 @@ def build_window(ring: FusionRing, S: Iterable, radius: int,
     windows are reproducible and nested across radii.  Raises
     BudgetExceeded if the label count would exceed ``cap``, reporting the
     last fully expanded radius.
+
+    The products w * t the search reads are cached, because the callers
+    of a public window read them again: ``verify_axioms`` reads every
+    window product, and the CLI's FC checks on a ``ball:r`` set read many.
     """
+    return _build_window(ring, S, radius, cap, ring._product_cached)
+
+
+def _build_window(ring: FusionRing, S: Iterable, radius: int, cap: int,
+                  read) -> TruncationWindow:
+    # build_window with the product reader ``read``: ring._product_probe
+    # where nothing reads the products of the search again
     S = set(S)
     if not S:
         raise EmptySet("window generator support must be non-empty")
     for label in S:
         ring.check_label(label)
-    if radius < 0:
-        raise InvalidParam(f"radius must be >= 0, got {radius}")
-    if cap < 1:
-        raise InvalidParam(f"cap must be >= 1, got {cap}")
+    radius = _count(radius, "radius", 0)
+    cap = _count(cap, "cap", 1)
 
     order = []
     level_sizes = []
-    for new in itertools.islice(_bfs_levels(ring, S, cap), radius + 1):
+    for new in itertools.islice(_bfs_levels(ring, S, cap, read), radius + 1):
         if not new:
             break
         order.extend(new)
@@ -147,7 +157,27 @@ def build_window(ring: FusionRing, S: Iterable, radius: int,
     return TruncationWindow._trusted(ring, tuple(order), radius, S, level_sizes)
 
 
-def _bfs_levels(ring: FusionRing, S: set, cap: int):
+def _count(value, what: str, least: int) -> int:
+    """``value`` as an int (not a bool) of at least ``least``, else
+    InvalidParam."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InvalidParam(f"{what} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < least:
+        raise InvalidParam(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def _check_tol(tol) -> None:
+    try:
+        if math.isfinite(tol) and tol > 0:
+            return
+    except TypeError:
+        pass
+    raise InvalidParam(f"tol must be finite and positive, got {tol!r}")
+
+
+def _bfs_levels(ring: FusionRing, S: set, cap: int, read):
     """Yield the labels first reached at breadth-first level 0, 1, 2, ...
 
     Level 0 is the unit; level k adds the products of level k - 1 by S,
@@ -156,6 +186,10 @@ def _bfs_levels(ring: FusionRing, S: set, cap: int):
     Raises BudgetExceeded as soon as the label count would exceed ``cap``,
     in the middle of a level.  S must be checked labels; every other label
     is a product of checked labels, so none is checked again.
+
+    The products w * t are read with ``read(w, t)``: ring._product_cached
+    when a caller reads them again, ring._product_probe when nothing does.
+    Both return the same products, so the levels do not depend on it.
     """
     conj = ring._conjugate_rule
     steps = sorted(S | {ring.conj(xi) for xi in S} | {ring.unit})
@@ -168,7 +202,7 @@ def _bfs_levels(ring: FusionRing, S: set, cap: int):
         new = []
         for w in frontier:
             for t in steps:
-                for alpha in sorted(ring._product_cached(w, t)):
+                for alpha in sorted(read(w, t)):
                     if alpha in seen:
                         continue  # its conjugate entered together with it
                     for cand in (alpha, conj(alpha)):
@@ -408,8 +442,7 @@ def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9) -> SpectralEstimat
     """
     if not op.selfadjoint:
         raise NotSelfAdjoint("top_eigenvalue requires a self-adjoint operator")
-    if tol <= 0:
-        raise InvalidParam(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     n = op.matrix.shape[0]
     if n <= DENSE_EIG_LIMIT:
         eigs = np.linalg.eigvalsh(op.matrix.toarray())
@@ -498,19 +531,27 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
     when the sequence has numerically stalled (successive differences below
     ``stall_threshold`` over at least three radii) at a gap larger than ten
     times ``gap_threshold``; otherwise INCONCLUSIVE.
+
+    Each radius must be an int >= 0, ``cap`` an int >= 1 and ``tol``
+    finite and positive; anything else raises InvalidParam before a window
+    is built.  The window search probes its products w * t rather than
+    caching them, since the assembly reads other products (xi * eta for xi
+    in supp(mu)), so an estimate leaves the product cache as it found it.
     """
     if mu.ring is not ring:
         raise RingMismatch("measure belongs to a different ring")
     if not mu.symmetric:
         raise NonSymmetricMeasure(
             "the spectral test requires a symmetric measure")
-    radii = sorted(set(int(r) for r in radii))
+    try:
+        radii = sorted({_count(r, "radius", 0) for r in radii})
+    except TypeError:
+        raise InvalidParam(f"radii must be an iterable, got {radii!r}") from None
     if not radii:
         raise InvalidParam("need at least one radius")
-    if radii[0] < 0:
-        raise InvalidParam(f"radius must be >= 0, got {radii[0]}")
+    _check_tol(tol)
     support = tuple(sorted(mu.support))
-    window = build_window(ring, support, radii[-1], cap=cap)
+    window = _build_window(ring, support, radii[-1], cap, ring._product_probe)
     op = l_measure_operator(ring, mu, window)
     entries = []
     for radius in radii:

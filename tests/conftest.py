@@ -54,6 +54,22 @@ def fibonacci_ring():
                          generators=("t",), is_label=lambda x: x in ("1", "t"))
 
 
+def counting_ring(base):
+    """A fresh copy of ``base`` with an empty product cache, and the list
+    of the (xi, eta) pairs its product rule is evaluated on."""
+    calls = []
+
+    def product_rule(xi, eta):
+        calls.append((xi, eta))
+        return base._product_rule(xi, eta)
+
+    ring = fk.FusionRing(unit=base.unit, product_rule=product_rule,
+                         conjugate_rule=base._conjugate_rule,
+                         dim_rule=base._dim_rule, generators=base.generators,
+                         is_label=base._is_label, description=base.description)
+    return ring, calls
+
+
 def pool_for(ring, radius=4):
     """A finite label pool: the window generated by the declared generators."""
     gens = ring.generators if ring.generators else (ring.unit,)

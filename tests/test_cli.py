@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -295,6 +296,39 @@ class TestUsageErrors:
                      "--set", "interval:0..250000", "--support", "1",
                      "--eps", "0.5"]) == 2
         assert "InvalidParam" in capsys.readouterr().err
+
+
+def subcommand_options():
+    """(subcommand, option string, required options) for every option of
+    every subcommand of the CLI parser."""
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in subparsers.choices.items():
+        options = [a for a in sub._actions
+                   if a.option_strings and a.dest != "help"]
+        for action in options:
+            yield command, action.option_strings[0], \
+                [a for a in options if a.required and a is not action]
+
+
+# a valid value of each required option
+REQUIRED_VALUES = {"radius": "1", "eps": "0.5", "measure": "delta:1",
+                   "radii": "1", "condition": "fc3", "set": "set:0", "fn": "set:0"}
+
+
+@pytest.mark.parametrize("command,option,required", [
+    pytest.param(*case, id=case[0] + case[1]) for case in subcommand_options()])
+def test_double_dash_option_value_is_usage_error(su2_file, capsys, command,
+                                                 option, required):
+    # argparse drops a bare "--" after "=" and passes the option on as []
+    argv = [command, su2_file, f"{option}=--"]
+    for action in required:
+        argv += [action.option_strings[0], REQUIRED_VALUES[action.dest]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert option in err
 
 
 class TestRingFileErrors:

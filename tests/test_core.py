@@ -294,6 +294,30 @@ class TestVerifyAxioms:
         with pytest.raises(fk.IncompleteTable):
             fk.verify_axioms(ring, [0, 1, 2])
 
+    def test_missing_product_of_a_later_block_raises_nothing(self):
+        # associativity stops at its first failing block (xi = 1): block 2
+        # would read 2*3, which is missing, but it never runs
+        table = {(1, 1): {2: 1}, (1, 2): {1: 1}, (2, 1): {0: 1},
+                 (2, 2): {3: 1}, (1, 3): {2: 1}}
+        calls = []
+
+        def rule(x, y):
+            calls.append((x, y))
+            if x == 0 or y == 0:
+                return {x + y: 1}
+            try:
+                return table[(x, y)]
+            except KeyError:
+                raise fk.IncompleteTable(f"no entry for ({x}, {y})")
+
+        ring = fk.FusionRing(unit=0, product_rule=rule,
+                             conjugate_rule=lambda x: x, dim_rule=lambda x: 1,
+                             is_label=lambda x: x in (0, 1, 2, 3))
+        checks = {c.name: c for c in fk.verify_axioms(ring, [0, 1, 2]).checks}
+        assert checks["associativity"].counterexample == "(1*1)*1 != 1*(1*1)"
+        assert (1, 3) in calls and (2, 3) not in calls
+        assert direct_associativity(ring, [0, 1, 2]) == "(1*1)*1 != 1*(1*1)"
+
     def test_su2_radius_30_rule_evaluations(self):
         calls = []
 

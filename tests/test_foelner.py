@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
-from conftest import fibonacci_ring, pool_for, random_symmetric_measure
+from conftest import (counting_ring, fibonacci_ring, pool_for,
+                      random_symmetric_measure)
 from fusionkit.foelner import _Cut
 
 from oracles import brute_boundary, direct_boundary
@@ -372,6 +373,18 @@ class TestSearchPins:
         assert set(result.labels) == {(x, y) for x in range(-40, 41)
                                       for y in range(-40, 41)
                                       if abs(x) + abs(y) <= 40}
+
+    def test_z2_balls_products(self):
+        # the cut caches c * xi and c * conj(xi) for every label c it adds,
+        # which the window search reads again; the search probes the
+        # 3,121 products w * e (w in the balls of radius 39) and caches none
+        ring, calls = counting_ring(fk.integer_lattice_ring(2))
+        result = fk.foelner_search(ring, ring.generators, 0.1, strategy="balls",
+                                   budget=4000)
+        assert (result.found, len(result.labels)) == (True, 3281)
+        assert len(calls) == 16_569
+        assert len(ring._cache) == 13_448
+        assert len(calls) - len(ring._cache) == 2 * 39 * 39 + 2 * 39 + 1
 
     def test_deformed_balls_curve(self, dsu2):
         # balls are the intervals [0, r] with boundary {r, r + 1}; the

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
-from conftest import fibonacci_ring, pool_for, random_symmetric_measure
+from conftest import (counting_ring, fibonacci_ring, pool_for,
+                      random_symmetric_measure)
 
 from oracles import (direct_apply, direct_compress, direct_window,
                      lattice_ball_top_eigenvalue)
@@ -22,13 +24,18 @@ def assert_bitwise_equal(a, b):
         assert x.tobytes() == y.tobytes()
 
 
-def window_outcome(ring, S, radius, cap, oracle=False):
+def window_outcome(ring, S, radius, cap, oracle=False, probe=False):
     """(labels, level_sizes) of a window, or the cap and the radius it
-    stopped at, from ``build_window`` or the direct oracle."""
+    stopped at, from ``build_window``, from the same search with the
+    product reader that caches nothing, or from the direct oracle."""
     try:
         if oracle:
             return direct_window(ring, S, radius, cap)
-        window = fk.build_window(ring, S, radius, cap=cap)
+        if probe:
+            window = fk.spectral._build_window(ring, S, radius, cap,
+                                               ring._product_probe)
+        else:
+            window = fk.build_window(ring, S, radius, cap=cap)
     except fk.BudgetExceeded as exc:
         return ("budget", exc.cap, exc.achieved_radius)
     return window.labels, window.level_sizes
@@ -75,6 +82,17 @@ class TestBuildWindow:
         with pytest.raises(fk.EmptySet):
             fk.build_window(su2, set(), 3)
 
+    @pytest.mark.parametrize("radius,cap", [
+        (2.5, 10), (True, 10), (None, 10), ("3", 10), (-1, 10),
+        (3, 2.5), (3, True), (3, None), (3, 0)])
+    def test_radius_and_cap_must_be_integers(self, su2, radius, cap):
+        with pytest.raises(fk.InvalidParam):
+            fk.build_window(su2, {1}, radius, cap=cap)
+
+    def test_integer_like_radius_and_cap(self, su2):
+        window = fk.build_window(su2, {1}, np.int64(4), cap=np.int64(10))
+        assert (window.labels, window.radius) == ((0, 1, 2, 3, 4), 4)
+
 
 class TestWindowOracle:
     @pytest.mark.parametrize("name, radius", [
@@ -88,10 +106,15 @@ class TestWindowOracle:
         caps = {1, sizes[-1] + 1}
         for lo, hi in zip(sizes, sizes[1:]):
             caps.update({lo, lo + 1, (lo + hi) // 2, hi - 1})
+        # the probing reader on a copy of the ring with an empty cache:
+        # the same levels and the same BudgetExceeded, and nothing cached
+        fresh, _ = counting_ring(ring)
         for cap in sorted(caps):
-            assert window_outcome(ring, S, radius, cap) == \
-                window_outcome(ring, S, radius, cap, oracle=True)
+            want = window_outcome(ring, S, radius, cap, oracle=True)
+            assert window_outcome(ring, S, radius, cap) == want
+            assert window_outcome(fresh, S, radius, cap, probe=True) == want
         assert window_outcome(ring, S, radius, sizes[-1]) == full
+        assert not fresh._cache
 
     def test_free_group_label_checks(self):
         # only S is checked, once as given and once when conjugated into the
@@ -468,6 +491,12 @@ class TestTopEigenvalue:
         dense_top = float(np.linalg.eigvalsh(op.matrix.toarray())[-1])
         assert est.value == pytest.approx(dense_top, abs=1e-9)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, None, "1e-9"])
+    def test_tol_must_be_finite_and_positive(self, su2, tol):
+        op = fk.l_operator(su2, 1, fk.build_window(su2, {1}, 3))
+        with pytest.raises(fk.InvalidParam):
+            fk.top_eigenvalue(op, tol=tol)
+
     def test_not_selfadjoint_rejected(self, z1):
         window = fk.build_window(z1, {1, -1}, 3)
         op = fk.l_measure_operator(z1, fk.ProbMeasure.delta(z1, 1), window)
@@ -593,6 +622,78 @@ class TestAmenabilityEstimate:
     def test_nonsymmetric_rejected(self, z1):
         with pytest.raises(fk.NonSymmetricMeasure):
             fk.amenability_estimate(z1, fk.ProbMeasure.delta(z1, 1), [2, 3])
+
+    @pytest.mark.parametrize("name, radii", [
+        ("f2", [1, 3, 6]), ("su2", [101, 301]), ("z2", [5, 12]),
+        ("dsu2", [50, 100]), ("su2xz3", [4, 10])])
+    @pytest.mark.parametrize("prefilled", [False, True])
+    def test_leaves_product_cache_unchanged(self, name, radii, prefilled):
+        # the window search probes the products w * t, which nothing reads
+        # again; the assembly probes xi * eta
+        ring, _ = counting_ring(oracle_ring(name)[0])
+        mu = fk.ProbMeasure.uniform(ring, ring.generators)
+        if prefilled:
+            fk.build_window(ring, ring.generators, 2)
+            ring.product(ring.unit, ring.unit)
+        before = dict(ring._cache)
+        assert bool(before) == prefilled
+        fk.amenability_estimate(ring, mu, radii)
+        assert ring._cache == before
+
+    @pytest.mark.parametrize("name, radii", [
+        ("f2", range(1, 8)), ("su2", [3, 600, 601]), ("z2", [0, 4, 16]),
+        ("dsu2", [30, 300]), ("su2xz3", [1, 5, 12]), ("z6", [1, 9])])
+    def test_equals_public_window_assembly_and_eigensolve(self, name, radii):
+        ring = oracle_ring(name)[0]
+        mu = fk.ProbMeasure.uniform(ring, ring.generators)
+        got = fk.amenability_estimate(ring, mu, radii).entries
+        want = []
+        for radius in radii:
+            window = fk.build_window(ring, sorted(mu.support), radius)
+            est = fk.top_eigenvalue(fk.l_measure_operator(ring, mu, window))
+            want.append((radius, len(window), est.value.hex(), est.method,
+                         est.iterations))
+        assert [(e.radius, e.window_size, e.lambda_max.hex(), e.method,
+                 e.iterations) for e in got] == want
+
+    def test_peak_traced_memory(self):
+        # caching the window search's products made a 4.7 MB peak here
+        # and kept 2.3 MB (7,285 entries) after the call
+        warm = fk.free_group_ring(2)  # imports and starts the Lanczos solver
+        fk.amenability_estimate(warm, fk.ProbMeasure.uniform(warm, warm.generators), [6])
+        ring = fk.free_group_ring(2)
+        mu = fk.ProbMeasure.uniform(ring, ring.generators)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = fk.amenability_estimate(ring, mu, range(1, 8))
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.entries[-1].window_size == 4373
+        assert peak < 3_500_000
+        assert retained - start < 100_000
+        assert not ring._cache
+
+    @pytest.mark.parametrize("bad", [
+        {"radii": [None]}, {"radii": [math.nan]}, {"radii": [math.inf]},
+        {"radii": [2.7]}, {"radii": [True]}, {"radii": [3, -1]},
+        {"radii": ["2"]}, {"radii": 3},
+        {"cap": None}, {"cap": 2.5}, {"cap": True}, {"cap": 0},
+        {"tol": math.nan}, {"tol": math.inf}, {"tol": -math.inf},
+        {"tol": 0.0}, {"tol": -1e-9}, {"tol": None}, {"tol": "1e-9"}],
+        ids=lambda bad: ",".join(f"{k}={v!r}" for k, v in bad.items()))
+    def test_invalid_inputs_rejected_before_any_product(self, bad):
+        ring, calls = counting_ring(fk.free_group_ring(2))
+        mu = fk.ProbMeasure.uniform(ring, ring.generators)
+        with pytest.raises(fk.InvalidParam):
+            fk.amenability_estimate(ring, mu, **{"radii": [1, 2], **bad})
+        assert calls == [] and not ring._cache
+
+    def test_integer_like_radii_and_cap(self, f2):
+        mu = fk.ProbMeasure.uniform(f2, f2.generators)
+        got = fk.amenability_estimate(f2, mu, (np.int64(2), 3), cap=np.int64(60))
+        assert got == fk.amenability_estimate(f2, mu, [2, 3], cap=60)
 
     def test_monotone_entries(self, f2):
         mu = fk.ProbMeasure.uniform(f2, f2.generators)
