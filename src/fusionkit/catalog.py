@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .core import Element, FusionRing, ProbMeasure
-from .errors import InvalidParam, InvalidTable
+from .errors import InvalidParam, InvalidTable, count
 
 
 # ---------------------------------------------------------------------------
@@ -43,9 +43,7 @@ MAX_LATTICE_RANK = 64
 def integer_lattice_ring(d: int) -> FusionRing:
     """The group ring of Z^d for d in 1..MAX_LATTICE_RANK.  Labels are ints
     for d = 1, int tuples otherwise."""
-    if not isinstance(d, int) or not 1 <= d <= MAX_LATTICE_RANK:
-        raise InvalidParam(
-            f"lattice rank must be an int in 1..{MAX_LATTICE_RANK}, got {d!r}")
+    d = count(d, "lattice rank", 1, MAX_LATTICE_RANK)
     if d == 1:
         return FusionRing(
             unit=0,
@@ -88,8 +86,7 @@ def integer_lattice_ring(d: int) -> FusionRing:
 
 def cyclic_ring(n: int) -> FusionRing:
     """The group ring of Z/n with labels 0..n-1."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParam(f"cyclic order must be a positive int, got {n!r}")
+    n = count(n, "cyclic order", 1)
     gens = tuple(sorted({1 % n, (n - 1) % n} - {0}))
     return FusionRing(
         unit=0,
@@ -109,8 +106,7 @@ def free_group_ring(rank: int) -> FusionRing:
     Labels are reduced words over the letters a, b, c, ... with uppercase
     letters denoting inverses; the empty word is the unit (rendered "e").
     """
-    if not isinstance(rank, int) or not 1 <= rank <= 26:
-        raise InvalidParam(f"free rank must be an int in 1..26, got {rank!r}")
+    rank = count(rank, "free rank", 1, 26)
     letters = string.ascii_lowercase[:rank]
     alphabet = letters + letters.upper()
     cancelling = tuple(ch + ch.swapcase() for ch in alphabet)
@@ -252,8 +248,7 @@ def build_deformed_su2_ring(n: int) -> FusionRing:
     exact integers.  Only the (rules, dimensions) pair is modeled, not the
     full quantum-group object.
     """
-    if not isinstance(n, int) or n < 2:
-        raise InvalidParam(f"deformation parameter must be an int >= 2, got {n!r}")
+    n = count(n, "deformation parameter", 2)
     cache = {0: 1, 1: n}
 
     def dim(k: int) -> int:
@@ -303,10 +298,13 @@ def tensor_product(ring1: FusionRing, ring2: FusionRing) -> FusionRing:
 
     The unit is the pair of units, conjugation and dimensions act
     componentwise, and N((a,b),(c,d) -> (x,y)) = N1(a,c->x) * N2(b,d->y).
+    The factor products are probed, not cached: the tensor ring caches
+    the products that are read again, so the factors' caches stay as they
+    were.
     """
     def product(x, y):
-        p = ring1._product_cached(x[0], y[0])
-        q = ring2._product_cached(x[1], y[1])
+        p = ring1._product_probe(x[0], y[0])
+        q = ring2._product_probe(x[1], y[1])
         return {(u, v): m * n for u, m in p.items() for v, n in q.items()}
 
     def is_label(x):
@@ -349,11 +347,10 @@ def measure_from_decomposition(ring: FusionRing, decomp: Mapping) -> ProbMeasure
     """
     if not decomp:
         raise InvalidParam("decomposition must be non-empty")
-    for alpha, k in decomp.items():
+    for alpha in decomp:
         ring.check_label(alpha)
-        if not isinstance(k, int) or k < 1:
-            raise InvalidParam(
-                f"multiplicity at {ring.format_label(alpha)} must be an int >= 1")
+    decomp = {alpha: count(k, f"multiplicity at {ring.format_label(alpha)}", 1)
+              for alpha, k in decomp.items()}
     total = sum(Fraction(k) * Fraction(ring.dim(alpha))
                 for alpha, k in decomp.items())
     weights: dict = {}

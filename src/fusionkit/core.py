@@ -109,9 +109,10 @@ class FusionRing:
         # a product is read once, so caching it would only grow the cache
         # (the axiom sweeps, whose key set grows cubically with the window;
         # operator assembly; the window search of amenability_estimate and
-        # of the balls search).  Labels must already be known good.  A
-        # rule's dict without zeros is returned as is, so callers must not
-        # mutate the result.
+        # of the balls search; the factor products of a tensor product
+        # ring, which caches the products themselves).  Labels must
+        # already be known good.  A rule's dict without zeros is returned
+        # as is, so callers must not mutate the result.
         hit = self._cache.get((xi, eta))
         if hit is not None:
             return hit
@@ -305,12 +306,15 @@ class ProbMeasure:
         clean = {}
         for label, w in dict(weights).items():
             ring.check_label(label)
-            w = float(w)
-            if not 0.0 < w <= 1.0:
+            try:
+                weight = float(w)
+            except (TypeError, ValueError, OverflowError):
+                weight = math.nan  # not a real number: refused below
+            if not 0.0 < weight <= 1.0:
                 raise InvalidParam(
                     f"measure weight {w!r} at {ring.format_label(label)} "
-                    f"outside (0, 1]")
-            clean[label] = w
+                    f"is not a number in (0, 1]")
+            clean[label] = weight
         if not clean:
             raise InvalidParam("a probability measure needs non-empty support")
         total = math.fsum(clean.values())

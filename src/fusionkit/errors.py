@@ -1,5 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two checks every
+numeric parameter goes through."""
 from __future__ import annotations
+
+import math
+import numbers
+import operator
 
 
 class FusionError(Exception):
@@ -20,6 +25,33 @@ class RingMismatch(FusionError):
 
 class InvalidParam(FusionError):
     """A parameter is outside its documented domain."""
+
+
+def count(value, what: str, least: int, most: int | None = None) -> int:
+    """``value`` as an int in least..most (no upper bound when ``most`` is
+    None), else InvalidParam.  Any ``__index__`` type (numpy ints too)
+    counts as an int; a bool does not."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InvalidParam(f"{what} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if value < least or (most is not None and value > most):
+        bounds = f">= {least}" if most is None else f"in {least}..{most}"
+        raise InvalidParam(f"{what} must be {bounds}, got {value}")
+    return value
+
+
+def positive(value, what: str):
+    """``value`` if it is a finite number > 0 (an ``__index__`` type as an
+    int), else InvalidParam.
+
+    A number is a rational (int but not bool, Fraction, numpy ints) or a
+    float: the types ``Fraction`` reads exactly, so the Foelner checks can
+    decide their inequalities in exact arithmetic.
+    """
+    if isinstance(value, bool) or not isinstance(value, (numbers.Rational, float)) \
+            or not 0 < value < math.inf:
+        raise InvalidParam(f"{what} must be a finite number > 0, got {value!r}")
+    return operator.index(value) if hasattr(value, "__index__") else value
 
 
 class InvalidTable(FusionError):

@@ -15,7 +15,6 @@ only in reports.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -23,7 +22,7 @@ from typing import Iterable, Mapping
 from .core import Element, FusionRing, ProbMeasure, subset_weight
 from .errors import (BudgetExceeded, EmptySet, InvalidParam,
                      MeasureMissingUnit, NonSymmetricMeasure, RingMismatch,
-                     ZeroFunction)
+                     ZeroFunction, count, positive)
 from .spectral import _bfs_levels
 
 
@@ -172,17 +171,6 @@ class FoelnerReport:
         return len(self.set_F)
 
 
-def _check_eps(eps) -> None:
-    # NaN fails every comparison and inf has no exact ratio, so both are
-    # refused here rather than deep inside Fraction
-    try:
-        ok = math.isfinite(eps) and eps > 0
-    except TypeError:
-        ok = False
-    if not ok:
-        raise InvalidParam(f"epsilon must be positive and finite, got {eps!r}")
-
-
 def _exactly_less(lhs, rhs_scale, weight_F) -> bool:
     # lhs < rhs_scale * weight_F decided in exact rational arithmetic
     return Fraction(lhs) < Fraction(rhs_scale) * Fraction(weight_F)
@@ -193,7 +181,7 @@ def fc3_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> Foelner
 
         sum_{xi in boundary_S(F)} d(xi)^2  <  eps * sum_{xi in F} d(xi)^2.
     """
-    _check_eps(eps)
+    eps = positive(eps, "epsilon")
     S = set(S)
     F = set(F)
     return _fc3_report(S, F, boundary(ring, S, F), eps)
@@ -222,7 +210,7 @@ def fc1_check(ring: FusionRing, mu: ProbMeasure, F: Iterable, eps: float) -> Foe
     carries the cross-check that supp(chi_F * mu) = F union boundary_S(F)
     for S = supp(mu).
     """
-    _check_eps(eps)
+    eps = positive(eps, "epsilon")
     if mu.ring is not ring:
         raise RingMismatch("measure belongs to a different ring")
     if not mu.symmetric:
@@ -242,7 +230,7 @@ def fc1_check(ring: FusionRing, mu: ProbMeasure, F: Iterable, eps: float) -> Foe
             support.update(ring._product_cached(alpha, beta))
     lhs = subset_weight(ring, support)
     weight_F = subset_weight(ring, F)
-    satisfied = _exactly_less(lhs, 1 + Fraction(float(eps)), weight_F)
+    satisfied = _exactly_less(lhs, 1 + Fraction(eps), weight_F)
 
     b = boundary(ring, set(mu.support), F)
     identity_holds = support == (F | b.labels)
@@ -283,7 +271,7 @@ def fc2_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> Foelner
 
     The per-label values are computed exactly and listed in the report.
     """
-    _check_eps(eps)
+    eps = positive(eps, "epsilon")
     S = set(S)
     F = set(F)
     if not S or not F:
@@ -295,7 +283,7 @@ def fc2_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> Foelner
 
     values = [_fc2_value(ring, xi, F) for xi in S]
 
-    eps_exact = Fraction(float(eps))
+    eps_exact = Fraction(eps)
     satisfied = all(v < eps_exact * weight_F for v in values)
     worst = max(values)
     return FoelnerReport(
@@ -356,8 +344,7 @@ def dirichlet_norm(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> flo
     non-zero and is accumulated in exact rational arithmetic; only the
     final r-th root is floating point.
     """
-    if not isinstance(r, int) or r < 1:
-        raise InvalidParam(f"r must be an integer >= 1, got {r!r}")
+    r = count(r, "r", 1)
     if mu.ring is not ring or f.ring is not ring:
         raise RingMismatch("measure/function belong to a different ring")
     energy = Fraction(0)
@@ -374,8 +361,7 @@ def dirichlet_norm(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> flo
 
 def lp_sigma_norm(f: Element, r: int) -> float:
     """The l^r norm with respect to the sigma weights."""
-    if not isinstance(r, int) or r < 1:
-        raise InvalidParam(f"r must be an integer >= 1, got {r!r}")
+    r = count(r, "r", 1)
     ring = f.ring
     total = Fraction(0)
     for label, value in f.coeffs.items():
@@ -449,11 +435,10 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
     S = set(S)
     if not S:
         raise EmptySet("search needs a non-empty S")
-    _check_eps(eps)
+    eps = positive(eps, "epsilon")
     if strategy not in ("balls", "greedy"):
         raise InvalidParam(f"unknown strategy {strategy!r}")
-    if budget < 1:
-        raise InvalidParam(f"budget must be >= 1, got {budget}")
+    budget = count(budget, "budget", 1)
     for label in S:
         ring.check_label(label)
     eps_exact = Fraction(eps)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,13 +27,20 @@ import scipy.sparse as sparse
 
 from .core import Element, FusionRing, ProbMeasure, conjugate_element
 from .errors import (BudgetExceeded, EmptySet, InvalidParam, NoConvergence,
-                     NonSymmetricMeasure, NotSelfAdjoint, RingMismatch)
+                     NonSymmetricMeasure, NotSelfAdjoint, RingMismatch, count,
+                     positive)
 
 #: dense symmetric eigensolve is used up to this window size
 DENSE_EIG_LIMIT = 512
 
 #: default cap on window sizes
 DEFAULT_WINDOW_CAP = 250_000
+
+#: amenability_estimate reports EVIDENCE_AMENABLE below this final gap
+GAP_THRESHOLD = 1e-3
+
+#: successive top eigenvalues closer than this count as stalled
+STALL_THRESHOLD = 1e-6
 
 
 class TruncationWindow:
@@ -104,9 +110,7 @@ class TruncationWindow:
     def prefix(self, radius: int) -> "TruncationWindow":
         """The window of a radius in 0..self.radius: a prefix of this one,
         equal to what ``build_window`` returns at that radius."""
-        if not 0 <= radius <= self.radius:
-            raise InvalidParam(
-                f"prefix radius must be in 0..{self.radius}, got {radius}")
+        radius = count(radius, "prefix radius", 0, self.radius)
         if radius == self.radius:
             return self
         sizes = self.level_sizes[:radius + 1]
@@ -144,8 +148,8 @@ def _build_window(ring: FusionRing, S: Iterable, radius: int, cap: int,
         raise EmptySet("window generator support must be non-empty")
     for label in S:
         ring.check_label(label)
-    radius = _count(radius, "radius", 0)
-    cap = _count(cap, "cap", 1)
+    radius = count(radius, "radius", 0)
+    cap = count(cap, "cap", 1)
 
     order = []
     level_sizes = []
@@ -155,26 +159,6 @@ def _build_window(ring: FusionRing, S: Iterable, radius: int, cap: int,
         order.extend(new)
         level_sizes.append(len(order))
     return TruncationWindow._trusted(ring, tuple(order), radius, S, level_sizes)
-
-
-def _count(value, what: str, least: int) -> int:
-    """``value`` as an int (not a bool) of at least ``least``, else
-    InvalidParam."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise InvalidParam(f"{what} must be an integer, got {value!r}")
-    value = operator.index(value)
-    if value < least:
-        raise InvalidParam(f"{what} must be >= {least}, got {value}")
-    return value
-
-
-def _check_tol(tol) -> None:
-    try:
-        if math.isfinite(tol) and tol > 0:
-            return
-    except TypeError:
-        pass
-    raise InvalidParam(f"tol must be finite and positive, got {tol!r}")
 
 
 def _bfs_levels(ring: FusionRing, S: set, cap: int, read):
@@ -442,7 +426,7 @@ def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9) -> SpectralEstimat
     """
     if not op.selfadjoint:
         raise NotSelfAdjoint("top_eigenvalue requires a self-adjoint operator")
-    _check_tol(tol)
+    positive(tol, "tol")
     n = op.matrix.shape[0]
     if n <= DENSE_EIG_LIMIT:
         eigs = np.linalg.eigvalsh(op.matrix.toarray())
@@ -507,8 +491,6 @@ class AmenabilityReport:
     entries: tuple
     gap: float
     verdict: Verdict
-    gap_threshold: float
-    stall_threshold: float
     note: str = ("heuristic verdict from finite truncations of a single "
                  "measure; not a proof of (non-)amenability")
 
@@ -519,18 +501,17 @@ class AmenabilityReport:
 
 def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
                          radii: Sequence[int], cap: int = DEFAULT_WINDOW_CAP,
-                         tol: float = 1e-9, *, gap_threshold: float = 1e-3,
-                         stall_threshold: float = 1e-6) -> AmenabilityReport:
+                         tol: float = 1e-9) -> AmenabilityReport:
     """Run the truncated spectral test over a family of nested windows.
 
     The window generated by supp(mu) is built and l_mu compressed to it
     once, at the largest radius.  Each smaller window is a prefix of it, and
     its compression is the leading principal submatrix, so each radius only
     takes the top eigenvalue of a slice.  The verdict is EVIDENCE_AMENABLE
-    when the final gap drops below ``gap_threshold``; EVIDENCE_NONAMENABLE
+    when the final gap drops below GAP_THRESHOLD; EVIDENCE_NONAMENABLE
     when the sequence has numerically stalled (successive differences below
-    ``stall_threshold`` over at least three radii) at a gap larger than ten
-    times ``gap_threshold``; otherwise INCONCLUSIVE.
+    STALL_THRESHOLD over at least three radii) at a gap larger than ten
+    times GAP_THRESHOLD; otherwise INCONCLUSIVE.
 
     Each radius must be an int >= 0, ``cap`` an int >= 1 and ``tol``
     finite and positive; anything else raises InvalidParam before a window
@@ -544,12 +525,12 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
         raise NonSymmetricMeasure(
             "the spectral test requires a symmetric measure")
     try:
-        radii = sorted({_count(r, "radius", 0) for r in radii})
+        radii = sorted({count(r, "radius", 0) for r in radii})
     except TypeError:
         raise InvalidParam(f"radii must be an iterable, got {radii!r}") from None
     if not radii:
         raise InvalidParam("need at least one radius")
-    _check_tol(tol)
+    positive(tol, "tol")
     support = tuple(sorted(mu.support))
     window = _build_window(ring, support, radii[-1], cap, ring._product_probe)
     op = l_measure_operator(ring, mu, window)
@@ -567,18 +548,16 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
 
     stalled_radii = 1
     for prev, cur in zip(reversed(values[:-1]), reversed(values[1:])):
-        if abs(cur - prev) < stall_threshold:
+        if abs(cur - prev) < STALL_THRESHOLD:
             stalled_radii += 1
         else:
             break
 
-    if gap < gap_threshold:
+    if gap < GAP_THRESHOLD:
         verdict = Verdict.EVIDENCE_AMENABLE
-    elif stalled_radii >= 3 and gap > 10.0 * gap_threshold:
+    elif stalled_radii >= 3 and gap > 10.0 * GAP_THRESHOLD:
         verdict = Verdict.EVIDENCE_NONAMENABLE
     else:
         verdict = Verdict.INCONCLUSIVE
     return AmenabilityReport(measure_support=support, entries=tuple(entries),
-                             gap=gap, verdict=verdict,
-                             gap_threshold=gap_threshold,
-                             stall_threshold=stall_threshold)
+                             gap=gap, verdict=verdict)

@@ -179,9 +179,18 @@ class TestSpectrumCommand:
 
 class TestFoelnerCommand:
     def test_nan_eps_usage_error(self, su2_file, capsys):
-        assert main(["foelner", su2_file, "--support", "1", "--eps", "nan",
-                     "--budget", "50"]) == 2
-        assert "InvalidParam" in capsys.readouterr().err
+        # with the other numbers the library refuses: a zero budget or cap
+        # and a nan tolerance
+        for argv in (["foelner", su2_file, "--support", "1", "--eps", "nan",
+                      "--budget", "50"],
+                     ["foelner", su2_file, "--support", "1", "--eps", "0.1",
+                      "--budget", "0"],
+                     ["spectrum", su2_file, "--measure", "delta:1",
+                      "--radii", "3", "--cap", "0"],
+                     ["spectrum", su2_file, "--measure", "delta:1",
+                      "--radii", "3", "--tol", "nan"]):
+            assert main(argv) == 2, argv
+            assert "InvalidParam" in capsys.readouterr().err
 
     def test_su2_finds_interval(self, su2_file, capsys, tmp_path):
         csv_path = str(tmp_path / "curve.csv")

@@ -211,6 +211,11 @@ class TestProbMeasure:
         with pytest.raises(fk.InvalidParam):
             fk.ProbMeasure(su2, {})
 
+    @pytest.mark.parametrize("weight", ["abc", None, 1j, [0.5], 10 ** 400])
+    def test_weight_must_be_a_real_number(self, su2, weight):
+        with pytest.raises(fk.InvalidParam, match="not a number in"):
+            fk.ProbMeasure(su2, {1: weight})
+
     def test_symmetry_computed(self, z1):
         assert not fk.ProbMeasure.delta(z1, 1).symmetric
         assert fk.ProbMeasure.uniform(z1, [1, -1]).symmetric

@@ -129,6 +129,19 @@ def test_non_finite_or_non_positive_epsilon_rejected(su2, eps):
         fk.foelner_search(su2, {1}, eps)
 
 
+def test_fc1_and_fc2_read_epsilon_exactly(z1):
+    # F = [0, 19] on Z: FC2 compares 2 < eps * 20 and FC1 22 < (1 + eps) * 20,
+    # both equalities at eps = 1/10; the float 0.1 lies just above 1/10
+    F = set(range(20))
+    mu = fk.measure_from_decomposition(z1, {0: 1, 1: 1})
+    checks = (lambda eps: fk.fc1_check(z1, mu, F, eps),
+              lambda eps: fk.fc2_check(z1, {1}, F, eps),
+              lambda eps: fk.fc3_check(z1, {1}, F, eps))
+    assert [check(Fraction(1, 10)).satisfied for check in checks] == [False] * 3
+    assert [check(0.1).satisfied for check in checks] == [True] * 3
+    assert [check(Fraction(0.1)).satisfied for check in checks] == [True] * 3
+
+
 class TestFC1:
     def test_su2_interval(self, su2):
         mu = fk.ProbMeasure(su2, {0: 0.5, 1: 0.5})

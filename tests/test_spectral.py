@@ -625,20 +625,28 @@ class TestAmenabilityEstimate:
 
     @pytest.mark.parametrize("name, radii", [
         ("f2", [1, 3, 6]), ("su2", [101, 301]), ("z2", [5, 12]),
-        ("dsu2", [50, 100]), ("su2xz3", [4, 10])])
+        ("dsu2", [50, 100]), ("su2xz3", [4, 10]), ("su2xz3", [10, 40])])
     @pytest.mark.parametrize("prefilled", [False, True])
     def test_leaves_product_cache_unchanged(self, name, radii, prefilled):
         # the window search probes the products w * t, which nothing reads
-        # again; the assembly probes xi * eta
-        ring, _ = counting_ring(oracle_ring(name)[0])
+        # again; the assembly probes xi * eta; a tensor ring probes the
+        # products of its factors, so their caches stay as they were too
+        factors = ()
+        base = oracle_ring(name)[0]
+        if name == "su2xz3":  # fresh factors, not the shared oracle's
+            factors = (fk.build_su2_ring(), fk.cyclic_ring(3))
+            base = fk.tensor_product(*factors)
+        ring, _ = counting_ring(base)
+        rings = (ring, *factors)
         mu = fk.ProbMeasure.uniform(ring, ring.generators)
         if prefilled:
             fk.build_window(ring, ring.generators, 2)
             ring.product(ring.unit, ring.unit)
-        before = dict(ring._cache)
-        assert bool(before) == prefilled
+        before = [dict(r._cache) for r in rings]
+        assert bool(before[0]) == prefilled
+        assert not any(before[1:])
         fk.amenability_estimate(ring, mu, radii)
-        assert ring._cache == before
+        assert [r._cache for r in rings] == before
 
     @pytest.mark.parametrize("name, radii", [
         ("f2", range(1, 8)), ("su2", [3, 600, 601]), ("z2", [0, 4, 16]),
