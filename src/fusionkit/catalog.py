@@ -221,6 +221,20 @@ def _su2_is_label(k) -> bool:
     return isinstance(k, int) and not isinstance(k, bool) and k >= 0
 
 
+def _su2_type_ring(dim_rule, description: str) -> FusionRing:
+    # the SU(2) fusion rules on labels 0, 1, 2, ... with dimensions dim_rule
+    return FusionRing(
+        unit=0,
+        product_rule=_su2_product,
+        conjugate_rule=lambda k: k,
+        dim_rule=dim_rule,
+        description=description,
+        generators=(1,),
+        is_label=_su2_is_label,
+        parse_label=int,
+    )
+
+
 def build_su2_ring() -> FusionRing:
     """The representation ring of SU(2): labels are highest weights.
 
@@ -228,16 +242,7 @@ def build_su2_ring() -> FusionRing:
     d(k) = k + 1.  Self-conjugate.  (This is also the fusion ring of the
     q-deformations of SU(2), which share the same rules.)
     """
-    return FusionRing(
-        unit=0,
-        product_rule=_su2_product,
-        conjugate_rule=lambda k: k,
-        dim_rule=lambda k: k + 1,
-        description="SU(2) fusion ring",
-        generators=(1,),
-        is_label=_su2_is_label,
-        parse_label=lambda text: int(text),
-    )
+    return _su2_type_ring(lambda k: k + 1, "SU(2) fusion ring")
 
 
 def build_deformed_su2_ring(n: int) -> FusionRing:
@@ -249,29 +254,14 @@ def build_deformed_su2_ring(n: int) -> FusionRing:
     full quantum-group object.
     """
     n = count(n, "deformation parameter", 2)
-    cache = {0: 1, 1: n}
+    dims = [1, n]  # d(0), d(1), ..., extended as far as a label asks
 
     def dim(k: int) -> int:
-        v = cache.get(k)
-        if v is None:
-            # recompute from scratch: pure, so concurrent callers agree
-            a, b = 1, n
-            for _ in range(k - 1):
-                a, b = b, n * b - a
-            v = b
-            cache[k] = v
-        return v
+        while len(dims) <= k:
+            dims.append(n * dims[-1] - dims[-2])
+        return dims[k]
 
-    return FusionRing(
-        unit=0,
-        product_rule=_su2_product,
-        conjugate_rule=lambda k: k,
-        dim_rule=dim,
-        description=f"deformed SU(2) fusion ring (n={n})",
-        generators=(1,),
-        is_label=_su2_is_label,
-        parse_label=lambda text: int(text),
-    )
+    return _su2_type_ring(dim, f"deformed SU(2) fusion ring (n={n})")
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +337,7 @@ def measure_from_decomposition(ring: FusionRing, decomp: Mapping) -> ProbMeasure
     """
     if not decomp:
         raise InvalidParam("decomposition must be non-empty")
-    for alpha in decomp:
-        ring.check_label(alpha)
+    ring.check_labels(decomp)
     decomp = {alpha: count(k, f"multiplicity at {ring.format_label(alpha)}", 1)
               for alpha, k in decomp.items()}
     total = sum(Fraction(k) * Fraction(ring.dim(alpha))

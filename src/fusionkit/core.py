@@ -35,11 +35,10 @@ class FusionRing:
     function, and a product rule returning the structure constants of the
     product of two basis labels as a finitely supported ``{label: int}`` map.
 
-    Product results are memoized.  The ring is immutable after construction
-    except for this cache, and the cache behaves as a pure function: the rule
-    is deterministic, so concurrent readers can never observe torn or
-    divergent results (dict writes are atomic in CPython, and racing writers
-    store equal values).
+    Product results are memoized; the ring is immutable after construction
+    except for this cache.  The rules are given only labels checked where
+    they entered the public API (``check_label``, ``check_labels``) and
+    labels read off their products.
     """
 
     __slots__ = ("unit", "description", "generators", "parse_label",
@@ -67,15 +66,30 @@ class FusionRing:
         return f"FusionRing({self.description!r})"
 
     def contains(self, xi) -> bool:
-        """Whether ``xi`` is a basis label of this ring."""
-        if self._is_label is None:
-            return True
-        return bool(self._is_label(xi))
+        """Whether ``xi`` is a basis label of this ring.  An unhashable
+        value never is: a TypeError from a label rule that hashes it reads
+        as no."""
+        try:
+            if self._is_label is None:
+                hash(xi)
+                return True
+            return bool(self._is_label(xi))
+        except TypeError:
+            return False
 
     def check_label(self, xi) -> None:
         if not self.contains(xi):
             raise InvalidLabel(
                 f"{xi!r} is not a basis label of {self.description}")
+
+    def check_labels(self, labels: Iterable) -> list:
+        """The labels of an iterable as a list, in order, each checked by
+        ``check_label`` before anything hashes it: the one check of a label
+        collection passed to the public API."""
+        labels = list(labels)
+        for label in labels:
+            self.check_label(label)
+        return labels
 
     def product(self, xi, eta) -> dict:
         """Structure constants of ``xi * eta`` as a fresh ``{label: N}`` map.
@@ -151,21 +165,17 @@ class Element:
 
     Coefficients are exact integers for ring elements and floats for
     function-space vectors; zero coefficients are never stored, so the
-    support is exactly the set of stored keys.  Instances are immutable
-    values, safe to share between threads.
+    support is exactly the set of stored keys.  Every given label is
+    checked, a zero coefficient's too.  Instances are immutable values.
     """
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: FusionRing, coeffs: Mapping | Iterable = ()):
-        clean = {}
-        for label, value in dict(coeffs).items():
-            if value == 0:
-                continue
-            ring.check_label(label)
-            clean[label] = value
         self.ring = ring
-        self.coeffs = clean
+        self.coeffs = {label: value
+                       for label, value in _checked_items(ring, coeffs).items()
+                       if value != 0}
 
     @property
     def support(self):
@@ -218,6 +228,14 @@ class Element:
         return "Element(" + " + ".join(parts) + ")"
 
 
+def _checked_items(ring: FusionRing, coeffs: Mapping | Iterable) -> dict:
+    # a mapping or an iterable of (label, value) pairs as a dict; the
+    # labels are checked before the dict hashes them
+    pairs = list(coeffs.items() if isinstance(coeffs, Mapping) else coeffs)
+    ring.check_labels(label for label, _ in pairs)
+    return dict(pairs)
+
+
 def _check_same_ring(x, y) -> None:
     if x.ring is not y.ring:
         raise RingMismatch(
@@ -227,7 +245,7 @@ def _check_same_ring(x, y) -> None:
 
 def indicator(ring: FusionRing, labels: Iterable) -> Element:
     """The characteristic function chi_F of a finite label set, as an Element."""
-    return Element(ring, {label: 1 for label in labels})
+    return Element(ring, [(label, 1) for label in labels])
 
 
 def multiply(x: Element, y: Element) -> Element:
@@ -285,7 +303,12 @@ def subset_weight(ring: FusionRing, labels: Iterable):
     with ``math.fsum``, which rounds once, so the weight does not depend on
     the iteration order of the set.  The empty set weighs 0.
     """
-    sigmas = [ring.sigma(label) for label in set(labels)]
+    return _weight(ring, set(ring.check_labels(labels)))
+
+
+def _weight(ring: FusionRing, labels) -> object:
+    # subset_weight of distinct labels that are known good
+    sigmas = [d * d for d in map(ring._dim_rule, labels)]
     if any(isinstance(s, float) for s in sigmas):
         return math.fsum(sigmas)
     return sum(sigmas)
@@ -294,18 +317,18 @@ def subset_weight(ring: FusionRing, labels: Iterable):
 class ProbMeasure:
     """A finitely supported probability measure on the basis.
 
-    Weights are floats in (0, 1] summing to 1 within 1e-12.  ``symmetric``
-    is computed, never asserted: it holds iff the stored weight at
-    conj(label) equals the weight at label exactly, for every support label.
-    Instances are immutable values.
+    Weights are floats in (0, 1] summing to 1 within 1e-12, given as a
+    mapping or as (label, weight) pairs.  ``symmetric`` is computed, never
+    asserted: it holds iff the stored weight at conj(label) equals the
+    weight at label exactly, for every support label.  Instances are
+    immutable values.
     """
 
     __slots__ = ("ring", "weights", "symmetric")
 
-    def __init__(self, ring: FusionRing, weights: Mapping):
+    def __init__(self, ring: FusionRing, weights: Mapping | Iterable):
         clean = {}
-        for label, w in dict(weights).items():
-            ring.check_label(label)
+        for label, w in _checked_items(ring, weights).items():
             try:
                 weight = float(w)
             except (TypeError, ValueError, OverflowError):
@@ -322,8 +345,9 @@ class ProbMeasure:
             raise InvalidParam(f"measure weights sum to {total!r}, not 1")
         self.ring = ring
         self.weights = clean
+        conj = ring._conjugate_rule
         self.symmetric = all(
-            clean.get(ring.conj(label)) == w for label, w in clean.items())
+            clean.get(conj(label)) == w for label, w in clean.items())
 
     @property
     def support(self):
@@ -349,11 +373,11 @@ class ProbMeasure:
 
     @staticmethod
     def delta(ring: FusionRing, label) -> "ProbMeasure":
-        return ProbMeasure(ring, {label: 1.0})
+        return ProbMeasure(ring, [(label, 1.0)])
 
     @staticmethod
     def uniform(ring: FusionRing, labels: Iterable) -> "ProbMeasure":
-        labels = sorted(set(labels))
+        labels = sorted(set(ring.check_labels(labels)))
         if not labels:
             raise InvalidParam("uniform measure needs non-empty support")
         w = 1.0 / len(labels)
@@ -417,11 +441,6 @@ def _finite(d) -> bool:
     # ints and Fractions are finite however large; math.isfinite would
     # overflow converting a huge int to a float
     return isinstance(d, (int, Fraction)) or math.isfinite(d)
-
-
-def _window_labels(window) -> list:
-    labels = getattr(window, "labels", window)
-    return list(labels)
 
 
 def _frobenius_counterexample(ring, labels, conj):
@@ -693,18 +712,17 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     earlier triple would already fail.  A product that only a later block
     would read is never read, and its absence raises nothing.
     """
-    labels = _window_labels(window)
+    labels = list(getattr(window, "labels", window))
     if not labels:
         raise InvalidParam("verify_axioms needs a non-empty window")
     if ring.unit not in labels:
         raise InvalidParam("verify_axioms window must contain the unit")
-    for label in labels:
-        ring.check_label(label)
+    ring.check_labels(labels)
 
     fmt = ring.format_label
     unit = ring.unit
-    conj = {l: ring.conj(l) for l in labels}
-    dims = {l: ring.dim(l) for l in labels}
+    conj = {l: ring._conjugate_rule(l) for l in labels}
+    dims = {l: ring._dim_rule(l) for l in labels}
     # the triple checks run over each label once, in window order: a
     # repeated label only repeats triples first met at its first occurrence
     distinct = list(dict.fromkeys(labels))

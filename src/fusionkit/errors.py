@@ -105,12 +105,10 @@ class NoConvergence(FusionError):
 class BudgetExceeded(FusionError):
     """A size budget (window cap, search budget) was exhausted.
 
-    ``achieved_radius`` reports the last fully completed expansion radius;
-    ``best`` optionally carries the best partial result seen so far.
+    ``achieved_radius`` reports the last fully completed expansion radius.
     """
 
-    def __init__(self, message, cap, achieved_radius=None, best=None):
+    def __init__(self, message, cap, achieved_radius=None):
         super().__init__(message)
         self.cap = cap
         self.achieved_radius = achieved_radius
-        self.best = best

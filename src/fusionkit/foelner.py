@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import Element, FusionRing, ProbMeasure, subset_weight
+from .core import Element, FusionRing, ProbMeasure, _weight
 from .errors import (BudgetExceeded, EmptySet, InvalidParam,
                      MeasureMissingUnit, NonSymmetricMeasure, RingMismatch,
                      ZeroFunction, count, positive)
@@ -67,7 +67,7 @@ class _Cut:
 
     def __init__(self, ring: FusionRing, S: Iterable):
         self.ring = ring
-        self._steps = [(xi, ring.conj(xi)) for xi in S]
+        self._steps = [(xi, ring._conjugate_rule(xi)) for xi in S]
         self.F: set = set()
         self.order: list = []
         self.count: dict = {}
@@ -125,26 +125,33 @@ class _Cut:
 
 def boundary(ring: FusionRing, S: Iterable, F: Iterable) -> BoundaryResult:
     """Compute the boundary of F relative to S (right multiplication)."""
-    S = set(S)
-    F = set(F)
+    S, F = _label_sets(ring, S, F, "boundary")
+    return _boundary(ring, S, F)
+
+
+def _label_sets(ring: FusionRing, S: Iterable, F: Iterable, what: str) -> tuple:
+    # S and F as sets of checked labels; EmptySet when either is empty
+    S, F = set(ring.check_labels(S)), set(ring.check_labels(F))
     if not S or not F:
-        raise EmptySet("boundary needs non-empty S and F")
-    for label in S | F:
-        ring.check_label(label)
+        raise EmptySet(f"{what} needs non-empty S and F")
+    return S, F
+
+
+def _boundary(ring: FusionRing, S: set, F: set) -> BoundaryResult:
+    # the boundary of F relative to S, both sets of checked labels
     cut = _Cut(ring, S)
     for label in F:
         cut.add(label)
-    return _boundary_of(cut)
+    return _boundary_result(ring, cut.inner, cut.outer, F)
 
 
-def _boundary_of(cut: _Cut) -> BoundaryResult:
-    # the weights are subset_weight sums over the sets, not the cut's
-    # running sums, so float dimensions give the same bits however F grew
-    ring = cut.ring
-    return BoundaryResult(inner=frozenset(cut.inner), outer=frozenset(cut.outer),
-                          weight_inner=subset_weight(ring, cut.inner),
-                          weight_outer=subset_weight(ring, cut.outer),
-                          weight_F=subset_weight(ring, cut.F))
+def _boundary_result(ring: FusionRing, inner, outer, F) -> BoundaryResult:
+    # the weights are subset sums over the sets, not a cut's running sums,
+    # so float dimensions give the same bits however F grew
+    return BoundaryResult(inner=frozenset(inner), outer=frozenset(outer),
+                          weight_inner=_weight(ring, inner),
+                          weight_outer=_weight(ring, outer),
+                          weight_F=_weight(ring, F))
 
 
 @dataclass(frozen=True)
@@ -164,7 +171,6 @@ class FoelnerReport:
     weight_F: object
     support: tuple
     extra: Mapping = field(default_factory=dict)
-    curve: tuple | None = None
 
     @property
     def set_size(self) -> int:
@@ -182,9 +188,8 @@ def fc3_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> Foelner
         sum_{xi in boundary_S(F)} d(xi)^2  <  eps * sum_{xi in F} d(xi)^2.
     """
     eps = positive(eps, "epsilon")
-    S = set(S)
-    F = set(F)
-    return _fc3_report(S, F, boundary(ring, S, F), eps)
+    S, F = _label_sets(ring, S, F, "FC3")
+    return _fc3_report(S, F, _boundary(ring, S, F), eps)
 
 
 def _fc3_report(S: set, F: set, b: BoundaryResult, eps: float) -> FoelnerReport:
@@ -217,22 +222,20 @@ def fc1_check(ring: FusionRing, mu: ProbMeasure, F: Iterable, eps: float) -> Foe
         raise NonSymmetricMeasure("FC1 requires a symmetric measure")
     if ring.unit not in mu.support:
         raise MeasureMissingUnit("FC1 requires the unit in supp(mu)")
-    F = set(F)
+    F = set(ring.check_labels(F))
     if not F:
         raise EmptySet("FC1 needs a non-empty F")
-    for label in F:
-        ring.check_label(label)
 
     # exact support: coefficients are non-negative, so no cancellation
     support = set(F)
     for alpha in F:
         for beta in mu.support:
             support.update(ring._product_cached(alpha, beta))
-    lhs = subset_weight(ring, support)
-    weight_F = subset_weight(ring, F)
+    lhs = _weight(ring, support)
+    weight_F = _weight(ring, F)
     satisfied = _exactly_less(lhs, 1 + Fraction(eps), weight_F)
 
-    b = boundary(ring, set(mu.support), F)
+    b = _boundary(ring, set(mu.support), F)
     identity_holds = support == (F | b.labels)
     return FoelnerReport(
         condition="FC1", epsilon=eps, lhs=as_float(lhs),
@@ -250,10 +253,10 @@ def _fc2_value(ring: FusionRing, xi, F: set) -> Fraction:
     #   sum_{alpha not in F} sum_{eta in F}
     #       d(eta) d(alpha) / d(xi) * (N(eta,conj xi->alpha) + N(eta,xi->alpha))
     def exact_dim(label):
-        d = ring.dim(label)
+        d = ring._dim_rule(label)
         return d if isinstance(d, int) else Fraction(d)
 
-    xibar = ring.conj(xi)
+    xibar = ring._conjugate_rule(xi)
     total = 0
     for eta in F:
         deta = exact_dim(eta)
@@ -261,7 +264,7 @@ def _fc2_value(ring: FusionRing, xi, F: set) -> Fraction:
             for alpha, n in p.items():
                 if alpha not in F:
                     total += deta * exact_dim(alpha) * n
-    return Fraction(total) / Fraction(ring.dim(xi))
+    return Fraction(total) / Fraction(ring._dim_rule(xi))
 
 
 def fc2_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> FoelnerReport:
@@ -272,14 +275,9 @@ def fc2_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> Foelner
     The per-label values are computed exactly and listed in the report.
     """
     eps = positive(eps, "epsilon")
-    S = set(S)
-    F = set(F)
-    if not S or not F:
-        raise EmptySet("FC2 needs non-empty S and F")
-    for label in S | F:
-        ring.check_label(label)
+    S, F = _label_sets(ring, S, F, "FC2")
     S = sorted(S)
-    weight_F = subset_weight(ring, F)
+    weight_F = _weight(ring, F)
 
     values = [_fc2_value(ring, xi, F) for xi in S]
 
@@ -310,29 +308,21 @@ def transition_kernel_exact(ring: FusionRing, mu: ProbMeasure, xi, eta) -> Fract
         raise RingMismatch("measure belongs to a different ring")
     ring.check_label(xi)
     ring.check_label(eta)
-    deta = Fraction(ring.dim(eta))
-    dxi = Fraction(ring.dim(xi))
-    total = Fraction(0)
+    return _kernel_row(ring, mu, xi).get(eta, Fraction(0))
+
+
+def _kernel_row(ring: FusionRing, mu: ProbMeasure, xi) -> dict:
+    # {eta: p_mu(xi, eta)} over the etas in supp(xi * omega), omega in
+    # supp(mu), as exact rationals:
+    #   p_mu(xi, eta) = sum_omega mu(omega) d(eta) N(xi,omega->eta) / (d(xi) d(omega))
+    dim = ring._dim_rule
+    dxi = Fraction(dim(xi))
+    row: dict = {}
     for omega, weight in mu.items():
-        n = ring._product_cached(xi, omega).get(eta, 0)
-        if n:
-            total += Fraction(weight) * deta * n / (dxi * Fraction(ring.dim(omega)))
-    return total
-
-
-def _kernel_pairs(ring: FusionRing, mu: ProbMeasure, support) -> set:
-    # all ordered pairs (xi, eta) with xi or eta in the given support and
-    # p_mu(xi, eta) > 0, found through product supports (never by scanning)
-    pairs = set()
-    for xi in support:
-        for omega in mu.support:
-            for eta in ring._product_cached(xi, omega):
-                pairs.add((xi, eta))
-    for eta in support:
-        for omega in mu.support:
-            for xi in ring._product_cached(eta, ring.conj(omega)):
-                pairs.add((xi, eta))
-    return pairs
+        scale = Fraction(weight) / (dxi * Fraction(dim(omega)))
+        for eta, n in ring._product_cached(xi, omega).items():
+            row[eta] = row.get(eta, 0) + scale * n * Fraction(dim(eta))
+    return row
 
 
 def dirichlet_norm(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> float:
@@ -340,21 +330,26 @@ def dirichlet_norm(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> flo
 
         ||f||_{D_mu(r)} = ( 1/2 sum_{xi,eta} sigma(xi) p_mu(xi,eta) |f(xi)-f(eta)|^r )^(1/r).
 
-    The double sum runs over the finite pair set where the summand can be
-    non-zero and is accumulated in exact rational arithmetic; only the
-    final r-th root is floating point.
+    The sum runs over the kernel rows of supp(f) and of the xi that reach it
+    (by Frobenius reciprocity, xi in supp(eta * conj(omega))), each computed
+    once, in exact rational arithmetic; only the final r-th root is float.
     """
     r = count(r, "r", 1)
     if mu.ring is not ring or f.ring is not ring:
         raise RingMismatch("measure/function belong to a different ring")
+    conj, dim = ring._conjugate_rule, ring._dim_rule
+    sources = dict.fromkeys(f.support)
+    for eta in f.support:
+        for omega in mu.support:
+            sources.update(dict.fromkeys(ring._product_cached(eta, conj(omega))))
     energy = Fraction(0)
-    for xi, eta in _kernel_pairs(ring, mu, f.support):
-        diff = Fraction(f[xi]) - Fraction(f[eta])
-        if diff == 0:
-            continue
-        p = transition_kernel_exact(ring, mu, xi, eta)
-        if p:
-            energy += Fraction(ring.sigma(xi)) * p * abs(diff) ** r
+    for xi in sources:
+        d = dim(xi)
+        sigma, value = Fraction(d * d), Fraction(f[xi])
+        for eta, p in _kernel_row(ring, mu, xi).items():
+            diff = value - Fraction(f[eta])
+            if diff and p:
+                energy += sigma * p * abs(diff) ** r
     value = energy / 2
     return float(value) ** (1.0 / r)
 
@@ -429,23 +424,22 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
     are probed and not cached.
 
     The report equals ``fc3_check(ring, S, labels, eps)`` field for field.
-    When the returned set is the whole grown F, it is read off the search's
-    own cut; an earlier best prefix gets a boundary of its own.
+    It is built from the boundary the cut had when the best ratio was
+    recorded: F only grows and a satisfying F beats every earlier one, so
+    the returned set is the prefix of cut.order that had the best ratio.
     """
-    S = set(S)
+    S = set(ring.check_labels(S))
     if not S:
         raise EmptySet("search needs a non-empty S")
     eps = positive(eps, "epsilon")
     if strategy not in ("balls", "greedy"):
         raise InvalidParam(f"unknown strategy {strategy!r}")
     budget = count(budget, "budget", 1)
-    for label in S:
-        ring.check_label(label)
     eps_exact = Fraction(eps)
 
     cut = _Cut(ring, S)
     curve: list = []
-    best = None  # (ratio, prefix length of cut.order)
+    best = None  # (ratio, prefix length of cut.order, inner, outer)
 
     def record(step) -> bool:
         # the FC3 ratio of the current F; true when it is below eps
@@ -456,7 +450,8 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
                                 weight_boundary=cut.weight_boundary,
                                 ratio=float(ratio)))
         if best is None or ratio < best[0]:
-            best = (ratio, len(cut.order))
+            best = (ratio, len(cut.order), frozenset(cut.inner),
+                    frozenset(cut.outer))
         return ratio < eps_exact
 
     found = False
@@ -488,11 +483,9 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
                     best_cand, best_ratio = cand, ratio
             cut.add(best_cand)
 
-    # F only grows and a satisfying F beats every earlier one, so the
-    # returned set is the prefix of the best ratio either way; the report
-    # reads the search's own cut when that prefix is all of it
-    labels = tuple(cut.order[:best[1]])
-    b = _boundary_of(cut) if best[1] == len(cut.order) \
-        else boundary(ring, S, labels)
-    return SearchResult(found, labels, _fc3_report(S, set(labels), b, eps),
+    _, size, inner, outer = best
+    labels = tuple(cut.order[:size])
+    F = set(labels)
+    return SearchResult(found, labels,
+                        _fc3_report(S, F, _boundary_result(ring, inner, outer, F), eps),
                         tuple(curve))

@@ -230,13 +230,14 @@ def export_table(ring: FusionRing, labels) -> dict:
     InvalidParam.  Reloading the document yields identical product, dim and
     conjugation maps on the window.
     """
-    labels = list(labels)
+    labels = ring.check_labels(labels)
     if not labels:
         raise InvalidParam("cannot export an empty window")
     label_set = set(labels)
     fmt = ring.format_label
+    conj, dim = ring._conjugate_rule, ring._dim_rule
     for label in labels:
-        if ring.conj(label) not in label_set:
+        if conj(label) not in label_set:
             raise InvalidParam(
                 f"window is not closed under conjugation at {fmt(label)}")
     text = {label: fmt(label) for label in labels}
@@ -250,7 +251,7 @@ def export_table(ring: FusionRing, labels) -> dict:
     products = {}
     for a in labels:
         for b in labels:
-            entry = ring.product(a, b)
+            entry = ring._product_cached(a, b)
             for alpha in entry:
                 if alpha not in label_set:
                     raise InvalidParam(
@@ -264,8 +265,8 @@ def export_table(ring: FusionRing, labels) -> dict:
         "description": ring.description,
         "labels": [text[label] for label in labels],
         "unit": text[ring.unit],
-        "conjugate": {text[label]: text[ring.conj(label)] for label in labels},
-        "dim": {text[label]: ring.dim(label) for label in labels},
+        "conjugate": {text[label]: text[conj(label)] for label in labels},
+        "dim": {text[label]: dim(label) for label in labels},
         "products": products,
     }
 

@@ -52,10 +52,10 @@ class TruncationWindow:
     ``level_sizes[k]`` is the label count after breadth-first level k; a
     finite ring that saturates early has fewer than ``radius + 1`` levels.
 
-    Constructing a window directly checks its labels: no duplicates, the
-    unit first, closed under conjugation.  ``build_window`` and ``prefix``
-    skip these checks, since the breadth-first search yields windows that
-    pass them by construction.
+    Constructing a window directly checks it: basis labels (the generator
+    support's too), no duplicates, the unit first, closed under conjugation.
+    ``build_window`` and ``prefix`` skip these checks, since the
+    breadth-first search yields windows that pass them by construction.
     """
 
     __slots__ = ("ring", "labels", "radius", "generator_support",
@@ -63,7 +63,8 @@ class TruncationWindow:
 
     def __init__(self, ring: FusionRing, labels: Iterable, radius: int,
                  generator_support: Iterable, level_sizes: Sequence[int]):
-        labels = tuple(labels)
+        labels = tuple(ring.check_labels(labels))
+        generator_support = ring.check_labels(generator_support)
         index = {}
         for pos, label in enumerate(labels):
             if label in index:
@@ -72,7 +73,7 @@ class TruncationWindow:
         if not labels or labels[0] != ring.unit:
             raise InvalidParam("window must list the unit label first")
         for label in labels:
-            if ring.conj(label) not in index:
+            if ring._conjugate_rule(label) not in index:
                 raise InvalidParam(
                     f"window is not closed under conjugation at {label!r}")
         self._set(ring, labels, radius, generator_support, level_sizes, index)
@@ -136,18 +137,16 @@ def build_window(ring: FusionRing, S: Iterable, radius: int,
     of a public window read them again: ``verify_axioms`` reads every
     window product, and the CLI's FC checks on a ``ball:r`` set read many.
     """
+    S = set(ring.check_labels(S))
+    if not S:
+        raise EmptySet("window generator support must be non-empty")
     return _build_window(ring, S, radius, cap, ring._product_cached)
 
 
-def _build_window(ring: FusionRing, S: Iterable, radius: int, cap: int,
+def _build_window(ring: FusionRing, S: set, radius: int, cap: int,
                   read) -> TruncationWindow:
-    # build_window with the product reader ``read``: ring._product_probe
-    # where nothing reads the products of the search again
-    S = set(S)
-    if not S:
-        raise EmptySet("window generator support must be non-empty")
-    for label in S:
-        ring.check_label(label)
+    # build_window from a non-empty set S of checked labels, reading products
+    # with ``read``: ring._product_probe where nothing reads them again
     radius = count(radius, "radius", 0)
     cap = count(cap, "cap", 1)
 
@@ -176,7 +175,7 @@ def _bfs_levels(ring: FusionRing, S: set, cap: int, read):
     Both return the same products, so the levels do not depend on it.
     """
     conj = ring._conjugate_rule
-    steps = sorted(S | {ring.conj(xi) for xi in S} | {ring.unit})
+    steps = sorted(S | {conj(xi) for xi in S} | {ring.unit})
     seen = {ring.unit}
     frontier = [ring.unit]
     yield frontier
@@ -532,7 +531,7 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
         raise InvalidParam("need at least one radius")
     positive(tol, "tol")
     support = tuple(sorted(mu.support))
-    window = _build_window(ring, support, radii[-1], cap, ring._product_probe)
+    window = _build_window(ring, set(support), radii[-1], cap, ring._product_probe)
     op = l_measure_operator(ring, mu, window)
     entries = []
     for radius in radii:

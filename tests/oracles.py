@@ -7,9 +7,9 @@ boundary, a letter-by-letter reduced-word test and a stack free reduction,
 triple-loop Frobenius and associativity scans, a breadth-first window that
 conjugates every product label it meets, operator compression accumulated
 in `Fraction`s, convolution applies that scan every coefficient of f for
-each output label, exact return probabilities of the simple random walk on a
-free group via its radial projection, and truncated lattice adjacency
-matrices.
+each output label, the Dirichlet norm summed pair by pair, exact return
+probabilities of the simple random walk on a free group via its radial
+projection, and truncated lattice adjacency matrices.
 """
 from __future__ import annotations
 
@@ -237,6 +237,39 @@ def direct_apply(ring, xi, f, left):
         if s:
             out[eta] = s / (ring.dim(eta) * ring.dim(xi))
     return out
+
+
+def direct_kernel(ring, mu, xi, eta):
+    """p_mu(xi, eta) = sum over omega in supp(mu) of
+    mu(omega) d(eta) N(xi,omega->eta) / (d(xi) d(omega)), in `Fraction`s."""
+    total = Fraction(0)
+    for omega, weight in mu.items():
+        n = ring.product(xi, omega).get(eta, 0)
+        if n:
+            total += (Fraction(weight) * Fraction(ring.dim(eta)) * n
+                      / (Fraction(ring.dim(xi)) * Fraction(ring.dim(omega))))
+    return total
+
+
+def direct_dirichlet(ring, mu, f, r):
+    """The Dirichlet r-seminorm by the pair formula: the ordered pairs
+    (xi, eta) with xi or eta in supp(f) that a product links, each with its
+    own kernel value, summed in `Fraction`s; the r-th root is a float."""
+    pairs = set()
+    for xi in f.coeffs:
+        for omega in mu.support:
+            pairs.update((xi, eta) for eta in ring.product(xi, omega))
+    for eta in f.coeffs:
+        for omega in mu.support:
+            pairs.update((xi, eta)
+                         for xi in ring.product(eta, ring.conj(omega)))
+    energy = Fraction(0)
+    for xi, eta in pairs:
+        diff = Fraction(f[xi]) - Fraction(f[eta])
+        p = direct_kernel(ring, mu, xi, eta)
+        if diff and p:
+            energy += Fraction(ring.sigma(xi)) * p * abs(diff) ** r
+    return float(energy / 2) ** (1.0 / r)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from conftest import (counting_ring, fibonacci_ring, pool_for,
                       random_symmetric_measure)
 from fusionkit.foelner import _Cut
 
-from oracles import brute_boundary, direct_boundary
+from oracles import (brute_boundary, direct_boundary, direct_dirichlet,
+                     direct_kernel)
 
 
 @functools.cache
@@ -285,6 +286,33 @@ class TestDirichlet:
                 rho_f = fk.rho_measure_apply(ring, mu, f)
                 rhs = fk.inner_sigma(f, f) - fk.inner_sigma(rho_f, f)
                 assert math.isclose(lhs, rhs, rel_tol=1e-10, abs_tol=1e-10)
+
+
+class TestDirichletOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["z2", "su2", "dsu2", "f2", "su2xz", "fibz"]),
+           st.integers(1, 3), st.data())
+    def test_matches_pair_formula_exactly(self, name, r, data):
+        # measures need not be symmetric; f is integer or real valued
+        ring, _ = search_ring(name)
+        pool = pool_for(ring, 2)
+        support = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                     max_size=3, unique=True))
+        parts = data.draw(st.lists(st.integers(1, 5), min_size=len(support),
+                                   max_size=len(support)))
+        total = sum(parts)
+        mu = fk.ProbMeasure(ring, [(label, float(Fraction(k, total)))
+                                   for label, k in zip(support, parts)])
+        labels = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                    max_size=5, unique=True))
+        values = st.integers(-3, 3) | st.floats(-2, 2, allow_nan=False)
+        f = fk.Element(ring, [(label, data.draw(values)) for label in labels])
+        assert fk.dirichlet_norm(ring, mu, f, r).hex() == \
+            direct_dirichlet(ring, mu, f, r).hex()
+        for xi in labels:
+            for eta in pool:
+                assert fk.transition_kernel_exact(ring, mu, xi, eta) == \
+                    direct_kernel(ring, mu, xi, eta)
 
 
 class TestNWRatio:
