@@ -82,7 +82,7 @@ def _parse_set_spec(ring: FusionRing, spec: str, support=None) -> list:
             raise InvalidParam(f"empty interval in {spec!r}")
         if hi - lo + 1 > spectral.DEFAULT_WINDOW_CAP:
             raise InvalidParam(f"interval {spec!r} exceeds the window cap")
-        return ring.check_labels(range(lo, hi + 1))
+        return list(range(lo, hi + 1))  # checked by the call they feed
     if spec.startswith("set:"):
         return _parse_labels(ring, spec[len("set:"):])
     if spec.startswith("ball:"):

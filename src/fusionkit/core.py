@@ -85,7 +85,16 @@ class FusionRing:
     def check_labels(self, labels: Iterable) -> list:
         """The labels of an iterable as a list, in order, each checked by
         ``check_label`` before anything hashes it: the one check of a label
-        collection passed to the public API."""
+        collection passed to the public API.  A str, or a value that is not
+        iterable, is no collection of labels and raises InvalidParam."""
+        if isinstance(labels, str):
+            raise InvalidParam(
+                f"expected a collection of labels, got the string {labels!r}")
+        try:
+            labels = iter(labels)
+        except TypeError:
+            raise InvalidParam(
+                f"expected a collection of labels, got {labels!r}") from None
         labels = list(labels)
         for label in labels:
             self.check_label(label)
@@ -177,6 +186,15 @@ class Element:
                        for label, value in _checked_items(ring, coeffs).items()
                        if value != 0}
 
+    @classmethod
+    def _trusted(cls, ring: FusionRing, coeffs: dict) -> "Element":
+        # an element of checked labels and nonzero coefficients, built
+        # without checking them again
+        element = object.__new__(cls)
+        element.ring = ring
+        element.coeffs = coeffs
+        return element
+
     @property
     def support(self):
         return self.coeffs.keys()
@@ -245,7 +263,7 @@ def _check_same_ring(x, y) -> None:
 
 def indicator(ring: FusionRing, labels: Iterable) -> Element:
     """The characteristic function chi_F of a finite label set, as an Element."""
-    return Element(ring, [(label, 1) for label in labels])
+    return Element._trusted(ring, dict.fromkeys(ring.check_labels(labels), 1))
 
 
 def multiply(x: Element, y: Element) -> Element:
@@ -327,8 +345,13 @@ class ProbMeasure:
     __slots__ = ("ring", "weights", "symmetric")
 
     def __init__(self, ring: FusionRing, weights: Mapping | Iterable):
+        self._set(ring, _checked_items(ring, weights))
+
+    def _set(self, ring: FusionRing, weights: dict) -> None:
+        # the measure of a dict whose labels are checked; its weights are
+        # checked here
         clean = {}
-        for label, w in _checked_items(ring, weights).items():
+        for label, w in weights.items():
             try:
                 weight = float(w)
             except (TypeError, ValueError, OverflowError):
@@ -380,8 +403,9 @@ class ProbMeasure:
         labels = sorted(set(ring.check_labels(labels)))
         if not labels:
             raise InvalidParam("uniform measure needs non-empty support")
-        w = 1.0 / len(labels)
-        return ProbMeasure(ring, {label: w for label in labels})
+        measure = object.__new__(ProbMeasure)
+        measure._set(ring, dict.fromkeys(labels, 1.0 / len(labels)))
+        return measure
 
 
 # ---------------------------------------------------------------------------
@@ -712,12 +736,11 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     earlier triple would already fail.  A product that only a later block
     would read is never read, and its absence raises nothing.
     """
-    labels = list(getattr(window, "labels", window))
+    labels = ring.check_labels(getattr(window, "labels", window))
     if not labels:
         raise InvalidParam("verify_axioms needs a non-empty window")
     if ring.unit not in labels:
         raise InvalidParam("verify_axioms window must contain the unit")
-    ring.check_labels(labels)
 
     fmt = ring.format_label
     unit = ring.unit

@@ -88,8 +88,10 @@ class NotSelfAdjoint(FusionError):
 
 class NoConvergence(FusionError):
     """The Lanczos eigensolver did not certify its answer: the residual
-    ||Mx - theta x|| of its Ritz pair is not below the tolerance, or ARPACK
-    stopped without converging.
+    ||Mx - theta x||, recomputed from the Ritz pair it stopped at, is not
+    below the tolerance.  It stops when its residual estimate falls below
+    half the tolerance, at an invariant subspace, or after 10 n matvecs
+    on an n-label window.
 
     Carries the best available data: ``estimate`` (top of spectrum),
     ``residual`` and ``iterations`` (matvecs).

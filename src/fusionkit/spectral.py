@@ -42,6 +42,11 @@ GAP_THRESHOLD = 1e-3
 #: successive top eigenvalues closer than this count as stalled
 STALL_THRESHOLD = 1e-6
 
+#: thick-restart Lanczos keeps at most this many basis vectors, and
+#: restarts from this many top Ritz vectors when the basis is full
+_LANCZOS_BASIS = 32
+_LANCZOS_KEEP = 16
+
 
 class TruncationWindow:
     """A finite, ordered, deduplicated list of basis labels (unit first).
@@ -417,11 +422,14 @@ def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9) -> SpectralEstimat
     accuracy ``tol``.
 
     Windows of dimension at most 512 use a dense symmetric eigensolve.
-    Larger ones use ARPACK's Lanczos solver (``eigsh``) from the
+    Larger ones use thick-restart Lanczos (``_lanczos_top``) from the
     deterministic uniform start vector; ``iterations`` counts its matvecs.
-    The Ritz pair (theta, x) is accepted when ||Mx - theta x|| < tol, which
-    puts an eigenvalue of M within tol of theta; otherwise NoConvergence
-    carries theta, the residual and the matvec count.
+    The search stops when its residual estimate falls below tol/2, when it
+    finds an invariant subspace, or after 10 n matvecs.  The Ritz pair
+    (theta, x) it returns is accepted when ||Mx - theta x||, recomputed
+    from x, is below tol, which puts an eigenvalue of M within tol of
+    theta; otherwise NoConvergence carries theta, the residual and the
+    matvec count.
     """
     if not op.selfadjoint:
         raise NotSelfAdjoint("top_eigenvalue requires a self-adjoint operator")
@@ -431,33 +439,80 @@ def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9) -> SpectralEstimat
         eigs = np.linalg.eigvalsh(op.matrix.toarray())
         return SpectralEstimate(value=float(eigs[-1]), method="dense",
                                 iterations=0, residual=0.0)
-    # imported here: scipy.sparse.linalg costs ~9 MB and ~0.1 s, which
-    # callers that stay under the dense limit should not pay
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
     M = op.matrix
-    matvecs = 0
-
-    def matvec(x):
-        nonlocal matvecs
-        matvecs += 1
-        return M @ x
-
-    v0 = np.full(n, 1.0 / math.sqrt(n))
-    try:
-        vals, vecs = eigsh(LinearOperator((n, n), matvec=matvec, dtype=M.dtype),
-                           k=1, which="LA", tol=0, v0=v0)
-    except ArpackNoConvergence as exc:
-        vals, vecs = exc.eigenvalues, exc.eigenvectors
-    x = vecs[:, 0] if len(vals) else v0
-    y = M @ x
-    theta = float(vals[0]) if len(vals) else float(x @ y)
-    resid = float(np.linalg.norm(y - theta * x))
+    theta, x, matvecs = _lanczos_top(M, tol)
+    resid = float(np.linalg.norm(M @ x - theta * x))
     if not resid < tol:
         raise NoConvergence(
             f"Lanczos residual {resid:.3g} is not below tol={tol}",
             estimate=theta, residual=resid, iterations=matvecs)
     return SpectralEstimate(value=theta, method="lanczos",
                             iterations=matvecs, residual=resid)
+
+
+def _lanczos_top(M, tol: float) -> tuple:
+    """(theta, x, matvecs): the top Ritz pair of a symmetric n x n matrix
+    M, x a unit vector, by thick-restart Lanczos (Wu & Simon, SIAM J.
+    Matrix Anal. Appl. 22, 2000), and the number of products M v made.
+
+    The orthonormal basis V starts from the uniform vector and grows by
+    one vector per matvec, orthogonalized against all of V by two passes
+    of classical Gram-Schmidt; T = V^T M V is kept from the coefficients.
+    With w the orthogonalized M v_j and beta = ||w||, the Ritz pair
+    (theta, V y) of an eigenpair (theta, y) of T has residual beta |y_j|.
+    When the basis is full it is replaced by the top _LANCZOS_KEEP Ritz
+    vectors and w / beta, and T by the diagonal of their Ritz values; the
+    Gram-Schmidt coefficients of the next matvecs fill in each new row
+    and column of T whole, the first with beta times the last components
+    of the kept y.
+
+    The search stops when beta |y_j| < tol/2 for the top pair; when beta
+    is below max(tol/2, 64 eps ||T||), so that V spans an invariant
+    subspace up to rounding; or after 10 n matvecs.  The residual is
+    tested after every matvec until the first restart, while T is small
+    and easy problems converge, and then once per restart: that costs at
+    most _LANCZOS_KEEP - 1 extra matvecs and saves an eigensolve of T on
+    every other step.
+    """
+    n = M.shape[0]
+    cap = 10 * n
+    floor = 64 * np.finfo(np.float64).eps
+    V = np.empty((_LANCZOS_BASIS, n))
+    T = np.zeros((_LANCZOS_BASIS, _LANCZOS_BASIS))
+    V[0] = 1.0 / math.sqrt(n)
+    norm_T = 0.0
+    restarted = False
+    j = matvecs = 0
+    while True:
+        w = M @ V[j]
+        matvecs += 1
+        basis = V[:j + 1]
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        h += h2
+        T[:j + 1, j] = T[j, :j + 1] = h
+        beta = float(np.linalg.norm(w))
+        full = j + 1 == _LANCZOS_BASIS
+        # T is solved when a test is due, or when beta is small against
+        # ||T|| as of its last solve; the stop tests read the new ||T||
+        if (full or not restarted or matvecs >= cap
+                or beta < max(tol / 2, floor * norm_T)):
+            theta, Y = np.linalg.eigh(T[:j + 1, :j + 1])
+            norm_T = max(-theta[0], theta[-1])
+            if (beta * abs(Y[j, -1]) < tol / 2 or matvecs >= cap
+                    or beta < max(tol / 2, floor * norm_T)):
+                return float(theta[-1]), Y[:, -1] @ basis, matvecs
+        if full:
+            k = _LANCZOS_KEEP
+            V[:k] = Y[:, -k:].T @ V
+            T[:k, :k] = np.diag(theta[-k:])
+            j = k
+            restarted = True
+        else:
+            j += 1
+        V[j] = w / beta
 
 
 class Verdict(str, Enum):

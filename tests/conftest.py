@@ -70,6 +70,24 @@ def counting_ring(base):
     return ring, calls
 
 
+def label_counting_ring(base):
+    """A copy of ``base`` and the list of the values its label rule is
+    asked about, in order."""
+    asked = []
+
+    def is_label(x):
+        asked.append(x)
+        return base.contains(x)
+
+    ring = fk.FusionRing(unit=base.unit, product_rule=base._product_rule,
+                         conjugate_rule=base._conjugate_rule,
+                         dim_rule=base._dim_rule, generators=base.generators,
+                         is_label=is_label, description=base.description,
+                         parse_label=base.parse_label,
+                         format_label=base.format_label)
+    return ring, asked
+
+
 def pool_for(ring, radius=4):
     """A finite label pool: the window generated by the declared generators."""
     gens = ring.generators if ring.generators else (ring.unit,)

@@ -78,7 +78,7 @@ def test_c2_kesten_spectral_values():
 
     # windows of 1000 and 2000 labels, both past the dense limit; the
     # solver's cost is bounded by its matvec count, not by wall time
-    # (2,041 and 7,111 matvecs with SciPy 1.17's ARPACK)
+    # (736 and 1,920 matvecs with the thick-restart Lanczos)
     large = fk.amenability_estimate(su2, mu2, [999, 1999])
     for m, max_matvecs, entry in zip((1000, 2000), (4_000, 14_000), large.entries):
         assert entry.window_size == m and entry.method == "lanczos"

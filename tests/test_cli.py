@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fusionkit as fk
 from fusionkit import cli
-from conftest import nested_tensor_text
+from conftest import label_counting_ring, nested_tensor_text
 from fusionkit.cli import main
 
 
@@ -107,6 +107,19 @@ class TestCheckCommand:
                      "--measure", "decomp:0=1,1=1", "--eps", "0.05"])
         assert code == 0
         assert "identity supp = F u boundary: True" in capsys.readouterr().out
+
+    def test_interval_labels_checked_once_by_their_consumer(self):
+        ring, asked = label_counting_ring(fk.build_su2_ring())
+        F = cli._parse_set_spec(ring, "interval:0..400")
+        assert F == list(range(401)) and asked == []
+        fk.indicator(ring, F)
+        assert asked == F
+
+    def test_interval_of_non_labels(self, free_file, capsys):
+        assert main(["check", free_file, "--condition", "fc3",
+                     "--set", "interval:0..3", "--support", "a",
+                     "--eps", "0.5"]) == 2
+        assert "InvalidLabel" in capsys.readouterr().err
 
     def test_set_spec_forms(self, z_file):
         assert main(["check", z_file, "--condition", "fc3",

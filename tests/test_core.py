@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
-from conftest import (fibonacci_ring, pool_for, random_integer_function,
-                      random_real_function)
+from conftest import (fibonacci_ring, label_counting_ring, pool_for,
+                      random_integer_function, random_real_function)
 
 from oracles import direct_associativity, direct_frobenius, su2_product_oracle
 
@@ -220,6 +220,13 @@ class TestProbMeasure:
         assert not fk.ProbMeasure.delta(z1, 1).symmetric
         assert fk.ProbMeasure.uniform(z1, [1, -1]).symmetric
         assert fk.ProbMeasure.delta(z1, 0).symmetric
+
+    def test_uniform_checks_each_label_once(self, f2):
+        ring, asked = label_counting_ring(f2)
+        mu = fk.ProbMeasure.uniform(ring, ring.generators)
+        assert sorted(asked) == sorted(f2.generators)
+        assert list(mu.weights.items()) == [(x, 0.25) for x in sorted(f2.generators)]
+        assert mu.symmetric
 
 
 class TestVerifyAxioms:
@@ -565,7 +572,49 @@ def label_context(name):
         mu=fk.ProbMeasure.uniform(ring, S | {ring.unit}))
 
 
+#: every public entry that takes a collection of labels, given ``value``
+#: where the collection goes
+COLLECTION_ENTRIES = {
+    "indicator": lambda ring, value, ctx: fk.indicator(ring, value),
+    "subset_weight": lambda ring, value, ctx: fk.subset_weight(ring, value),
+    "measure_uniform": lambda ring, value, ctx: fk.ProbMeasure.uniform(ring, value),
+    "build_window": lambda ring, value, ctx: fk.build_window(ring, value, 2),
+    "truncation_window": lambda ring, value, ctx: fk.TruncationWindow(
+        ring, value, 2, ctx.S, ctx.window.level_sizes),
+    "truncation_window_support": lambda ring, value, ctx: fk.TruncationWindow(
+        ring, ctx.window.labels, 2, value, ctx.window.level_sizes),
+    "boundary_S": lambda ring, value, ctx: fk.boundary(ring, value, ctx.F),
+    "boundary_F": lambda ring, value, ctx: fk.boundary(ring, ctx.S, value),
+    "fc1_F": lambda ring, value, ctx: fk.fc1_check(ring, ctx.mu, value, 0.5),
+    "fc2_S": lambda ring, value, ctx: fk.fc2_check(ring, value, ctx.F, 0.5),
+    "fc2_F": lambda ring, value, ctx: fk.fc2_check(ring, ctx.S, value, 0.5),
+    "fc3_S": lambda ring, value, ctx: fk.fc3_check(ring, value, ctx.F, 0.5),
+    "fc3_F": lambda ring, value, ctx: fk.fc3_check(ring, ctx.S, value, 0.5),
+    "foelner_search": lambda ring, value, ctx: fk.foelner_search(ring, value, 0.1),
+    "verify_axioms": lambda ring, value, ctx: fk.verify_axioms(ring, value),
+    "export_table": lambda ring, value, ctx: fk.export_table(ring, value),
+}
+
+#: values that are no collection of labels: not iterable, or a str, whose
+#: characters would otherwise be read as labels ("aB" as {"a", "B"})
+NON_COLLECTIONS = {
+    "f2": ("aB", "a", 7, None),
+    "z2": ("xy", 5, None, 1.5),
+}
+
+
 class TestLabelChecksAtBoundary:
+    @pytest.mark.parametrize("entry", sorted(COLLECTION_ENTRIES))
+    @pytest.mark.parametrize("name, value", [
+        (name, value) for name, values in NON_COLLECTIONS.items()
+        for value in values])
+    def test_non_collection_raises_invalid_param(self, name, value, entry):
+        ring, ctx = label_context(name)
+        cached = dict(ring._cache)
+        with pytest.raises(fk.InvalidParam, match="collection of labels"):
+            COLLECTION_ENTRIES[entry](ring, value, ctx)
+        assert ring._cache == cached
+
     @pytest.mark.parametrize("entry", sorted(LABEL_ENTRIES))
     @pytest.mark.parametrize("name, bad", NON_LABEL_CASES)
     def test_non_label_raises_invalid_label(self, name, bad, entry):

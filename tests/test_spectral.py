@@ -1,11 +1,15 @@
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
@@ -462,6 +466,34 @@ class TestRhoApply:
             assert hex_map(apply(ring, mu, f).coeffs) == hex_map(want.coeffs)
 
 
+#: ring, radius and size of a window just above the dense limit, for the
+#: uniform measure on the ring's generators (delta_1 on the SU(2) rules)
+ABOVE_DENSE_LIMIT = {
+    "z2": (lambda: fk.integer_lattice_ring(2), 16, 545),
+    "z3": (lambda: fk.integer_lattice_ring(3), 7, 575),
+    "su2": (fk.build_su2_ring, 512, 513),
+    "dsu2": (lambda: fk.build_deformed_su2_ring(3), 512, 513),
+    "f2": (lambda: fk.free_group_ring(2), 6, 1457),
+    "f3": (lambda: fk.free_group_ring(3), 4, 937),
+    "su2xz3": (lambda: fk.tensor_product(fk.build_su2_ring(), fk.cyclic_ring(3)),
+               171, 514),
+    "su2xsu2": (lambda: fk.tensor_product(fk.build_su2_ring(), fk.build_su2_ring()),
+                31, 528),
+    "z30xz30": (lambda: fk.tensor_product(fk.cyclic_ring(30), fk.cyclic_ring(30)),
+                30, 900),
+}
+
+
+def above_limit_operator(name):
+    """l_mu compressed to the ``ABOVE_DENSE_LIMIT`` window of ``name``."""
+    make, radius, size = ABOVE_DENSE_LIMIT[name]
+    ring = make()
+    window = fk.build_window(ring, ring.generators, radius)
+    assert len(window) == size
+    return fk.l_measure_operator(
+        ring, fk.ProbMeasure.uniform(ring, ring.generators), window)
+
+
 class TestTopEigenvalue:
     def test_identity_operator(self, su2):
         window = fk.build_window(su2, {1}, 4)
@@ -483,14 +515,47 @@ class TestTopEigenvalue:
         expected = (2 / 3) * math.cos(math.pi / 101)
         assert fk.top_eigenvalue(op).value == pytest.approx(expected, abs=1e-9)
 
-    def test_lanczos_matches_dense(self, f2):
-        window = fk.build_window(f2, f2.generators, 6)  # 1457 > dense limit
-        mu = fk.ProbMeasure.uniform(f2, f2.generators)
-        op = fk.l_measure_operator(f2, mu, window)
+    @pytest.mark.parametrize("name", sorted(ABOVE_DENSE_LIMIT))
+    def test_lanczos_matches_dense(self, name):
+        op = above_limit_operator(name)
         est = fk.top_eigenvalue(op, tol=1e-10)
-        assert est.method == "lanczos"
+        assert est.method == "lanczos" and est.residual < 1e-10
+        assert 0 < est.iterations <= 10 * op.shape[0]
         dense_top = float(np.linalg.eigvalsh(op.matrix.toarray())[-1])
         assert est.value == pytest.approx(dense_top, abs=1e-9)
+
+    def test_invariant_start_vector_stops_after_one_matvec(self):
+        # on a finite abelian group ring the uniform vector is the Perron
+        # vector, so the first Krylov space is invariant
+        est = fk.top_eigenvalue(above_limit_operator("z30xz30"))
+        assert est.iterations == 1
+        assert est.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_rounding_level_beta_ends_the_search(self):
+        # the uniform vector spans a 2-dimensional Krylov space of this
+        # diagonal; with tol below rounding the search stops there, since
+        # beta is below 64 eps ||T||, rather than go on from rounding errors
+        M = scipy.sparse.diags(np.repeat([0.9, 0.1], 301)[:601]).tocsr()
+        theta, x, matvecs = fk.spectral._lanczos_top(M, 1e-18)
+        assert matvecs == 2
+        assert theta == pytest.approx(0.9, abs=1e-15)
+        assert np.linalg.norm(M @ x - theta * x) < 1e-14
+
+    def test_no_scipy_linalg_import(self):
+        # an estimate past the dense limit runs on numpy alone
+        code = ("import sys\n"
+                "import fusionkit as fk\n"
+                "f2 = fk.free_group_ring(2)\n"
+                "mu = fk.ProbMeasure.uniform(f2, f2.generators)\n"
+                "report = fk.amenability_estimate(f2, mu, [5, 6])\n"
+                "assert report.entries[-1].method == 'lanczos'\n"
+                "print(sorted(m for m in sys.modules if m.startswith(\n"
+                "    ('scipy.linalg', 'scipy.sparse.linalg'))))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "[]\n"
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, None, "1e-9"])
     def test_tol_must_be_finite_and_positive(self, su2, tol):
@@ -510,9 +575,20 @@ class TestTopEigenvalue:
         op = fk.l_measure_operator(f2, mu, window)
         with pytest.raises(fk.NoConvergence) as info:
             fk.top_eigenvalue(op, tol=1e-18)
-        assert info.value.iterations > 0
+        assert 0 < info.value.iterations <= 10 * len(window)
         assert 0.0 < info.value.estimate < 1.0
         assert info.value.residual > 0.0
+
+    def test_no_convergence_within_the_matvec_cap(self, su2):
+        # a tolerance below rounding on a small spectral gap: the search
+        # may run to its matvec cap of 10 n, and no further
+        window = fk.build_window(su2, {1}, 600)
+        op = fk.l_measure_operator(su2, fk.ProbMeasure.delta(su2, 1), window)
+        with pytest.raises(fk.NoConvergence) as info:
+            fk.top_eigenvalue(op, tol=1e-18)
+        assert 0 < info.value.iterations <= 10 * len(window)
+        assert info.value.estimate == pytest.approx(math.cos(math.pi / 602), abs=1e-9)
+        assert info.value.residual >= 1e-18
 
 
 class TestGnsOperator:
@@ -668,7 +744,7 @@ class TestAmenabilityEstimate:
     def test_peak_traced_memory(self):
         # caching the window search's products made a 4.7 MB peak here
         # and kept 2.3 MB (7,285 entries) after the call
-        warm = fk.free_group_ring(2)  # imports and starts the Lanczos solver
+        warm = fk.free_group_ring(2)  # runs the Lanczos solver once first
         fk.amenability_estimate(warm, fk.ProbMeasure.uniform(warm, warm.generators), [6])
         ring = fk.free_group_ring(2)
         mu = fk.ProbMeasure.uniform(ring, ring.generators)
