@@ -14,7 +14,7 @@ import string
 from fractions import Fraction
 from typing import Mapping
 
-from .core import Element, FusionRing, ProbMeasure
+from .core import FusionRing, ProbMeasure, verify_axioms
 from .errors import InvalidParam, InvalidTable, count
 
 
@@ -149,19 +149,16 @@ def group_ring_from_table(labels, table, *, description: str = "finite group rin
 
     ``table`` maps ordered pairs of labels to labels, either as a
     ``{(g, h): k}`` mapping or a nested ``{g: {h: k}}`` mapping.  The table
-    is validated to describe a group (closure, identity, inverses,
-    associativity); anything else raises InvalidTable.
+    must be closed, with an identity and inverses, and its ring must pass
+    ``verify_axioms``; anything else raises InvalidTable.
     """
     labels = list(labels)
     if len(set(labels)) != len(labels) or not labels:
         raise InvalidTable("labels must be a non-empty list without repeats")
     label_set = set(labels)
 
-    flat: dict = {}
     if isinstance(table, Mapping) and table and isinstance(next(iter(table.values())), Mapping):
-        for g, row in table.items():
-            for h, k in row.items():
-                flat[(g, h)] = k
+        flat = {(g, h): k for g, row in table.items() for h, k in row.items()}
     else:
         flat = dict(table)
     for g in labels:
@@ -172,41 +169,38 @@ def group_ring_from_table(labels, table, *, description: str = "finite group rin
             if k not in label_set:
                 raise InvalidTable(f"table entry ({g!r}, {h!r}) -> {k!r} leaves the label set")
 
-    unit = None
-    for e in labels:
-        if all(flat[(e, g)] == g and flat[(g, e)] == g for g in labels):
-            unit = e
-            break
+    unit = next((e for e in labels
+                 if all(flat[(e, g)] == g == flat[(g, e)] for g in labels)), None)
     if unit is None:
         raise InvalidTable("table has no two-sided identity")
 
-    inverse: dict = {}
+    # h runs backwards, so the first two-sided inverse in label order stays
+    inverse = {g: h for g in labels for h in reversed(labels)
+               if flat[(g, h)] == unit == flat[(h, g)]}
     for g in labels:
-        for h in labels:
-            if flat[(g, h)] == unit and flat[(h, g)] == unit:
-                inverse[g] = h
-                break
-        else:
+        if g not in inverse:
             raise InvalidTable(f"element {g!r} has no inverse")
 
-    for a in labels:
-        for b in labels:
-            ab = flat[(a, b)]
-            for c in labels:
-                if flat[(ab, c)] != flat[(a, flat[(b, c)])]:
-                    raise InvalidTable(
-                        f"table is not associative at ({a!r}, {b!r}, {c!r})")
-
-    gens = tuple(g for g in labels if g != unit)
-    return FusionRing(
+    return _verified_table_ring(FusionRing(
         unit=unit,
         product_rule=lambda x, y: {flat[(x, y)]: 1},
         conjugate_rule=lambda x: inverse[x],
         dim_rule=lambda x: 1,
         description=description,
-        generators=gens,
+        generators=tuple(g for g in labels if g != unit),
         is_label=lambda x: x in label_set,
-    )
+    ), labels)
+
+
+def _verified_table_ring(ring: FusionRing, labels: list) -> FusionRing:
+    # the ring of a table on labels once verify_axioms passes on them all,
+    # else InvalidTable naming the first failing axiom
+    report = verify_axioms(ring, labels)
+    if report.passed:
+        return ring
+    first = report.failures()[0]
+    raise InvalidTable(f"table violates {first.name}: {first.counterexample}",
+                       report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +304,9 @@ def tensor_product(ring1: FusionRing, ring2: FusionRing) -> FusionRing:
     return FusionRing(
         unit=(ring1.unit, ring2.unit),
         product_rule=product,
-        conjugate_rule=lambda x: (ring1.conj(x[0]), ring2.conj(x[1])),
-        dim_rule=lambda x: ring1.dim(x[0]) * ring2.dim(x[1]),
+        conjugate_rule=lambda x: (ring1._conjugate_rule(x[0]),
+                                  ring2._conjugate_rule(x[1])),
+        dim_rule=lambda x: ring1._dim_rule(x[0]) * ring2._dim_rule(x[1]),
         description=f"tensor({ring1.description}, {ring2.description})",
         generators=gens,
         is_label=is_label,
@@ -340,14 +335,14 @@ def measure_from_decomposition(ring: FusionRing, decomp: Mapping) -> ProbMeasure
     ring.check_labels(decomp)
     decomp = {alpha: count(k, f"multiplicity at {ring.format_label(alpha)}", 1)
               for alpha, k in decomp.items()}
-    total = sum(Fraction(k) * Fraction(ring.dim(alpha))
-                for alpha, k in decomp.items())
+    dim, conj = ring._dim_rule, ring._conjugate_rule
+    total = sum(Fraction(k) * Fraction(dim(alpha)) for alpha, k in decomp.items())
     weights: dict = {}
     for alpha, k in decomp.items():
-        half = Fraction(k) * Fraction(ring.dim(alpha)) / (2 * total)
+        half = Fraction(k) * Fraction(dim(alpha)) / (2 * total)
         weights[alpha] = weights.get(alpha, Fraction(0)) + half
-        abar = ring.conj(alpha)
+        abar = conj(alpha)
         weights[abar] = weights.get(abar, Fraction(0)) + half
     assert sum(weights.values()) == 1
-    return ProbMeasure(ring, {a: float(w) for a, w in weights.items()})
+    return ProbMeasure._trusted(ring, {a: float(w) for a, w in weights.items()})
 

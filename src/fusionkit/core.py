@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping
@@ -116,8 +117,8 @@ class FusionRing:
         # mutate the returned dict.  The labels are not checked: every
         # caller passes labels checked where they entered the public API,
         # or labels read off products of such labels.  Used where a product
-        # is read again: the public window search and verify_axioms' window
-        # products, the Foelner cuts and FC checks, the convolutions.
+        # is read again: the public window search, the Foelner cuts and FC
+        # checks, the convolutions.
         key = (xi, eta)
         hit = self._cache.get(key)
         if hit is not None:
@@ -129,13 +130,11 @@ class FusionRing:
 
     def _product_probe(self, xi, eta) -> dict:
         # Like _product_cached but never inserts into the cache: used where
-        # a product is read once, so caching it would only grow the cache
-        # (the axiom sweeps, whose key set grows cubically with the window;
-        # operator assembly; the window search of amenability_estimate and
-        # of the balls search; the factor products of a tensor product
-        # ring, which caches the products themselves).  Labels must
-        # already be known good.  A rule's dict without zeros is returned
-        # as is, so callers must not mutate the result.
+        # a product is read once (verify_axioms, operator assembly, the
+        # window search of amenability_estimate and of the balls search,
+        # the factors of a tensor product ring, which caches the products
+        # itself).  A rule's dict without zeros is returned as is, so
+        # callers must not mutate the result.
         hit = self._cache.get((xi, eta))
         if hit is not None:
             return hit
@@ -156,7 +155,11 @@ class FusionRing:
 
     def sigma(self, xi):
         """The basis weight sigma(xi) = d(xi)**2."""
-        d = self.dim(xi)
+        self.check_label(xi)
+        return self._sigma(xi)
+
+    def _sigma(self, xi):
+        d = self._dim_rule(xi)
         return d * d
 
 
@@ -188,11 +191,11 @@ class Element:
 
     @classmethod
     def _trusted(cls, ring: FusionRing, coeffs: dict) -> "Element":
-        # an element of checked labels and nonzero coefficients, built
-        # without checking them again
+        # an element of checked labels, built without checking them again;
+        # zero coefficients are dropped
         element = object.__new__(cls)
         element.ring = ring
-        element.coeffs = coeffs
+        element.coeffs = {l: v for l, v in coeffs.items() if v != 0}
         return element
 
     @property
@@ -213,30 +216,30 @@ class Element:
     def __hash__(self):
         return hash((id(self.ring), frozenset(self.coeffs.items())))
 
+    def _fold(self, base: dict, other: dict, op) -> "Element":
+        # +, -, negation and scaling: base with other folded in by op
+        out = dict(base)
+        for label, value in other.items():
+            out[label] = op(out.get(label, 0), value)
+        return Element._trusted(self.ring, out)
+
     def __add__(self, other):
         _check_same_ring(self, other)
-        out = dict(self.coeffs)
-        for label, value in other.coeffs.items():
-            out[label] = out.get(label, 0) + value
-        return Element(self.ring, out)
+        return self._fold(self.coeffs, other.coeffs, operator.add)
 
     def __sub__(self, other):
         _check_same_ring(self, other)
-        out = dict(self.coeffs)
-        for label, value in other.coeffs.items():
-            out[label] = out.get(label, 0) - value
-        return Element(self.ring, out)
+        return self._fold(self.coeffs, other.coeffs, operator.sub)
 
     def __neg__(self):
-        return Element(self.ring, {l: -v for l, v in self.coeffs.items()})
+        return self._fold({}, self.coeffs, operator.sub)
 
     def __mul__(self, other):
         if isinstance(other, Element):
             return multiply(self, other)
-        return Element(self.ring, {l: v * other for l, v in self.coeffs.items()})
+        return self._fold({}, self.coeffs, lambda _, v: v * other)
 
-    def __rmul__(self, scalar):
-        return Element(self.ring, {l: scalar * v for l, v in self.coeffs.items()})
+    __rmul__ = __mul__
 
     def __repr__(self):
         if not self.coeffs:
@@ -279,13 +282,13 @@ def multiply(x: Element, y: Element) -> Element:
             ab = a * b
             for alpha, n in ring._product_cached(xi, eta).items():
                 out[alpha] = out.get(alpha, 0) + ab * n
-    return Element(ring, out)
+    return Element._trusted(ring, out)
 
 
 def conjugate_element(x: Element) -> Element:
     """The involution: the coefficient at alpha moves to conj(alpha)."""
-    ring = x.ring
-    return Element(ring, {ring.conj(l): v for l, v in x.coeffs.items()})
+    conj = x.ring._conjugate_rule
+    return Element._trusted(x.ring, {conj(l): v for l, v in x.coeffs.items()})
 
 
 def natural_trace(x: Element):
@@ -303,7 +306,7 @@ def convolve(f: Element, g: Element) -> Element:
     """
     _check_same_ring(f, g)
     ring = f.ring
-    dim = ring.dim
+    dim = ring._dim_rule
     out: dict = {}
     for xi, a in f.coeffs.items():
         dxi = dim(xi)
@@ -311,7 +314,7 @@ def convolve(f: Element, g: Element) -> Element:
             w = (a * b) / (dxi * dim(eta))
             for alpha, n in ring._product_cached(xi, eta).items():
                 out[alpha] = out.get(alpha, 0) + w * n * dim(alpha)
-    return Element(ring, out)
+    return Element._trusted(ring, out)
 
 
 def subset_weight(ring: FusionRing, labels: Iterable):
@@ -326,7 +329,7 @@ def subset_weight(ring: FusionRing, labels: Iterable):
 
 def _weight(ring: FusionRing, labels) -> object:
     # subset_weight of distinct labels that are known good
-    sigmas = [d * d for d in map(ring._dim_rule, labels)]
+    sigmas = list(map(ring._sigma, labels))
     if any(isinstance(s, float) for s in sigmas):
         return math.fsum(sigmas)
     return sum(sigmas)
@@ -347,9 +350,12 @@ class ProbMeasure:
     def __init__(self, ring: FusionRing, weights: Mapping | Iterable):
         self._set(ring, _checked_items(ring, weights))
 
+    @classmethod
+    def _trusted(cls, ring: FusionRing, weights: dict) -> "ProbMeasure":
+        # the measure of a dict of checked labels; only its weights are checked
+        return object.__new__(cls)._set(ring, weights)
+
     def _set(self, ring: FusionRing, weights: dict) -> None:
-        # the measure of a dict whose labels are checked; its weights are
-        # checked here
         clean = {}
         for label, w in weights.items():
             try:
@@ -371,6 +377,7 @@ class ProbMeasure:
         conj = ring._conjugate_rule
         self.symmetric = all(
             clean.get(conj(label)) == w for label, w in clean.items())
+        return self
 
     @property
     def support(self):
@@ -386,7 +393,7 @@ class ProbMeasure:
         return sorted(self.weights.items())
 
     def as_element(self) -> Element:
-        return Element(self.ring, dict(self.weights))
+        return Element._trusted(self.ring, self.weights)
 
     def __repr__(self):
         fmt = self.ring.format_label
@@ -403,9 +410,7 @@ class ProbMeasure:
         labels = sorted(set(ring.check_labels(labels)))
         if not labels:
             raise InvalidParam("uniform measure needs non-empty support")
-        measure = object.__new__(ProbMeasure)
-        measure._set(ring, dict.fromkeys(labels, 1.0 / len(labels)))
-        return measure
+        return ProbMeasure._trusted(ring, dict.fromkeys(labels, 1.0 / len(labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +472,7 @@ def _finite(d) -> bool:
     return isinstance(d, (int, Fraction)) or math.isfinite(d)
 
 
-def _frobenius_counterexample(ring, labels, conj):
+def _frobenius_counterexample(ring, labels, conj, probe):
     """The first window triple (xi, eta, alpha) violating Frobenius
     reciprocity, as a message, or None.
 
@@ -475,12 +480,10 @@ def _frobenius_counterexample(ring, labels, conj):
     N(xi_i, eta_j -> alpha_k), N(conj xi_i, alpha_k -> eta_j) and
     N(alpha_k, conj eta_j -> xi_i); a triple fails where the second or the
     third disagrees with the first.  The second map is dropped before the
-    third is built.  The window products are in the product cache, where
-    ``_product_probe`` reads them.
+    third is built.
     """
     n = len(labels)
     index = {label: i for i, label in enumerate(labels)}
-    probe = ring._product_probe
 
     def first_mismatch(other):
         return min((key for entries in (direct, other) for key in entries
@@ -610,7 +613,7 @@ def _product_csr(probe, left, right, columns: dict, width: int):
             np.cumsum(np.concatenate(counts), dtype=np.int32))
 
 
-def _associativity_counterexample(ring, labels):
+def _associativity_counterexample(ring, labels, probe):
     """The first window triple with (xi*eta)*zeta != xi*(eta*zeta), as a
     message, or None.
 
@@ -623,12 +626,10 @@ def _associativity_counterexample(ring, labels):
     beta form its row group.  A block keeps the groups of the betas that
     the next block needs, re-indexed to the next block's gamma, and reads
     the other groups in one batch, in B order; nothing else outlives a
-    block.  The window products are in the product cache, where
-    ``_product_probe`` reads them.
+    block.
     """
     n = len(labels)
     fmt = ring.format_label
-    probe = ring._product_probe
     b_labels = list(dict.fromkeys(_chain(itertools.starmap(
         probe, itertools.product(labels, labels)))))
     width = len(b_labels)
@@ -706,10 +707,12 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     the dimension bound
     (N(xi,eta->alpha) > 0 implies d(alpha) d(eta) >= d(xi)).  The report
     names the window; nothing is claimed beyond it.  A failing check names
-    the first failing label, pair or triple in window order.
+    the first failing label, pair or triple in window order.  A label a
+    rule returns outside the window is checked once.
 
     Cost, for a window of n labels whose products have at most s terms:
-    the n**2 window products are probed once and cached.  Frobenius
+    the n**2 window products are probed once into a table that every
+    check reads, and nothing is cached.  Frobenius
     reciprocity runs over the nonzero entries of three product tables, in
     O(n**2 * s).  Associativity takes one block of sparse integer matrix
     products per first factor xi, where B is the union of the supports of
@@ -754,11 +757,20 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     prods: dict = {}
     for x in labels:
         for y in labels:
-            prods[(x, y)] = ring._product_cached(x, y)
+            prods[(x, y)] = ring._product_probe(x, y)
+
+    def probe(x, y):
+        p = prods.get((x, y))
+        return ring._product_probe(x, y) if p is None else p
 
     def dim_of(label):
-        d = dims.get(label)
-        return ring.dim(label) if d is None else d
+        # d of a label a rule returned, checked and read once
+        try:
+            return dims[label]
+        except (KeyError, TypeError):  # TypeError: unhashable
+            ring.check_label(label)
+            d = dims[label] = ring._dim_rule(label)
+            return d
 
     checks = []
 
@@ -784,12 +796,12 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
             if not _finite(dims[xi]):
                 bad = f"d({fmt(xi)}) = {dims[xi]} is not finite"
                 break
-            if ring.conj(xibar) != xi:
-                bad = f"conj(conj({fmt(xi)})) = {fmt(ring.conj(xibar))}"
+            dbar = dim_of(xibar)
+            if ring._conjugate_rule(xibar) != xi:
+                bad = f"conj(conj({fmt(xi)})) = {fmt(ring._conjugate_rule(xibar))}"
                 break
-            if dim_of(xibar) != dims[xi]:
-                bad = (f"d({fmt(xi)}) = {dims[xi]} but "
-                       f"d(conj) = {dim_of(xibar)}")
+            if dbar != dims[xi]:
+                bad = f"d({fmt(xi)}) = {dims[xi]} but d(conj) = {dbar}"
                 break
             if dims[xi] < 1:
                 bad = f"d({fmt(xi)}) = {dims[xi]} < 1"
@@ -809,7 +821,7 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
 
     # Frobenius reciprocity on window triples:
     # N(xi,eta->alpha) = N(conj xi, alpha -> eta) = N(alpha, conj eta -> xi)
-    bad = _frobenius_counterexample(ring, distinct, conj)
+    bad = _frobenius_counterexample(ring, distinct, conj, probe)
     checks.append(AxiomCheck("frobenius_reciprocity", bad is None, bad))
 
     # dimension multiplicativity: sum_alpha N*d(alpha) = d(xi)*d(eta)
@@ -827,7 +839,7 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     checks.append(AxiomCheck("dimension_multiplicativity", bad is None, bad))
 
     # associativity: (xi eta) zeta = xi (eta zeta) as coefficient maps
-    bad = _associativity_counterexample(ring, distinct)
+    bad = _associativity_counterexample(ring, distinct, probe)
     checks.append(AxiomCheck("associativity", bad is None, bad))
 
     # dimension bound: N(xi,eta->alpha) > 0 implies d(alpha)*d(eta) >= d(xi)

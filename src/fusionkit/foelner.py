@@ -79,7 +79,7 @@ class _Cut:
     def _effect(self, c) -> tuple:
         # (count of c once added, {alpha: pairs (xi, c) of alpha}, change
         # of the boundary weight) for adding c, which must lie outside F
-        ring, F, count, sigma = self.ring, self.F, self.count, self.ring.sigma
+        ring, F, count, sigma = self.ring, self.F, self.count, self.ring._sigma
         own = 0
         hits: dict = {}
         for xi, xibar in self._steps:
@@ -119,7 +119,7 @@ class _Cut:
             else:
                 count[alpha] = count.get(alpha, 0) + k
                 self.outer.add(alpha)
-        self.weight_F += self.ring.sigma(c)
+        self.weight_F += self.ring._sigma(c)
         self.weight_boundary += dw
 
 
@@ -360,7 +360,7 @@ def lp_sigma_norm(f: Element, r: int) -> float:
     ring = f.ring
     total = Fraction(0)
     for label, value in f.coeffs.items():
-        total += Fraction(ring.sigma(label)) * abs(Fraction(value)) ** r
+        total += Fraction(ring._sigma(label)) * abs(Fraction(value)) ** r
     return float(total) ** (1.0 / r)
 
 
@@ -370,7 +370,7 @@ def inner_sigma(f: Element, g: Element) -> float:
         raise RingMismatch("operands live over different rings")
     ring = f.ring
     small, large = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
-    return float(sum(ring.sigma(l) * v * large[l]
+    return float(sum(ring._sigma(l) * v * large[l]
                      for l, v in small.coeffs.items()))
 
 
@@ -420,8 +420,7 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
 
     Both strategies cache the products their cut reads.  When the window
     search of ``balls`` expands w, the cut has cached w * xi and
-    w * conj(xi) already; the products w * e, which nothing reads again,
-    are probed and not cached.
+    w * conj(xi) already, and these are all the search reads.
 
     The report equals ``fc3_check(ring, S, labels, eps)`` field for field.
     It is built from the boundary the cut had when the best ratio was
@@ -478,7 +477,7 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
             best_cand = best_ratio = None
             for cand in sorted(cut.outer):
                 ratio = (Fraction(w_b + cut.delta(cand))
-                         / Fraction(w_F + ring.sigma(cand)))
+                         / Fraction(w_F + ring._sigma(cand)))
                 if best_ratio is None or ratio < best_ratio:
                     best_cand, best_ratio = cand, ratio
             cut.add(best_cand)

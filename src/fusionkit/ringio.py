@@ -29,7 +29,7 @@ import os
 from typing import Mapping
 
 from . import catalog
-from .core import FusionRing, verify_axioms
+from .core import FusionRing
 from .errors import IncompleteTable, InvalidParam, InvalidTable
 
 PAIR_SEPARATOR = "|"
@@ -191,35 +191,25 @@ def table_ring_from_doc(doc: Mapping) -> FusionRing:
             if n:
                 clean[alpha] = n
         products[(a, b)] = clean
-    for a in labels:
-        for b in labels:
-            if (a, b) not in products:
-                raise IncompleteTable(f"missing product entry for '{a}{PAIR_SEPARATOR}{b}'")
 
     def product_rule(x, y):
+        # a missing entry raises when verify_axioms reads the window
+        # products, in label order
         entry = products.get((x, y))
         if entry is None:
             raise IncompleteTable(
                 f"missing product entry for '{x}{PAIR_SEPARATOR}{y}'")
         return entry
 
-    description = doc.get("description") or "table ring"
-    ring = FusionRing(
+    return catalog._verified_table_ring(FusionRing(
         unit=unit,
         product_rule=product_rule,
         conjugate_rule=lambda x: conj_map[x],
         dim_rule=lambda x: dims[x],
-        description=description,
+        description=doc.get("description") or "table ring",
         generators=tuple(l for l in labels if l != unit),
         is_label=is_label,
-    )
-    report = verify_axioms(ring, labels)
-    if not report.passed:
-        first = report.failures()[0]
-        raise InvalidTable(
-            f"table violates {first.name}: {first.counterexample}",
-            report=report)
-    return ring
+    ), labels)
 
 
 def export_table(ring: FusionRing, labels) -> dict:

@@ -130,8 +130,8 @@ class TruncationWindow:
 
 def build_window(ring: FusionRing, S: Iterable, radius: int,
                  cap: int = DEFAULT_WINDOW_CAP) -> TruncationWindow:
-    """Window spanned by products of at most ``radius`` factors from
-    S, conj(S) and the unit, closed under conjugation.
+    """Window spanned by the unit and the products of at most ``radius``
+    factors from S and conj(S), closed under conjugation.
 
     Discovery order is breadth-first with ties broken by label order, so
     windows are reproducible and nested across radii.  Raises
@@ -168,9 +168,11 @@ def _build_window(ring: FusionRing, S: set, radius: int, cap: int,
 def _bfs_levels(ring: FusionRing, S: set, cap: int, read):
     """Yield the labels first reached at breadth-first level 0, 1, 2, ...
 
-    Level 0 is the unit; level k adds the products of level k - 1 by S,
-    conj(S) and the unit, with their conjugates, in label order.  After
-    the first empty level the ring is exhausted and the generator ends.
+    Level 0 is the unit; level k adds the products of level k - 1 by S
+    and conj(S), but for the unit, with their conjugates, in label order
+    (w * e adds no label, by the unit law ``verify_axioms`` checks).
+    After the first empty level the ring is exhausted and the generator
+    ends.
     Raises BudgetExceeded as soon as the label count would exceed ``cap``,
     in the middle of a level.  S must be checked labels; every other label
     is a product of checked labels, so none is checked again.
@@ -180,7 +182,7 @@ def _bfs_levels(ring: FusionRing, S: set, cap: int, read):
     Both return the same products, so the levels do not depend on it.
     """
     conj = ring._conjugate_rule
-    steps = sorted(S | {conj(xi) for xi in S} | {ring.unit})
+    steps = sorted((S | {conj(xi) for xi in S}) - {ring.unit})
     seen = {ring.unit}
     frontier = [ring.unit]
     yield frontier
@@ -255,8 +257,8 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
     addition, so either way the matrix is the same to the bit.
 
     Each product is read once, so it is probed rather than cached; every
-    label here was checked when the window, measure or element was built
-    (l_operator checks xi).
+    label here was checked when the window, measure or element was built,
+    so none is checked again.
     """
     if window.ring is not ring:
         raise RingMismatch("window belongs to a different ring")
@@ -273,7 +275,7 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
         if xi in paired:
             continue
         a = c.numerator * (D // c.denominator)
-        xibar = ring.conj(xi) if selfadjoint else xi
+        xibar = ring._conjugate_rule(xi) if selfadjoint else xi
         pair = xibar != xi and coefficient.get(xibar) == c
         if pair:
             paired.add(xibar)
@@ -303,8 +305,7 @@ def l_operator(ring: FusionRing, xi, window: TruncationWindow) -> CompressedOper
     equals the matrix of l applied to conj(xi) on any conjugation-closed
     window, entry for entry.
     """
-    return _compress(ring, [(xi, 1 / Fraction(ring.dim(xi)))], window,
-                     selfadjoint=(ring.conj(xi) == xi))
+    return l_measure_operator(ring, ProbMeasure.delta(ring, xi), window)
 
 
 def l_measure_operator(ring: FusionRing, mu: ProbMeasure,
@@ -319,7 +320,7 @@ def l_measure_operator(ring: FusionRing, mu: ProbMeasure,
     """
     if mu.ring is not ring:
         raise RingMismatch("measure belongs to a different ring")
-    terms = [(xi, Fraction(weight) / Fraction(ring.dim(xi)))
+    terms = [(xi, Fraction(weight) / Fraction(ring._dim_rule(xi)))
              for xi, weight in mu.sorted_items()]
     return _compress(ring, terms, window, selfadjoint=mu.symmetric)
 
@@ -338,40 +339,31 @@ def gns_operator(ring: FusionRing, x: Element, window: TruncationWindow) -> Comp
                      selfadjoint=(conjugate_element(x) == x))
 
 
-def _apply(ring: FusionRing, xi, f: Element, left: bool) -> Element:
-    # right: eta in supp(alpha * conj xi), reading N(eta, xi -> alpha);
-    # left: eta in supp(xi * alpha), reading N(conj xi, eta -> alpha)
-    ring.check_label(xi)
-    if f.ring is not ring:
-        raise RingMismatch("function belongs to a different ring")
-    xibar = ring.conj(xi)
-    candidates = set()
-    for alpha in f.support:
-        candidates.update(ring._product_cached(xi, alpha) if left
-                          else ring._product_cached(alpha, xibar))
-    dxi = ring.dim(xi)
-    # each sum reads only supp(p) within supp(f), in the order of f's
-    # coefficients, so its float additions match a scan over all of f
-    position = {alpha: i for i, alpha in enumerate(f.coeffs)}
-    out: dict = {}
-    for eta in candidates:
-        p = ring._product_cached(xibar, eta) if left else ring._product_cached(eta, xi)
-        s = 0.0
-        for alpha in sorted((a for a in p if a in position), key=position.__getitem__):
-            s += f.coeffs[alpha] * p[alpha] * ring.dim(alpha)
-        if s:
-            out[eta] = s / (ring.dim(eta) * dxi)
-    return Element(ring, out)
-
-
-def _measure_apply(ring: FusionRing, mu: ProbMeasure, f: Element,
-                   left: bool) -> Element:
+def _apply(ring: FusionRing, mu: ProbMeasure, f: Element, left: bool) -> Element:
+    # rho_mu(f), or lambda_mu(f) when left: for each xi in supp(mu), eta
+    # runs over supp(alpha * conj xi) (supp(xi * alpha)), and each sum reads
+    # supp(p) within supp(f) in the order of f's coefficients, so its float
+    # additions match a scan over all of f
     if mu.ring is not ring or f.ring is not ring:
         raise RingMismatch("measure/function belong to a different ring")
-    out = Element(ring, {})
-    for xi, weight in mu.sorted_items():
-        out = out + weight * _apply(ring, xi, f, left)
-    return out
+    dim, read = ring._dim_rule, ring._product_cached
+    position = {alpha: i for i, alpha in enumerate(f.coeffs)}
+    out: dict = {}
+    for xi, w in mu.sorted_items():
+        xibar = ring._conjugate_rule(xi)
+        candidates = set()
+        for alpha in f.support:
+            candidates.update(read(xi, alpha) if left else read(alpha, xibar))
+        dxi = dim(xi)
+        for eta in candidates:
+            p = read(xibar, eta) if left else read(eta, xi)
+            s = 0.0
+            for alpha in sorted((a for a in p if a in position),
+                                key=position.__getitem__):
+                s += f.coeffs[alpha] * p[alpha] * dim(alpha)
+            if s:
+                out[eta] = out.get(eta, 0) + w * (s / (dim(eta) * dxi))
+    return Element._trusted(ring, out)
 
 
 def rho1_operator_apply(ring: FusionRing, xi, f: Element) -> Element:
@@ -383,12 +375,12 @@ def rho1_operator_apply(ring: FusionRing, xi, f: Element) -> Element:
     Frobenius reciprocity (eta ranges over products of supp(f) with
     conj(xi)).
     """
-    return _apply(ring, xi, f, left=False)
+    return _apply(ring, ProbMeasure.delta(ring, xi), f, left=False)
 
 
 def rho_measure_apply(ring: FusionRing, mu: ProbMeasure, f: Element) -> Element:
     """rho_mu(f) = sum_omega mu(omega) rho_omega(f)."""
-    return _measure_apply(ring, mu, f, left=False)
+    return _apply(ring, mu, f, left=False)
 
 
 def lambda_operator_apply(ring: FusionRing, xi, f: Element) -> Element:
@@ -399,12 +391,12 @@ def lambda_operator_apply(ring: FusionRing, xi, f: Element) -> Element:
     Used for cross-checking the compressed matrices against the weighted
     picture; the two are intertwined by the rescaling unitary.
     """
-    return _apply(ring, xi, f, left=True)
+    return _apply(ring, ProbMeasure.delta(ring, xi), f, left=True)
 
 
 def lambda_measure_apply(ring: FusionRing, mu: ProbMeasure, f: Element) -> Element:
     """lambda_mu(f) = sum_xi mu(xi) lambda_xi(f)."""
-    return _measure_apply(ring, mu, f, left=True)
+    return _apply(ring, mu, f, left=True)
 
 
 @dataclass(frozen=True)
@@ -422,8 +414,10 @@ def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9) -> SpectralEstimat
     accuracy ``tol``.
 
     Windows of dimension at most 512 use a dense symmetric eigensolve.
-    Larger ones use thick-restart Lanczos (``_lanczos_top``) from the
-    deterministic uniform start vector; ``iterations`` counts its matvecs.
+    Larger ones use thick-restart Lanczos (``_lanczos_top``) from a
+    deterministic start vector; ``iterations`` counts its matvecs.  The
+    value is the top one when no entry is negative; otherwise it misses
+    the top only with probability zero (see ``_lanczos_top``).
     The search stops when its residual estimate falls below tol/2, when it
     finds an invariant subspace, or after 10 n matvecs.  The Ritz pair
     (theta, x) it returns is accepted when ||Mx - theta x||, recomputed
@@ -455,9 +449,14 @@ def _lanczos_top(M, tol: float) -> tuple:
     M, x a unit vector, by thick-restart Lanczos (Wu & Simon, SIAM J.
     Matrix Anal. Appl. 22, 2000), and the number of products M v made.
 
-    The orthonormal basis V starts from the uniform vector and grows by
-    one vector per matvec, orthogonalized against all of V by two passes
-    of classical Gram-Schmidt; T = V^T M V is kept from the coefficients.
+    The orthonormal basis V starts from the uniform vector when M has no
+    negative entry, since by Perron-Frobenius it then overlaps the top
+    eigenspace.  A signed M can have it orthogonal to the top (it spans the
+    kernel of 2 - g - g^-1 on a cycle), so there V starts from a seed-0
+    standard normal draw, which misses a given eigenspace with probability
+    zero.  V grows by one vector per matvec, orthogonalized against all of
+    V by two passes of classical Gram-Schmidt; T = V^T M V is kept from
+    the coefficients.
     With w the orthogonalized M v_j and beta = ||w||, the Ritz pair
     (theta, V y) of an eigenpair (theta, y) of T has residual beta |y_j|.
     When the basis is full it is replaced by the top _LANCZOS_KEEP Ritz
@@ -480,6 +479,9 @@ def _lanczos_top(M, tol: float) -> tuple:
     V = np.empty((_LANCZOS_BASIS, n))
     T = np.zeros((_LANCZOS_BASIS, _LANCZOS_BASIS))
     V[0] = 1.0 / math.sqrt(n)
+    if M.min() < 0:
+        V[0] = np.random.default_rng(0).standard_normal(n)
+        V[0] /= np.linalg.norm(V[0])
     norm_T = 0.0
     restarted = False
     j = matvecs = 0

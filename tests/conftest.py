@@ -1,5 +1,13 @@
 from __future__ import annotations
 
+import os
+
+# one BLAS thread, set before numpy is first imported: the Lanczos search
+# makes many small BLAS calls, and a thread pool's hand-offs slow them
+# down several times over on a busy host
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import random
 from fractions import Fraction
 

@@ -83,6 +83,19 @@ class TestGroupRings:
         with pytest.raises(fk.InvalidTable):
             fk.group_ring_from_table(labels, bad)
 
+    def test_failing_table_names_the_axiom(self):
+        # closed, with an identity and two-sided inverses, but a*a = b*b = b:
+        # verify_axioms finds N(a,a->b) = 1 but N(conj a,b->a) = 0
+        labels = ["e", "a", "b"]
+        table = {("e", x): x for x in labels} | {(x, "e"): x for x in labels}
+        table |= {("a", "a"): "b", ("a", "b"): "e", ("b", "a"): "e",
+                  ("b", "b"): "b"}
+        with pytest.raises(fk.InvalidTable,
+                           match="^table violates frobenius_reciprocity: ") as info:
+            fk.group_ring_from_table(labels, table)
+        assert [c.name for c in info.value.report.failures()][0] == \
+            "frobenius_reciprocity"
+
 
 class TestSu2Family:
     def test_clebsch_gordan_square(self, su2):

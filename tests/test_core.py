@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
-from conftest import (fibonacci_ring, label_counting_ring, pool_for,
-                      random_integer_function, random_real_function)
+from conftest import (counting_ring, fibonacci_ring, label_counting_ring,
+                      pool_for, random_integer_function, random_real_function)
 
 from oracles import direct_associativity, direct_frobenius, su2_product_oracle
 
@@ -239,6 +239,47 @@ class TestVerifyAxioms:
         window = fk.build_window(f2, f2.generators, 3)
         assert fk.verify_axioms(f2, window).passed
 
+    @pytest.mark.parametrize("name", ["su2", "f2", "su2xz3"])
+    def test_checks_each_label_at_most_twice(self, name):
+        # the window labels at the door, and each label a rule returns
+        # once (checking every read of a rule output asked 5,262 times
+        # for the 61 labels of SU(2) radius 30)
+        base, radius = {"su2": (fk.build_su2_ring(), 30),
+                        "f2": (fk.free_group_ring(2), 2),
+                        "su2xz3": (fk.tensor_product(fk.build_su2_ring(),
+                                                     fk.cyclic_ring(3)), 3)}[name]
+        ring, asked = label_counting_ring(base)
+        window = fk.build_window(base, base.generators, radius)
+        assert fk.verify_axioms(ring, window).passed
+        assert asked[:len(window)] == list(window.labels)
+        assert max(collections.Counter(asked).values()) <= 2
+        if name == "su2":
+            assert sorted(asked) == list(range(61))
+
+    def test_leaves_the_product_cache_as_it_found_it(self, su2):
+        ring, calls = counting_ring(su2)
+        window = fk.build_window(ring, (1,), 10)
+        cached = dict(ring._cache)
+        assert fk.verify_axioms(ring, window).passed
+        assert ring._cache == cached
+
+    @pytest.mark.parametrize("conj, bad_term", [
+        ({1: 5}, None), ({1: [1]}, None), ({}, 3)])
+    def test_rule_returning_a_non_label_raises(self, conj, bad_term):
+        # Z/3 rules on the labels 0..2, with conj(1) or the term of 1*2
+        # moved off the labels
+        def product_rule(x, y):
+            if bad_term is not None and (x, y) == (1, 2):
+                return {bad_term: 1}
+            return {(x + y) % 3: 1}
+
+        ring = fk.FusionRing(unit=0, product_rule=product_rule,
+                             conjugate_rule=lambda x: conj.get(x, -x % 3),
+                             dim_rule=lambda x: 1,
+                             is_label=lambda x: x in (0, 1, 2))
+        with pytest.raises(fk.InvalidLabel):
+            fk.verify_axioms(ring, [0, 1, 2])
+
     def test_broken_involution_reported(self):
         ring = fk.FusionRing(
             unit=0,
@@ -344,8 +385,10 @@ class TestVerifyAxioms:
         calls.clear()
         assert fk.verify_axioms(ring, window).passed
         # the n**3 triple loop made 162,101 rule evaluations here, and
-        # blocks that re-read their second-stage products 16,246
-        assert len(calls) == 2_761
+        # blocks that re-read their second-stage products 16,246; 30 of
+        # the 2,791 are the products w * e (w < 30), which the window
+        # search no longer reads
+        assert len(calls) == 2_791
 
     @pytest.mark.parametrize("name", ["su2", "dsu2"])
     def test_radius_30_reads_each_product_once(self, name):
@@ -478,6 +521,22 @@ class TestElementBasics:
         assert (x + y).coeffs == {3: 1}
         assert (x - x).coeffs == {}
         assert (2 * x).coeffs == {1: 4}
+
+    def test_arithmetic_asks_no_label_rule(self, su2):
+        # operands were checked when they were built, and so were the
+        # labels read off their products: no result is checked again
+        ring, asked = label_counting_ring(su2)
+        x = fk.Element(ring, {1: 2, 2: 1})
+        y = fk.Element(ring, {1: -2, 3: 1})
+        del asked[:]
+        results = [x + y, x - y, -x, x * 3, 0.5 * x, x * y,
+                   fk.convolve(x, y), fk.conjugate_element(y),
+                   fk.ProbMeasure.uniform(ring, [0]).as_element()]
+        assert asked == [0]  # the one door of uniform
+        assert [r.coeffs for r in results[:5]] == [
+            {2: 1, 3: 1}, {1: 4, 2: 1, 3: -1}, {1: -2, 2: -1},
+            {1: 6, 2: 3}, {1: 1.0, 2: 0.5}]
+        assert results[5].coeffs == {0: -4, 1: -1, 2: -2, 3: -1, 4: 2, 5: 1}
 
 
 class PairMapping(collections.abc.Mapping):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
-from conftest import (counting_ring, fibonacci_ring, pool_for,
-                      random_symmetric_measure)
+from conftest import (counting_ring, fibonacci_ring, label_counting_ring,
+                      pool_for, random_symmetric_measure)
 from fusionkit.foelner import _Cut
 
 from oracles import (brute_boundary, direct_boundary, direct_dirichlet,
@@ -417,15 +417,15 @@ class TestSearchPins:
 
     def test_z2_balls_products(self):
         # the cut caches c * xi and c * conj(xi) for every label c it adds,
-        # which the window search reads again; the search probes the
-        # 3,121 products w * e (w in the balls of radius 39) and caches none
+        # which are all the products the window search reads: it has no
+        # unit step, so it probes no product the cut did not cache
         ring, calls = counting_ring(fk.integer_lattice_ring(2))
         result = fk.foelner_search(ring, ring.generators, 0.1, strategy="balls",
                                    budget=4000)
         assert (result.found, len(result.labels)) == (True, 3281)
-        assert len(calls) == 16_569
+        assert len(calls) == 13_448
         assert len(ring._cache) == 13_448
-        assert len(calls) - len(ring._cache) == 2 * 39 * 39 + 2 * 39 + 1
+        assert len(calls) - len(ring._cache) == 0
 
     def test_deformed_balls_curve(self, dsu2):
         # balls are the intervals [0, r] with boundary {r, r + 1}; the
@@ -485,6 +485,38 @@ def bits(value):
 def assert_report_equal(got, want):
     for f in dataclasses.fields(fk.FoelnerReport):
         assert bits(getattr(got, f.name)) == bits(getattr(want, f.name)), f.name
+
+
+class TestLabelsCheckedOnce:
+    # a label is checked where it enters the public API; the labels read
+    # off products of checked labels are not checked again
+
+    def test_z2_balls_search(self):
+        # S at the door; reading sigma through the checking
+        # FusionRing.sigma asked 16,411 times
+        ring, asked = label_counting_ring(fk.integer_lattice_ring(2))
+        result = fk.foelner_search(ring, ring.generators, 0.1, strategy="balls",
+                                   budget=4000)
+        assert (result.found, len(result.labels)) == (True, 3281)
+        assert sorted(asked) == sorted(ring.generators)
+
+    def test_fc3_on_a_ball(self, z2):
+        # 4 + 1,861 door checks (9,676 asks with a checking sigma)
+        ring, asked = label_counting_ring(z2)
+        ball = fk.build_window(z2, z2.generators, 30).labels
+        assert fk.fc3_check(ring, ring.generators, ball, 0.5).satisfied
+        assert asked == [*ring.generators, *ball]
+
+    def test_fc1_on_an_interval(self, su2):
+        # the 401 labels of F at the door (2,404 asks with a checking
+        # sigma)
+        ring, asked = label_counting_ring(su2)
+        mu = fk.measure_from_decomposition(ring, {0: 1, 1: 1})
+        assert asked == [0, 1]
+        del asked[:]
+        report = fk.fc1_check(ring, mu, range(401), 0.05)
+        assert report.satisfied and report.extra["support_identity_holds"]
+        assert asked == list(range(401))
 
 
 class TestSearchReport:

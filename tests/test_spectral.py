@@ -13,8 +13,8 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
-from conftest import (counting_ring, fibonacci_ring, pool_for,
-                      random_symmetric_measure)
+from conftest import (counting_ring, fibonacci_ring, label_counting_ring,
+                      pool_for, random_symmetric_measure)
 
 from oracles import (direct_apply, direct_compress, direct_window,
                      lattice_ball_top_eigenvalue)
@@ -146,7 +146,8 @@ class TestWindowOracle:
         # a symmetric measure reads one label of each conjugate pair: the
         # products A*eta and B*eta, not a*eta and b*eta as well (5,808
         # evaluations); the products A*t and B*t of the window's search are
-        # cached already
+        # cached already, but for A*e and B*e, which the search no longer
+        # reads
         base = fk.free_group_ring(2)
         rule_calls = []
 
@@ -161,7 +162,7 @@ class TestWindowOracle:
         mu = fk.ProbMeasure.uniform(ring, base.generators)
         del rule_calls[:]
         op = fk.l_measure_operator(ring, mu, window)
-        assert len(rule_calls) == 2_904
+        assert len(rule_calls) == 2_906
         assert {u for u, _ in rule_calls} == {"A", "B"}
         assert_bitwise_equal(op.matrix, direct_compress(
             ring, [(x, Fraction(w) / Fraction(ring.dim(x)))
@@ -465,6 +466,20 @@ class TestRhoApply:
                 want = want + weight * fk.Element(ring, direct_apply(ring, xi, f, left))
             assert hex_map(apply(ring, mu, f).coeffs) == hex_map(want.coeffs)
 
+    def test_measure_apply_asks_no_label_rule(self):
+        # supp(mu) and supp(f) were checked when they were built; the
+        # labels read off their products are not checked again (building
+        # the results through the checking constructor asked 34,984 times)
+        ring, asked = label_counting_ring(fk.free_group_ring(2))
+        f = fk.indicator(ring, fk.build_window(ring, ring.generators, 6))
+        mu = fk.ProbMeasure.uniform(ring, ring.generators)
+        del asked[:]
+        for apply in (fk.rho_measure_apply, fk.lambda_measure_apply):
+            assert len(apply(ring, mu, f).coeffs) == 4373
+        assert asked == []
+        fk.rho1_operator_apply(ring, "a", f)
+        assert asked == ["a"]
+
 
 #: ring, radius and size of a window just above the dense limit, for the
 #: uniform measure on the ring's generators (delta_1 on the SU(2) rules)
@@ -530,6 +545,18 @@ class TestTopEigenvalue:
         est = fk.top_eigenvalue(above_limit_operator("z30xz30"))
         assert est.iterations == 1
         assert est.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_signed_operator_finds_the_top_past_the_uniform_kernel(self):
+        # 2e - g - g^-1 on Z/1000 has eigenvalues 2 - 2 cos(2 pi k / 1000),
+        # top 4 at k = 500; the uniform vector spans its kernel, so a
+        # uniform start would stop at 0 after one matvec
+        ring = fk.cyclic_ring(1000)
+        window = fk.build_window(ring, {1}, 500)
+        assert len(window) == 1000
+        x = fk.Element(ring, {0: 2, 1: -1, 999: -1})
+        est = fk.top_eigenvalue(fk.gns_operator(ring, x, window))
+        assert est.method == "lanczos" and est.residual < 1e-9
+        assert est.value == pytest.approx(4.0, abs=1e-9)
 
     def test_rounding_level_beta_ends_the_search(self):
         # the uniform vector spans a 2-dimensional Krylov space of this
