@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -224,11 +225,15 @@ class Element:
         return Element._trusted(self.ring, out)
 
     def __add__(self, other):
-        _check_same_ring(self, other)
+        if not isinstance(other, Element):
+            return NotImplemented
+        _over(self.ring, other, Element, "operand")
         return self._fold(self.coeffs, other.coeffs, operator.add)
 
     def __sub__(self, other):
-        _check_same_ring(self, other)
+        if not isinstance(other, Element):
+            return NotImplemented
+        _over(self.ring, other, Element, "operand")
         return self._fold(self.coeffs, other.coeffs, operator.sub)
 
     def __neg__(self):
@@ -237,6 +242,8 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             return multiply(self, other)
+        if not isinstance(other, numbers.Number):
+            return NotImplemented
         return self._fold({}, self.coeffs, lambda _, v: v * other)
 
     __rmul__ = __mul__
@@ -257,11 +264,23 @@ def _checked_items(ring: FusionRing, coeffs: Mapping | Iterable) -> dict:
     return dict(pairs)
 
 
-def _check_same_ring(x, y) -> None:
-    if x.ring is not y.ring:
-        raise RingMismatch(
-            f"operands live over different rings: "
-            f"{x.ring.description!r} vs {y.ring.description!r}")
+def _over(ring: FusionRing | None, value, kind: type, what: str):
+    """``value``, checked as a ``kind`` over ``ring`` (any ring if None):
+    InvalidParam when it is no ``kind``, RingMismatch when it belongs to
+    another ring.  The one check of every ring-bound argument."""
+    if not isinstance(value, kind):
+        raise InvalidParam(
+            f"{what} must be a {kind.__name__}, not {type(value).__name__}")
+    if ring is not None and value.ring is not ring:
+        raise RingMismatch(f"{what} belongs to {value.ring.description!r}, "
+                           f"not to {ring.description!r}")
+    return value
+
+
+def _exact_dim(ring: FusionRing, label):
+    # d(label) exactly: an int as it is, a float (or any other) as a Fraction
+    d = ring._dim_rule(label)
+    return d if isinstance(d, int) else Fraction(d)
 
 
 def indicator(ring: FusionRing, labels: Iterable) -> Element:
@@ -274,8 +293,8 @@ def multiply(x: Element, y: Element) -> Element:
 
     Exact integer arithmetic whenever both inputs have integer coefficients.
     """
-    _check_same_ring(x, y)
-    ring = x.ring
+    ring = _over(None, x, Element, "x").ring
+    _over(ring, y, Element, "y")
     out: dict = {}
     for xi, a in x.coeffs.items():
         for eta, b in y.coeffs.items():
@@ -287,13 +306,13 @@ def multiply(x: Element, y: Element) -> Element:
 
 def conjugate_element(x: Element) -> Element:
     """The involution: the coefficient at alpha moves to conj(alpha)."""
-    conj = x.ring._conjugate_rule
+    conj = _over(None, x, Element, "x").ring._conjugate_rule
     return Element._trusted(x.ring, {conj(l): v for l, v in x.coeffs.items()})
 
 
 def natural_trace(x: Element):
     """The natural trace: the coefficient at the unit label (0 if absent)."""
-    return x.coeffs.get(x.ring.unit, 0)
+    return _over(None, x, Element, "x").coeffs.get(x.ring.unit, 0)
 
 
 def convolve(f: Element, g: Element) -> Element:
@@ -303,17 +322,20 @@ def convolve(f: Element, g: Element) -> Element:
         delta_xi * delta_eta = sum_alpha d(alpha)/(d(xi) d(eta)) * N(xi,eta->alpha) delta_alpha,
     extended bilinearly.  Probability measures convolve to probability
     measures (up to roundoff), and the plain l1 norm is submultiplicative.
+    Dimensions are read exactly (``_exact_dim``): float coefficients give
+    the floats of float arithmetic, and Fraction coefficients exact
+    rationals, on float dimensions too.
     """
-    _check_same_ring(f, g)
-    ring = f.ring
-    dim = ring._dim_rule
+    ring = _over(None, f, Element, "f").ring
+    _over(ring, g, Element, "g")
     out: dict = {}
     for xi, a in f.coeffs.items():
-        dxi = dim(xi)
+        dxi = _exact_dim(ring, xi)
         for eta, b in g.coeffs.items():
-            w = (a * b) / (dxi * dim(eta))
+            w = (a * b) / (dxi * _exact_dim(ring, eta))
             for alpha, n in ring._product_cached(xi, eta).items():
-                out[alpha] = out.get(alpha, 0) + w * n * dim(alpha)
+                out[alpha] = (out.get(alpha, 0)
+                              + w * n * _exact_dim(ring, alpha))
     return Element._trusted(ring, out)
 
 
@@ -708,7 +730,8 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     (N(xi,eta->alpha) > 0 implies d(alpha) d(eta) >= d(xi)).  The report
     names the window; nothing is claimed beyond it.  A failing check names
     the first failing label, pair or triple in window order.  A label a
-    rule returns outside the window is checked once.
+    rule returns outside the window is checked once, and every conjugate
+    before any axiom reads it.
 
     Cost, for a window of n labels whose products have at most s terms:
     the n**2 window products are probed once into a table that every
@@ -772,6 +795,8 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
             d = dims[label] = ring._dim_rule(label)
             return d
 
+    for xibar in conj.values():
+        dim_of(xibar)  # every conjugate is checked before an axiom reads it
     checks = []
 
     # unit law: e*xi = xi*e = {xi: 1}

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import Element, FusionRing, ProbMeasure, _weight
+from .core import (Element, FusionRing, ProbMeasure, _exact_dim, _over,
+                   _weight, convolve)
 from .errors import (BudgetExceeded, EmptySet, InvalidParam,
-                     MeasureMissingUnit, NonSymmetricMeasure, RingMismatch,
-                     ZeroFunction, count, positive)
+                     MeasureMissingUnit, NonSymmetricMeasure, ZeroFunction,
+                     count, positive)
 from .spectral import _bfs_levels
 
 
@@ -216,9 +217,7 @@ def fc1_check(ring: FusionRing, mu: ProbMeasure, F: Iterable, eps: float) -> Foe
     for S = supp(mu).
     """
     eps = positive(eps, "epsilon")
-    if mu.ring is not ring:
-        raise RingMismatch("measure belongs to a different ring")
-    if not mu.symmetric:
+    if not _over(ring, mu, ProbMeasure, "mu").symmetric:
         raise NonSymmetricMeasure("FC1 requires a symmetric measure")
     if ring.unit not in mu.support:
         raise MeasureMissingUnit("FC1 requires the unit in supp(mu)")
@@ -252,18 +251,14 @@ def _fc2_value(ring: FusionRing, xi, F: set) -> Fraction:
     # expansion over the pairs that cross the cut:
     #   sum_{alpha not in F} sum_{eta in F}
     #       d(eta) d(alpha) / d(xi) * (N(eta,conj xi->alpha) + N(eta,xi->alpha))
-    def exact_dim(label):
-        d = ring._dim_rule(label)
-        return d if isinstance(d, int) else Fraction(d)
-
     xibar = ring._conjugate_rule(xi)
     total = 0
     for eta in F:
-        deta = exact_dim(eta)
+        deta = _exact_dim(ring, eta)
         for p in (ring._product_cached(eta, xibar), ring._product_cached(eta, xi)):
             for alpha, n in p.items():
                 if alpha not in F:
-                    total += deta * exact_dim(alpha) * n
+                    total += deta * _exact_dim(ring, alpha) * n
     return Fraction(total) / Fraction(ring._dim_rule(xi))
 
 
@@ -299,30 +294,22 @@ def transition_kernel(ring: FusionRing, mu: ProbMeasure, xi, eta) -> float:
 
 
 def transition_kernel_exact(ring: FusionRing, mu: ProbMeasure, xi, eta) -> Fraction:
-    """p_mu(xi, eta) as an exact rational.
+    """p_mu(xi, eta) as an exact rational: the coefficient at eta of
+    ``convolve(delta_xi, mu)``, with the weights of mu read as Fractions.
 
     Satisfies the reversibility condition
     sigma(xi) p_mu(xi, eta) = sigma(eta) p_mu(eta, xi) exactly.
     """
-    if mu.ring is not ring:
-        raise RingMismatch("measure belongs to a different ring")
+    _over(ring, mu, ProbMeasure, "mu")
     ring.check_label(xi)
     ring.check_label(eta)
-    return _kernel_row(ring, mu, xi).get(eta, Fraction(0))
+    row = convolve(Element._trusted(ring, {xi: 1}), _exact_measure(mu))
+    return Fraction(row[eta])
 
 
-def _kernel_row(ring: FusionRing, mu: ProbMeasure, xi) -> dict:
-    # {eta: p_mu(xi, eta)} over the etas in supp(xi * omega), omega in
-    # supp(mu), as exact rationals:
-    #   p_mu(xi, eta) = sum_omega mu(omega) d(eta) N(xi,omega->eta) / (d(xi) d(omega))
-    dim = ring._dim_rule
-    dxi = Fraction(dim(xi))
-    row: dict = {}
-    for omega, weight in mu.items():
-        scale = Fraction(weight) / (dxi * Fraction(dim(omega)))
-        for eta, n in ring._product_cached(xi, omega).items():
-            row[eta] = row.get(eta, 0) + scale * n * Fraction(dim(eta))
-    return row
+def _exact_measure(mu: ProbMeasure) -> Element:
+    # mu with Fraction weights: convolve(delta_xi, it) is the exact kernel row
+    return Element._trusted(mu.ring, {w: Fraction(v) for w, v in mu.items()})
 
 
 def dirichlet_norm(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> float:
@@ -330,14 +317,15 @@ def dirichlet_norm(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> flo
 
         ||f||_{D_mu(r)} = ( 1/2 sum_{xi,eta} sigma(xi) p_mu(xi,eta) |f(xi)-f(eta)|^r )^(1/r).
 
-    The sum runs over the kernel rows of supp(f) and of the xi that reach it
-    (by Frobenius reciprocity, xi in supp(eta * conj(omega))), each computed
-    once, in exact rational arithmetic; only the final r-th root is float.
+    The sum runs over the kernel rows convolve(delta_xi, mu) of supp(f) and
+    of the xi that reach it (by Frobenius reciprocity, xi in
+    supp(eta * conj(omega))), each computed once, in exact rational
+    arithmetic; only the final r-th root is float.
     """
     r = count(r, "r", 1)
-    if mu.ring is not ring or f.ring is not ring:
-        raise RingMismatch("measure/function belong to a different ring")
-    conj, dim = ring._conjugate_rule, ring._dim_rule
+    _over(ring, mu, ProbMeasure, "mu")
+    _over(ring, f, Element, "f")
+    conj, dim, exact = ring._conjugate_rule, ring._dim_rule, _exact_measure(mu)
     sources = dict.fromkeys(f.support)
     for eta in f.support:
         for omega in mu.support:
@@ -346,7 +334,8 @@ def dirichlet_norm(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> flo
     for xi in sources:
         d = dim(xi)
         sigma, value = Fraction(d * d), Fraction(f[xi])
-        for eta, p in _kernel_row(ring, mu, xi).items():
+        row = convolve(Element._trusted(ring, {xi: 1}), exact)
+        for eta, p in row.coeffs.items():
             diff = value - Fraction(f[eta])
             if diff and p:
                 energy += sigma * p * abs(diff) ** r
@@ -357,7 +346,7 @@ def dirichlet_norm(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> flo
 def lp_sigma_norm(f: Element, r: int) -> float:
     """The l^r norm with respect to the sigma weights."""
     r = count(r, "r", 1)
-    ring = f.ring
+    ring = _over(None, f, Element, "f").ring
     total = Fraction(0)
     for label, value in f.coeffs.items():
         total += Fraction(ring._sigma(label)) * abs(Fraction(value)) ** r
@@ -366,9 +355,8 @@ def lp_sigma_norm(f: Element, r: int) -> float:
 
 def inner_sigma(f: Element, g: Element) -> float:
     """The real inner product on l2(sigma)."""
-    if f.ring is not g.ring:
-        raise RingMismatch("operands live over different rings")
-    ring = f.ring
+    ring = _over(None, f, Element, "f").ring
+    _over(ring, g, Element, "g")
     small, large = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
     return float(sum(ring._sigma(l) * v * large[l]
                      for l, v in small.coeffs.items()))
@@ -381,7 +369,7 @@ def nw_ratio(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> float:
     non-zero finitely supported f; the function only evaluates single
     ratios and never claims an infimum.
     """
-    if not f.coeffs:
+    if not _over(ring, f, Element, "f").coeffs:
         raise ZeroFunction("nw_ratio is undefined for the zero function")
     return dirichlet_norm(ring, mu, f, r) / lp_sigma_norm(f, r)
 

@@ -25,10 +25,9 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from .core import Element, FusionRing, ProbMeasure, conjugate_element
+from .core import Element, FusionRing, ProbMeasure, _over, conjugate_element
 from .errors import (BudgetExceeded, EmptySet, InvalidParam, NoConvergence,
-                     NonSymmetricMeasure, NotSelfAdjoint, RingMismatch, count,
-                     positive)
+                     NonSymmetricMeasure, NotSelfAdjoint, count, positive)
 
 #: dense symmetric eigensolve is used up to this window size
 DENSE_EIG_LIMIT = 512
@@ -222,7 +221,7 @@ class CompressedOperator:
     __slots__ = ("window", "matrix", "selfadjoint")
 
     def __init__(self, window: TruncationWindow, matrix, selfadjoint: bool):
-        self.window = window
+        self.window = _over(None, window, TruncationWindow, "window")
         self.matrix = matrix
         self.selfadjoint = selfadjoint
 
@@ -260,8 +259,6 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
     label here was checked when the window, measure or element was built,
     so none is checked again.
     """
-    if window.ring is not ring:
-        raise RingMismatch("window belongs to a different ring")
     n = len(window)
     terms = [(xi, Fraction(c)) for xi, c in terms]
     D = math.lcm(*(c.denominator for _, c in terms))
@@ -318,8 +315,8 @@ def l_measure_operator(ring: FusionRing, mu: ProbMeasure,
     the mu(xi)/d(xi), and each is divided once with correct rounding, so a
     symmetric measure yields a bitwise-symmetric matrix.
     """
-    if mu.ring is not ring:
-        raise RingMismatch("measure belongs to a different ring")
+    _over(ring, mu, ProbMeasure, "mu")
+    _over(ring, window, TruncationWindow, "window")
     terms = [(xi, Fraction(weight) / Fraction(ring._dim_rule(xi)))
              for xi, weight in mu.sorted_items()]
     return _compress(ring, terms, window, selfadjoint=mu.symmetric)
@@ -331,8 +328,8 @@ def gns_operator(ring: FusionRing, x: Element, window: TruncationWindow) -> Comp
     The GNS action of a basis label is d(xi) l_xi, so the matrix of x is
     just sum_xi k_xi N(xi,eta->alpha): exact integers.
     """
-    if x.ring is not ring:
-        raise RingMismatch("element belongs to a different ring")
+    _over(ring, x, Element, "x")
+    _over(ring, window, TruncationWindow, "window")
     if any(not isinstance(v, int) for v in x.coeffs.values()):
         raise InvalidParam("gns_operator expects an integer element")
     return _compress(ring, sorted(x.coeffs.items()), window,
@@ -344,8 +341,8 @@ def _apply(ring: FusionRing, mu: ProbMeasure, f: Element, left: bool) -> Element
     # runs over supp(alpha * conj xi) (supp(xi * alpha)), and each sum reads
     # supp(p) within supp(f) in the order of f's coefficients, so its float
     # additions match a scan over all of f
-    if mu.ring is not ring or f.ring is not ring:
-        raise RingMismatch("measure/function belong to a different ring")
+    _over(ring, mu, ProbMeasure, "mu")
+    _over(ring, f, Element, "f")
     dim, read = ring._dim_rule, ring._product_cached
     position = {alpha: i for i, alpha in enumerate(f.coeffs)}
     out: dict = {}
@@ -425,7 +422,7 @@ def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9) -> SpectralEstimat
     theta; otherwise NoConvergence carries theta, the residual and the
     matvec count.
     """
-    if not op.selfadjoint:
+    if not _over(None, op, CompressedOperator, "op").selfadjoint:
         raise NotSelfAdjoint("top_eigenvalue requires a self-adjoint operator")
     positive(tol, "tol")
     n = op.matrix.shape[0]
@@ -575,9 +572,7 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
     caching them, since the assembly reads other products (xi * eta for xi
     in supp(mu)), so an estimate leaves the product cache as it found it.
     """
-    if mu.ring is not ring:
-        raise RingMismatch("measure belongs to a different ring")
-    if not mu.symmetric:
+    if not _over(ring, mu, ProbMeasure, "mu").symmetric:
         raise NonSymmetricMeasure(
             "the spectral test requires a symmetric measure")
     try:

@@ -1,5 +1,6 @@
 import collections.abc
 import functools
+import inspect
 import math
 import os
 import random
@@ -278,6 +279,17 @@ class TestVerifyAxioms:
                              dim_rule=lambda x: 1,
                              is_label=lambda x: x in (0, 1, 2))
         with pytest.raises(fk.InvalidLabel):
+            fk.verify_axioms(ring, [0, 1, 2])
+
+    def test_unhashable_conjugate_behind_a_failing_involution_raises(self):
+        # conj(conj(1)) = [2] fails the involution check at 1, so that check
+        # never reaches the conjugate of 2; it is checked before any axiom
+        conj = {1: 2, 2: [2]}
+        ring = fk.FusionRing(unit=0, product_rule=lambda x, y: {(x + y) % 3: 1},
+                             conjugate_rule=lambda x: conj.get(x, x),
+                             dim_rule=lambda x: 1,
+                             is_label=lambda x: x in (0, 1, 2))
+        with pytest.raises(fk.InvalidLabel, match=r"\[2\]"):
             fk.verify_axioms(ring, [0, 1, 2])
 
     def test_broken_involution_reported(self):
@@ -709,3 +721,145 @@ class TestLabelChecksAtBoundary:
                 assert again.labels == w.labels
                 assert again._index == w._index
                 assert again.level_sizes == w.level_sizes
+
+
+@functools.cache
+def ring_bound_context(name):
+    """A ring, the list of the pairs its product rule is evaluated on, and
+    one value of each ring-bound kind over the ring."""
+    ring, calls = counting_ring({"f2": fk.free_group_ring,
+                                 "z2": fk.integer_lattice_ring}[name](2))
+    S = frozenset(ring.generators)
+    window = fk.build_window(ring, S, 2)
+    mu = fk.ProbMeasure.uniform(ring, S | {ring.unit})
+    return ring, calls, types.SimpleNamespace(
+        S=S, window=window, F=frozenset(window.labels), mu=mu,
+        f=fk.indicator(ring, window.labels),
+        op=fk.l_measure_operator(ring, mu, window))
+
+
+#: every ring-bound parameter of the public API, as "callable:parameter"
+#: (the operators of Element by their symbol), given ``value`` in its place
+RING_BOUND_ENTRIES = {
+    "+": lambda ring, value, ctx: ctx.f + value,
+    "-": lambda ring, value, ctx: ctx.f - value,
+    "*": lambda ring, value, ctx: ctx.f * value,
+    "multiply:x": lambda ring, value, ctx: fk.multiply(value, ctx.f),
+    "multiply:y": lambda ring, value, ctx: fk.multiply(ctx.f, value),
+    "convolve:f": lambda ring, value, ctx: fk.convolve(value, ctx.f),
+    "convolve:g": lambda ring, value, ctx: fk.convolve(ctx.f, value),
+    "conjugate_element:x": lambda ring, value, ctx: fk.conjugate_element(value),
+    "natural_trace:x": lambda ring, value, ctx: fk.natural_trace(value),
+    "l_operator:window": lambda ring, value, ctx: fk.l_operator(ring, "a", value),
+    "l_measure_operator:mu": lambda ring, value, ctx: fk.l_measure_operator(
+        ring, value, ctx.window),
+    "l_measure_operator:window": lambda ring, value, ctx: fk.l_measure_operator(
+        ring, ctx.mu, value),
+    "gns_operator:x": lambda ring, value, ctx: fk.gns_operator(ring, value, ctx.window),
+    "gns_operator:window": lambda ring, value, ctx: fk.gns_operator(ring, ctx.f, value),
+    "CompressedOperator:window": lambda ring, value, ctx: fk.CompressedOperator(
+        value, ctx.op.matrix, True),
+    "rho1_operator_apply:f": lambda ring, value, ctx: fk.rho1_operator_apply(
+        ring, "a", value),
+    "rho_measure_apply:mu": lambda ring, value, ctx: fk.rho_measure_apply(
+        ring, value, ctx.f),
+    "rho_measure_apply:f": lambda ring, value, ctx: fk.rho_measure_apply(
+        ring, ctx.mu, value),
+    "lambda_operator_apply:f": lambda ring, value, ctx: fk.lambda_operator_apply(
+        ring, "a", value),
+    "lambda_measure_apply:mu": lambda ring, value, ctx: fk.lambda_measure_apply(
+        ring, value, ctx.f),
+    "lambda_measure_apply:f": lambda ring, value, ctx: fk.lambda_measure_apply(
+        ring, ctx.mu, value),
+    "top_eigenvalue:op": lambda ring, value, ctx: fk.top_eigenvalue(value),
+    "amenability_estimate:mu": lambda ring, value, ctx: fk.amenability_estimate(
+        ring, value, [1]),
+    "fc1_check:mu": lambda ring, value, ctx: fk.fc1_check(ring, value, ctx.F, 0.5),
+    "transition_kernel:mu": lambda ring, value, ctx: fk.transition_kernel(
+        ring, value, ring.unit, "a"),
+    "transition_kernel_exact:mu": lambda ring, value, ctx: fk.transition_kernel_exact(
+        ring, value, ring.unit, "a"),
+    "dirichlet_norm:mu": lambda ring, value, ctx: fk.dirichlet_norm(ring, value, ctx.f, 2),
+    "dirichlet_norm:f": lambda ring, value, ctx: fk.dirichlet_norm(ring, ctx.mu, value, 2),
+    "lp_sigma_norm:f": lambda ring, value, ctx: fk.lp_sigma_norm(value, 2),
+    "inner_sigma:f": lambda ring, value, ctx: fk.inner_sigma(value, ctx.f),
+    "inner_sigma:g": lambda ring, value, ctx: fk.inner_sigma(ctx.f, value),
+    "nw_ratio:mu": lambda ring, value, ctx: fk.nw_ratio(ring, value, ctx.f, 2),
+    "nw_ratio:f": lambda ring, value, ctx: fk.nw_ratio(ring, ctx.mu, value, 2),
+}
+
+#: the Element operators, which return NotImplemented for a non-Element
+OPERATORS = ("+", "-", "*")
+
+#: parameters named like a ring-bound value that take labels: a window, or
+#: any collection, is read as its labels (see COLLECTION_ENTRIES)
+LABEL_PARAMETERS = {"verify_axioms:window"}
+
+#: entries whose value is their only ring-bound argument: a value over
+#: another ring is a valid one there
+RING_FREE = {"conjugate_element:x", "natural_trace:x", "lp_sigma_norm:f",
+             "top_eigenvalue:op", "CompressedOperator:window"}
+
+#: (entry, case) pairs; a value over another ring is valid in a RING_FREE
+#: entry, and an int is a scalar for *
+RING_BOUND_CASES = [
+    (entry, case) for entry in sorted(RING_BOUND_ENTRIES)
+    for case in ("none", "int", "list", "dict", "wrong_kind", "other_ring")
+    if not (case == "other_ring" and entry in RING_FREE
+            or (entry, case) == ("*", "int"))]
+
+
+def ring_bound_value(case, entry, ctx, other):
+    """The value of a case for an entry.  ``other`` holds a value of each
+    kind over another ring; the wrong kind is an Element where a measure is
+    due and a measure where anything else is."""
+    param = entry.rpartition(":")[2]
+    due = {"mu": "mu", "window": "window", "op": "op"}.get(param, "f")
+    return {"none": None, "int": 7, "list": [1], "dict": {"a": 1},
+            "wrong_kind": ctx.f if due == "mu" else ctx.mu,
+            "other_ring": getattr(other, due)}[case]
+
+
+class TestRingBoundArguments:
+    @pytest.mark.parametrize("entry, case", RING_BOUND_CASES)
+    def test_bad_value_raises_a_typed_error(self, entry, case):
+        ring, calls, ctx = ring_bound_context("f2")
+        other = ring_bound_context("z2")[2]
+        value = ring_bound_value(case, entry, ctx, other)
+        expected = (fk.RingMismatch if case == "other_ring"
+                    else TypeError if entry in OPERATORS else fk.InvalidParam)
+        cached, called = dict(ring._cache), len(calls)
+        with pytest.raises(expected):
+            RING_BOUND_ENTRIES[entry](ring, value, ctx)
+        # the check comes before any product is read
+        assert len(calls) == called
+        assert ring._cache == cached
+
+    def test_every_ring_bound_parameter_has_an_entry(self):
+        names = {"mu", "f", "g", "x", "y", "window", "op"}
+        missing = []
+        for name in fk.__all__:
+            obj = getattr(fk, name)
+            try:
+                params = inspect.signature(obj).parameters
+            except (TypeError, ValueError):  # not callable, or no signature
+                continue
+            missing += [f"{name}:{p}" for p in params if p in names
+                        and f"{name}:{p}" not in RING_BOUND_ENTRIES
+                        and f"{name}:{p}" not in LABEL_PARAMETERS]
+        assert missing == []
+
+    def test_element_operators(self, su2):
+        x = fk.Element(su2, {1: 2})
+        for bad in (1, None, "a", [1], fk.ProbMeasure.delta(su2, 1)):
+            for op in (lambda: x + bad, lambda: bad + x,
+                       lambda: x - bad, lambda: bad - x):
+                with pytest.raises(TypeError):
+                    op()
+        for bad in ("a", None, [1], {1: 1}):
+            with pytest.raises(TypeError):
+                x * bad
+            with pytest.raises(TypeError):
+                bad * x
+        for scalar in (3, 1.5, Fraction(1, 2), True):
+            assert (x * scalar).coeffs == (scalar * x).coeffs == {1: 2 * scalar}
