@@ -14,7 +14,7 @@ import string
 from fractions import Fraction
 from typing import Mapping
 
-from .core import FusionRing, ProbMeasure, verify_axioms
+from .core import FusionRing, ProbMeasure, _kind, check_labels, verify_axioms
 from .errors import InvalidParam, InvalidTable, count
 
 
@@ -286,6 +286,8 @@ def tensor_product(ring1: FusionRing, ring2: FusionRing) -> FusionRing:
     the products that are read again, so the factors' caches stay as they
     were.
     """
+    _kind(ring1, FusionRing, "ring1")
+    _kind(ring2, FusionRing, "ring2")
     def product(x, y):
         p = ring1._product_probe(x[0], y[0])
         q = ring2._product_probe(x[1], y[1])
@@ -330,9 +332,9 @@ def measure_from_decomposition(ring: FusionRing, decomp: Mapping) -> ProbMeasure
     arithmetic (they sum to 1 exactly) and converted to floats at the end,
     so the result is always symmetric by exact comparison.
     """
-    if not decomp:
+    if not _kind(decomp, Mapping, "decomposition"):
         raise InvalidParam("decomposition must be non-empty")
-    ring.check_labels(decomp)
+    check_labels(ring, decomp)
     decomp = {alpha: count(k, f"multiplicity at {ring.format_label(alpha)}", 1)
               for alpha, k in decomp.items()}
     dim, conj = ring._dim_rule, ring._conjugate_rule

@@ -84,24 +84,6 @@ class FusionRing:
             raise InvalidLabel(
                 f"{xi!r} is not a basis label of {self.description}")
 
-    def check_labels(self, labels: Iterable) -> list:
-        """The labels of an iterable as a list, in order, each checked by
-        ``check_label`` before anything hashes it: the one check of a label
-        collection passed to the public API.  A str, or a value that is not
-        iterable, is no collection of labels and raises InvalidParam."""
-        if isinstance(labels, str):
-            raise InvalidParam(
-                f"expected a collection of labels, got the string {labels!r}")
-        try:
-            labels = iter(labels)
-        except TypeError:
-            raise InvalidParam(
-                f"expected a collection of labels, got {labels!r}") from None
-        labels = list(labels)
-        for label in labels:
-            self.check_label(label)
-        return labels
-
     def product(self, xi, eta) -> dict:
         """Structure constants of ``xi * eta`` as a fresh ``{label: N}`` map.
 
@@ -170,7 +152,7 @@ def _parse_identity(text: str):
 
 def product_basis(ring: FusionRing, xi, eta) -> dict:
     """Coefficient map of the basis product ``xi * eta`` (memoized, exact)."""
-    return ring.product(xi, eta)
+    return _kind(ring, FusionRing, "ring").product(xi, eta)
 
 
 class Element:
@@ -179,16 +161,18 @@ class Element:
     Coefficients are exact integers for ring elements and floats for
     function-space vectors; zero coefficients are never stored, so the
     support is exactly the set of stored keys.  Every given label is
-    checked, a zero coefficient's too.  Instances are immutable values.
+    checked, a zero coefficient's too, and every coefficient must be a
+    ``numbers.Number``.  Instances are immutable values.
     """
 
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring: FusionRing, coeffs: Mapping | Iterable = ()):
+        coeffs = _checked_items(ring, coeffs)
+        for value in coeffs.values():
+            _kind(value, numbers.Number, "coefficient")
         self.ring = ring
-        self.coeffs = {label: value
-                       for label, value in _checked_items(ring, coeffs).items()
-                       if value != 0}
+        self.coeffs = {l: v for l, v in coeffs.items() if v != 0}
 
     @classmethod
     def _trusted(cls, ring: FusionRing, coeffs: dict) -> "Element":
@@ -256,22 +240,54 @@ class Element:
         return "Element(" + " + ".join(parts) + ")"
 
 
+def check_labels(ring: FusionRing, labels: Iterable) -> list:
+    """The labels of an iterable as a list, in order, each checked by
+    ``ring.check_label`` before anything hashes it: the one check of a label
+    collection passed to the public API.  A ``ring`` that is no FusionRing,
+    a str, or a value that is not iterable raises InvalidParam."""
+    _kind(ring, FusionRing, "ring")
+    if isinstance(labels, str):
+        raise InvalidParam(
+            f"expected a collection of labels, got the string {labels!r}")
+    try:
+        labels = iter(labels)
+    except TypeError:
+        raise InvalidParam(
+            f"expected a collection of labels, got {labels!r}") from None
+    labels = list(labels)
+    for label in labels:
+        ring.check_label(label)
+    return labels
+
+
 def _checked_items(ring: FusionRing, coeffs: Mapping | Iterable) -> dict:
-    # a mapping or an iterable of (label, value) pairs as a dict; the
-    # labels are checked before the dict hashes them
-    pairs = list(coeffs.items() if isinstance(coeffs, Mapping) else coeffs)
-    ring.check_labels(label for label, _ in pairs)
+    # a mapping or an iterable of (label, value) pairs as a dict, else
+    # InvalidParam; the labels are checked before the dict hashes them
+    try:
+        pairs = [(label, value) for label, value in (
+            coeffs.items() if isinstance(coeffs, Mapping) else coeffs)]
+    except (TypeError, ValueError):
+        raise InvalidParam("expected a mapping or (label, value) pairs, "
+                           f"got {coeffs!r}") from None
+    check_labels(ring, [label for label, _ in pairs])
     return dict(pairs)
 
 
-def _over(ring: FusionRing | None, value, kind: type, what: str):
-    """``value``, checked as a ``kind`` over ``ring`` (any ring if None):
-    InvalidParam when it is no ``kind``, RingMismatch when it belongs to
-    another ring.  The one check of every ring-bound argument."""
+def _kind(value, kind: type, what: str):
+    """``value`` if it is a ``kind``, else InvalidParam: the one type check
+    of a ring, a ring-bound argument and an Element coefficient."""
     if not isinstance(value, kind):
         raise InvalidParam(
             f"{what} must be a {kind.__name__}, not {type(value).__name__}")
-    if ring is not None and value.ring is not ring:
+    return value
+
+
+def _over(ring: FusionRing, value, kind: type, what: str):
+    """``value``, checked as a ``kind`` over ``ring``: InvalidParam when
+    it is no ``kind`` or ``ring`` no FusionRing, RingMismatch when it
+    belongs to another ring.  The one check of every ring-bound argument."""
+    _kind(value, kind, what)
+    if _kind(ring, FusionRing, "ring") is not value.ring:
         raise RingMismatch(f"{what} belongs to {value.ring.description!r}, "
                            f"not to {ring.description!r}")
     return value
@@ -285,7 +301,7 @@ def _exact_dim(ring: FusionRing, label):
 
 def indicator(ring: FusionRing, labels: Iterable) -> Element:
     """The characteristic function chi_F of a finite label set, as an Element."""
-    return Element._trusted(ring, dict.fromkeys(ring.check_labels(labels), 1))
+    return Element._trusted(ring, dict.fromkeys(check_labels(ring, labels), 1))
 
 
 def multiply(x: Element, y: Element) -> Element:
@@ -293,7 +309,7 @@ def multiply(x: Element, y: Element) -> Element:
 
     Exact integer arithmetic whenever both inputs have integer coefficients.
     """
-    ring = _over(None, x, Element, "x").ring
+    ring = _kind(x, Element, "x").ring
     _over(ring, y, Element, "y")
     out: dict = {}
     for xi, a in x.coeffs.items():
@@ -306,13 +322,13 @@ def multiply(x: Element, y: Element) -> Element:
 
 def conjugate_element(x: Element) -> Element:
     """The involution: the coefficient at alpha moves to conj(alpha)."""
-    conj = _over(None, x, Element, "x").ring._conjugate_rule
+    conj = _kind(x, Element, "x").ring._conjugate_rule
     return Element._trusted(x.ring, {conj(l): v for l, v in x.coeffs.items()})
 
 
 def natural_trace(x: Element):
     """The natural trace: the coefficient at the unit label (0 if absent)."""
-    return _over(None, x, Element, "x").coeffs.get(x.ring.unit, 0)
+    return _kind(x, Element, "x").coeffs.get(x.ring.unit, 0)
 
 
 def convolve(f: Element, g: Element) -> Element:
@@ -326,7 +342,7 @@ def convolve(f: Element, g: Element) -> Element:
     the floats of float arithmetic, and Fraction coefficients exact
     rationals, on float dimensions too.
     """
-    ring = _over(None, f, Element, "f").ring
+    ring = _kind(f, Element, "f").ring
     _over(ring, g, Element, "g")
     out: dict = {}
     for xi, a in f.coeffs.items():
@@ -346,7 +362,7 @@ def subset_weight(ring: FusionRing, labels: Iterable):
     with ``math.fsum``, which rounds once, so the weight does not depend on
     the iteration order of the set.  The empty set weighs 0.
     """
-    return _weight(ring, set(ring.check_labels(labels)))
+    return _weight(ring, set(check_labels(ring, labels)))
 
 
 def _weight(ring: FusionRing, labels) -> object:
@@ -429,7 +445,7 @@ class ProbMeasure:
 
     @staticmethod
     def uniform(ring: FusionRing, labels: Iterable) -> "ProbMeasure":
-        labels = sorted(set(ring.check_labels(labels)))
+        labels = sorted(set(check_labels(ring, labels)))
         if not labels:
             raise InvalidParam("uniform measure needs non-empty support")
         return ProbMeasure._trusted(ring, dict.fromkeys(labels, 1.0 / len(labels)))
@@ -762,7 +778,7 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     earlier triple would already fail.  A product that only a later block
     would read is never read, and its absence raises nothing.
     """
-    labels = ring.check_labels(getattr(window, "labels", window))
+    labels = check_labels(ring, getattr(window, "labels", window))
     if not labels:
         raise InvalidParam("verify_axioms needs a non-empty window")
     if ring.unit not in labels:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import (Element, FusionRing, ProbMeasure, _exact_dim, _over,
-                   _weight, convolve)
+from .core import (Element, FusionRing, ProbMeasure, _exact_dim, _kind,
+                   _over, _weight, check_labels, convolve)
 from .errors import (BudgetExceeded, EmptySet, InvalidParam,
                      MeasureMissingUnit, NonSymmetricMeasure, ZeroFunction,
                      count, positive)
@@ -132,7 +132,7 @@ def boundary(ring: FusionRing, S: Iterable, F: Iterable) -> BoundaryResult:
 
 def _label_sets(ring: FusionRing, S: Iterable, F: Iterable, what: str) -> tuple:
     # S and F as sets of checked labels; EmptySet when either is empty
-    S, F = set(ring.check_labels(S)), set(ring.check_labels(F))
+    S, F = set(check_labels(ring, S)), set(check_labels(ring, F))
     if not S or not F:
         raise EmptySet(f"{what} needs non-empty S and F")
     return S, F
@@ -221,7 +221,7 @@ def fc1_check(ring: FusionRing, mu: ProbMeasure, F: Iterable, eps: float) -> Foe
         raise NonSymmetricMeasure("FC1 requires a symmetric measure")
     if ring.unit not in mu.support:
         raise MeasureMissingUnit("FC1 requires the unit in supp(mu)")
-    F = set(ring.check_labels(F))
+    F = set(check_labels(ring, F))
     if not F:
         raise EmptySet("FC1 needs a non-empty F")
 
@@ -346,7 +346,7 @@ def dirichlet_norm(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> flo
 def lp_sigma_norm(f: Element, r: int) -> float:
     """The l^r norm with respect to the sigma weights."""
     r = count(r, "r", 1)
-    ring = _over(None, f, Element, "f").ring
+    ring = _kind(f, Element, "f").ring
     total = Fraction(0)
     for label, value in f.coeffs.items():
         total += Fraction(ring._sigma(label)) * abs(Fraction(value)) ** r
@@ -355,7 +355,7 @@ def lp_sigma_norm(f: Element, r: int) -> float:
 
 def inner_sigma(f: Element, g: Element) -> float:
     """The real inner product on l2(sigma)."""
-    ring = _over(None, f, Element, "f").ring
+    ring = _kind(f, Element, "f").ring
     _over(ring, g, Element, "g")
     small, large = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
     return float(sum(ring._sigma(l) * v * large[l]
@@ -415,7 +415,7 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
     recorded: F only grows and a satisfying F beats every earlier one, so
     the returned set is the prefix of cut.order that had the best ratio.
     """
-    S = set(ring.check_labels(S))
+    S = set(check_labels(ring, S))
     if not S:
         raise EmptySet("search needs a non-empty S")
     eps = positive(eps, "epsilon")

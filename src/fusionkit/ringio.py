@@ -29,7 +29,7 @@ import os
 from typing import Mapping
 
 from . import catalog
-from .core import FusionRing
+from .core import FusionRing, check_labels
 from .errors import IncompleteTable, InvalidParam, InvalidTable
 
 PAIR_SEPARATOR = "|"
@@ -220,7 +220,7 @@ def export_table(ring: FusionRing, labels) -> dict:
     InvalidParam.  Reloading the document yields identical product, dim and
     conjugation maps on the window.
     """
-    labels = ring.check_labels(labels)
+    labels = check_labels(ring, labels)
     if not labels:
         raise InvalidParam("cannot export an empty window")
     label_set = set(labels)

@@ -25,7 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sparse
 
-from .core import Element, FusionRing, ProbMeasure, _over, conjugate_element
+from .core import (Element, FusionRing, ProbMeasure, _kind, _over,
+                   check_labels, conjugate_element)
 from .errors import (BudgetExceeded, EmptySet, InvalidParam, NoConvergence,
                      NonSymmetricMeasure, NotSelfAdjoint, count, positive)
 
@@ -57,7 +58,9 @@ class TruncationWindow:
     finite ring that saturates early has fewer than ``radius + 1`` levels.
 
     Constructing a window directly checks it: basis labels (the generator
-    support's too), no duplicates, the unit first, closed under conjugation.
+    support's too), no duplicates, the unit first, closed under
+    conjugation, an int radius >= 0, and level sizes that rise strictly
+    from 1 to the label count in at most ``radius + 1`` entries.
     ``build_window`` and ``prefix`` skip these checks, since the
     breadth-first search yields windows that pass them by construction.
     """
@@ -67,8 +70,8 @@ class TruncationWindow:
 
     def __init__(self, ring: FusionRing, labels: Iterable, radius: int,
                  generator_support: Iterable, level_sizes: Sequence[int]):
-        labels = tuple(ring.check_labels(labels))
-        generator_support = ring.check_labels(generator_support)
+        labels = tuple(check_labels(ring, labels))
+        generator_support = check_labels(ring, generator_support)
         index = {}
         for pos, label in enumerate(labels):
             if label in index:
@@ -80,7 +83,16 @@ class TruncationWindow:
             if ring._conjugate_rule(label) not in index:
                 raise InvalidParam(
                     f"window is not closed under conjugation at {label!r}")
-        self._set(ring, labels, radius, generator_support, level_sizes, index)
+        radius = count(radius, "radius", 0)
+        sizes = tuple(count(n, "level size", 1)
+                      for n in _kind(level_sizes, Sequence, "level_sizes"))
+        if (sizes[:1] != (1,) or sizes[-1] != len(labels)
+                or len(sizes) > radius + 1
+                or any(a >= b for a, b in zip(sizes, sizes[1:]))):
+            raise InvalidParam(
+                f"level sizes {sizes} must rise strictly from 1 to "
+                f"{len(labels)} in at most radius + 1 = {radius + 1} entries")
+        self._set(ring, labels, radius, generator_support, sizes, index)
 
     @classmethod
     def _trusted(cls, ring, labels: tuple, radius: int, generator_support,
@@ -141,7 +153,7 @@ def build_window(ring: FusionRing, S: Iterable, radius: int,
     of a public window read them again: ``verify_axioms`` reads every
     window product, and the CLI's FC checks on a ``ball:r`` set read many.
     """
-    S = set(ring.check_labels(S))
+    S = set(check_labels(ring, S))
     if not S:
         raise EmptySet("window generator support must be non-empty")
     return _build_window(ring, S, radius, cap, ring._product_cached)
@@ -221,7 +233,12 @@ class CompressedOperator:
     __slots__ = ("window", "matrix", "selfadjoint")
 
     def __init__(self, window: TruncationWindow, matrix, selfadjoint: bool):
-        self.window = _over(None, window, TruncationWindow, "window")
+        self.window = _kind(window, TruncationWindow, "window")
+        n = len(window)
+        if not sparse.issparse(matrix) or matrix.shape != (n, n):
+            raise InvalidParam("matrix must be a scipy.sparse matrix of shape "
+                               f"{(n, n)}, got {type(matrix).__name__} "
+                               f"{getattr(matrix, 'shape', '')}")
         self.matrix = matrix
         self.selfadjoint = selfadjoint
 
@@ -422,7 +439,7 @@ def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9) -> SpectralEstimat
     theta; otherwise NoConvergence carries theta, the residual and the
     matvec count.
     """
-    if not _over(None, op, CompressedOperator, "op").selfadjoint:
+    if not _kind(op, CompressedOperator, "op").selfadjoint:
         raise NotSelfAdjoint("top_eigenvalue requires a self-adjoint operator")
     positive(tol, "tol")
     n = op.matrix.shape[0]

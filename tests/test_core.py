@@ -10,7 +10,9 @@ import tracemalloc
 import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
@@ -863,3 +865,182 @@ class TestRingBoundArguments:
                 bad * x
         for scalar in (3, 1.5, Fraction(1, 2), True):
             assert (x * scalar).coeffs == (scalar * x).coeffs == {1: 2 * scalar}
+
+
+#: every ring parameter of the public API, as "callable:parameter" (the
+#: static constructors of ProbMeasure by their dotted name), given
+#: ``value`` in its place
+RING_ENTRIES = {
+    "Element:ring": lambda ring, value, ctx: fk.Element(value, {ring.unit: 1}),
+    "ProbMeasure:ring": lambda ring, value, ctx: fk.ProbMeasure(
+        value, {ring.unit: 1.0}),
+    "ProbMeasure.delta:ring": lambda ring, value, ctx: fk.ProbMeasure.delta(
+        value, ring.unit),
+    "ProbMeasure.uniform:ring": lambda ring, value, ctx: fk.ProbMeasure.uniform(
+        value, ctx.S),
+    "TruncationWindow:ring": lambda ring, value, ctx: fk.TruncationWindow(
+        value, ctx.window.labels, 2, ctx.S, ctx.window.level_sizes),
+    "amenability_estimate:ring": lambda ring, value, ctx: fk.amenability_estimate(
+        value, ctx.mu, [1]),
+    "boundary:ring": lambda ring, value, ctx: fk.boundary(value, ctx.S, ctx.F),
+    "build_window:ring": lambda ring, value, ctx: fk.build_window(value, ctx.S, 2),
+    "dirichlet_norm:ring": lambda ring, value, ctx: fk.dirichlet_norm(
+        value, ctx.mu, ctx.f, 2),
+    "export_table:ring": lambda ring, value, ctx: fk.export_table(value, [ring.unit]),
+    "fc1_check:ring": lambda ring, value, ctx: fk.fc1_check(value, ctx.mu, ctx.F, 0.5),
+    "fc2_check:ring": lambda ring, value, ctx: fk.fc2_check(value, ctx.S, ctx.F, 0.5),
+    "fc3_check:ring": lambda ring, value, ctx: fk.fc3_check(value, ctx.S, ctx.F, 0.5),
+    "foelner_search:ring": lambda ring, value, ctx: fk.foelner_search(
+        value, ctx.S, 0.1),
+    "gns_operator:ring": lambda ring, value, ctx: fk.gns_operator(
+        value, ctx.f, ctx.window),
+    "indicator:ring": lambda ring, value, ctx: fk.indicator(value, ctx.F),
+    "l_measure_operator:ring": lambda ring, value, ctx: fk.l_measure_operator(
+        value, ctx.mu, ctx.window),
+    "l_operator:ring": lambda ring, value, ctx: fk.l_operator(value, "a", ctx.window),
+    "lambda_measure_apply:ring": lambda ring, value, ctx: fk.lambda_measure_apply(
+        value, ctx.mu, ctx.f),
+    "lambda_operator_apply:ring": lambda ring, value, ctx: fk.lambda_operator_apply(
+        value, "a", ctx.f),
+    "measure_from_decomposition:ring": lambda ring, value, ctx:
+        fk.measure_from_decomposition(value, {"a": 1}),
+    "nw_ratio:ring": lambda ring, value, ctx: fk.nw_ratio(value, ctx.mu, ctx.f, 2),
+    "product_basis:ring": lambda ring, value, ctx: fk.product_basis(value, "a", "b"),
+    "rho1_operator_apply:ring": lambda ring, value, ctx: fk.rho1_operator_apply(
+        value, "a", ctx.f),
+    "rho_measure_apply:ring": lambda ring, value, ctx: fk.rho_measure_apply(
+        value, ctx.mu, ctx.f),
+    "subset_weight:ring": lambda ring, value, ctx: fk.subset_weight(value, ctx.F),
+    "tensor_product:ring1": lambda ring, value, ctx: fk.tensor_product(value, ring),
+    "tensor_product:ring2": lambda ring, value, ctx: fk.tensor_product(ring, value),
+    "transition_kernel:ring": lambda ring, value, ctx: fk.transition_kernel(
+        value, ctx.mu, ring.unit, "a"),
+    "transition_kernel_exact:ring": lambda ring, value, ctx:
+        fk.transition_kernel_exact(value, ctx.mu, ring.unit, "a"),
+    "verify_axioms:ring": lambda ring, value, ctx: fk.verify_axioms(
+        value, [ring.unit]),
+}
+
+
+def not_a_ring(case, ring):
+    """A value that is no FusionRing.  The dict and the namespace carry
+    every attribute of ``ring``, its bound methods and its cache too, so
+    only a type check can tell them from it."""
+    attributes = {name: getattr(ring, name) for name in dir(ring)
+                  if not name.startswith("__")}
+    return {"none": None, "int": 7, "str": "su2", "dict": attributes,
+            "namespace": types.SimpleNamespace(**attributes)}[case]
+
+
+def public_parameters(names):
+    """"callable:parameter" for each parameter in ``names`` of the public
+    callables, and of the public static methods of the public classes."""
+    found = []
+    for name in fk.__all__:
+        obj = getattr(fk, name)
+        callables = [(name, obj)]
+        if isinstance(obj, type):
+            callables += [(f"{name}.{attr}", getattr(obj, attr))
+                          for attr, raw in vars(obj).items()
+                          if isinstance(raw, staticmethod)
+                          and not attr.startswith("_")]
+        for label, func in callables:
+            try:
+                params = inspect.signature(func).parameters
+            except (TypeError, ValueError):  # not callable, or no signature
+                continue
+            found += [f"{label}:{p}" for p in params if p in names]
+    return found
+
+
+class TestRingArguments:
+    @pytest.mark.parametrize("entry", sorted(RING_ENTRIES))
+    @pytest.mark.parametrize("case", ["none", "int", "str", "dict", "namespace"])
+    def test_non_ring_raises_invalid_param(self, entry, case):
+        ring, calls, ctx = ring_bound_context("f2")
+        cached, called = dict(ring._cache), len(calls)
+        with pytest.raises(fk.InvalidParam, match="must be a FusionRing"):
+            RING_ENTRIES[entry](ring, not_a_ring(case, ring), ctx)
+        # the check comes before any product is read
+        assert len(calls) == called
+        assert ring._cache == cached
+
+    def test_every_ring_parameter_has_an_entry(self):
+        found = public_parameters({"ring", "ring1", "ring2"})
+        assert "ProbMeasure.delta:ring" in found
+        assert sorted(set(found) - set(RING_ENTRIES)) == []
+
+
+#: values that are neither a mapping nor an iterable of (label, value) pairs
+NON_PAIRS = (5, None, [1, 2], "ab", [(1, 2, 3)], [(1,)])
+
+
+class TestPairArguments:
+    @pytest.mark.parametrize("kind", [fk.Element, fk.ProbMeasure])
+    @pytest.mark.parametrize("value", NON_PAIRS)
+    def test_non_pairs_raise_invalid_param(self, su2, kind, value):
+        with pytest.raises(fk.InvalidParam, match=r"\(label, value\) pairs"):
+            kind(su2, value)
+
+    @pytest.mark.parametrize("coeffs", [
+        ["ab"], {"a": "x"}, [("a", None)], {"a": [1]}, {"a": 1, "b": "1"}])
+    def test_element_coefficient_must_be_a_number(self, f2, coeffs):
+        with pytest.raises(fk.InvalidParam, match="coefficient must be a Number"):
+            fk.Element(f2, coeffs)
+
+    def test_pairs_of_any_shape_still_read(self, su2):
+        for coeffs in ([(1, 2), (0, 1)], [[1, 2], [0, 1]], iter([(1, 2), (0, 1)]),
+                       {1: 2, 0: 1}, PairMapping([(1, 2), (0, 1)])):
+            assert fk.Element(su2, coeffs).coeffs == {1: 2, 0: 1}
+        for coeffs in ({1: Fraction(1, 2), 2: 1.5}, {1: True}, {1: 2 + 0j}):
+            assert fk.Element(su2, coeffs).coeffs == coeffs
+        assert fk.ProbMeasure(su2, [[1, 0.5], (0, 0.5)]).weights == {1: 0.5, 0: 0.5}
+
+    @pytest.mark.parametrize("decomp", [[1], (1, 2), [(1, 1)]])
+    def test_decomposition_must_be_a_mapping(self, su2, decomp):
+        with pytest.raises(fk.InvalidParam):
+            fk.measure_from_decomposition(su2, decomp)
+
+
+#: (radius, level_sizes) a direct window of three labels refuses
+BAD_LEVELS = [
+    ("x", (1, 2, 3)), (None, (1, 2, 3)), (-1, (1, 2, 3)), (True, (1, 2, 3)),
+    (2.0, (1, 2, 3)),
+    (2, (5, 9)), (2, (2, 3)), (2, (1, 2)), (2, (1, 3, 3)), (2, (1, 3, 2, 3)),
+    (2, ()), (2, None), (2, 3), (2, (1, "2", 3)), (2, (1, 2.0, 3)),
+    (2, (0, 1, 3)), (1, (1, 2, 3)), (0, (1, 3)),
+]
+
+
+class TestWindowConstructor:
+    @pytest.mark.parametrize("radius, sizes", BAD_LEVELS)
+    def test_bad_radius_or_levels_raise_invalid_param(self, su2, radius, sizes):
+        with pytest.raises(fk.InvalidParam):
+            fk.TruncationWindow(su2, (0, 1, 2), radius, [1], sizes)
+
+    def test_radius_zero_window_of_two_labels(self, su2):
+        with pytest.raises(fk.InvalidParam, match="level sizes"):
+            fk.TruncationWindow(su2, [0, 1], 1, [1], [5, 9])
+
+    def test_good_levels_are_kept(self, su2):
+        for radius, sizes in ((2, (1, 2, 3)), (5, (1, 2, 3)), (1, (1, 3)),
+                              (2, [1, 3]), (0, (1,))):
+            labels = (0, 1, 2)[:sizes[-1]]
+            window = fk.TruncationWindow(su2, labels, radius, [1], sizes)
+            assert window.level_sizes == tuple(sizes)
+            assert window.radius == radius
+            assert window.prefix(0).labels == (0,)
+
+
+class TestCompressedOperatorConstructor:
+    def test_matrix_must_fit_the_window(self):
+        ring, _, ctx = ring_bound_context("f2")
+        n = len(ctx.window)
+        for bad in (None, 7, sparse.identity(7, format="csr"),
+                    sparse.identity(n + 1, format="csr"),
+                    sparse.csr_matrix((n, n + 1)), np.eye(n), [[1.0]]):
+            with pytest.raises(fk.InvalidParam, match="scipy.sparse matrix"):
+                fk.CompressedOperator(ctx.window, bad, True)
+        op = fk.CompressedOperator(ctx.window, ctx.op.matrix, True)
+        assert op.shape == (n, n)
+        assert fk.top_eigenvalue(op).value == fk.top_eigenvalue(ctx.op).value
