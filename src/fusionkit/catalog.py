@@ -118,6 +118,8 @@ def free_group_ring(rank: int) -> FusionRing:
                 and not any(pair in w for pair in cancelling))
 
     def product(u, v):
+        if not (u and v and u[-1] == v[0].swapcase()):
+            return {u + v: 1}  # nothing cancels
         i = len(u)
         j = 0
         while i > 0 and j < len(v) and u[i - 1] == v[j].swapcase():
@@ -152,12 +154,18 @@ def group_ring_from_table(labels, table, *, description: str = "finite group rin
     must be closed, with an identity and inverses, and its ring must pass
     ``verify_axioms``; anything else raises InvalidTable.
     """
-    labels = list(labels)
-    if len(set(labels)) != len(labels) or not labels:
+    try:
+        labels = list(labels)
+        label_set = set(labels)
+    except TypeError:
+        raise InvalidTable(
+            f"labels must be an iterable of hashable labels, got {labels!r}") from None
+    if len(label_set) != len(labels) or not labels:
         raise InvalidTable("labels must be a non-empty list without repeats")
-    label_set = set(labels)
+    if not isinstance(table, Mapping):
+        raise InvalidTable(f"table must be a mapping, not {type(table).__name__}")
 
-    if isinstance(table, Mapping) and table and isinstance(next(iter(table.values())), Mapping):
+    if table and isinstance(next(iter(table.values())), Mapping):
         flat = {(g, h): k for g, row in table.items() for h, k in row.items()}
     else:
         flat = dict(table)

@@ -36,6 +36,9 @@ class FusionRing:
     The ring is defined by its unit label, a conjugation map, a dimension
     function, and a product rule returning the structure constants of the
     product of two basis labels as a finitely supported ``{label: int}`` map.
+    The three rules must be callable, and so must each label hook given
+    (``is_label``, ``parse_label``, ``format_label``); anything else raises
+    InvalidParam.
 
     Product results are memoized; the ring is immutable after construction
     except for this cache.  The rules are given only labels checked where
@@ -53,6 +56,15 @@ class FusionRing:
                  is_label: Callable[[Label], bool] | None = None,
                  parse_label: Callable[[str], Label] | None = None,
                  format_label: Callable[[Label], str] | None = None):
+        for what, rule in (("product_rule", product_rule),
+                           ("conjugate_rule", conjugate_rule),
+                           ("dim_rule", dim_rule), ("is_label", is_label),
+                           ("parse_label", parse_label),
+                           ("format_label", format_label)):
+            # the three rules are required, the label hooks optional
+            if not (callable(rule) or rule is None and what.endswith("label")):
+                raise InvalidParam(
+                    f"{what} must be callable, not {type(rule).__name__}")
         self.unit = unit
         self.description = description
         self.generators = tuple(generators)
@@ -113,11 +125,11 @@ class FusionRing:
 
     def _product_probe(self, xi, eta) -> dict:
         # Like _product_cached but never inserts into the cache: used where
-        # a product is read once (verify_axioms, operator assembly, the
-        # window search of amenability_estimate and of the balls search,
-        # the factors of a tensor product ring, which caches the products
-        # itself).  A rule's dict without zeros is returned as is, so
-        # callers must not mutate the result.
+        # a product is read once (the window table of verify_axioms,
+        # operator assembly, the window search of amenability_estimate and
+        # of the balls search, the factors of a tensor product ring, which
+        # caches the products itself).  A rule's dict without zeros is
+        # returned as is, so callers must not mutate the result.
         hit = self._cache.get((xi, eta))
         if hit is not None:
             return hit
@@ -613,21 +625,55 @@ def _inexact_entry(products, width):
     return None
 
 
-def _product_csr(probe, left, right, columns: dict, width: int):
+def _plain(products: list) -> list:
+    """``products`` as plain dicts without zero coefficients: the list
+    itself when each is a dict with no falsy coefficient (one test in C),
+    else a copy in which every other map is rebuilt."""
+    if {*map(type, products)} == {dict} and all(map(all, map(dict.values, products))):
+        return products
+    return [p if type(p) is dict and all(p.values())
+            else {alpha: n for alpha, n in p.items() if n != 0} for p in products]
+
+
+def _row_reader(ring, table: dict, labels: list, right: list):
+    """``row(x)``, an iterator over the products x*y for y in ``right``.
+
+    ``table`` maps each window label x to its products with ``labels``,
+    in order.  ``right`` lists window labels first: for x in the window
+    the products with them are read from the table, and all others from
+    the product rule, uncached and not yet rid of zeros.
+    """
+    index = {label: j for j, label in enumerate(labels)}
+    at = [*map(index.get, itertools.takewhile(index.__contains__, right))]
+    rest = right[len(at):]
+    rule = ring._product_rule
+
+    def row(x):
+        own = table.get(x)
+        if own is None:
+            return map(rule, itertools.repeat(x), right)
+        return itertools.chain(map(own.__getitem__, at),
+                               map(rule, itertools.repeat(x), rest))
+
+    return row
+
+
+def _product_csr(row, left, right, columns: dict, width: int):
     """CSR arrays (data, indices, indptr) of the products x*y for (x, y) in
-    ``itertools.product(left, right)``, one row per pair.
+    ``itertools.product(left, right)``, one row per pair, read as
+    ``row(x)`` (a ``_row_reader`` of ``right``) for x in ``left``.
 
     Each label goes to its column in ``columns``; a label not there yet
     gets the next free one.  Raises _Inexact at the first coefficient that
     int64 cannot sum exactly over ``width`` terms.  The products are read
     in chunks of _CHUNK; each chunk's labels and values are collected once.
     """
-    pairs = itertools.product(left, right)
+    read = _chain(map(row, left))
     counts = [np.zeros(1, dtype=np.int32)]  # the leading 0 of indptr
     indices = [np.zeros(0, dtype=np.int32)]
     data = [np.zeros(0, dtype=np.int64)]
     for start in itertools.count(0, _CHUNK):
-        products = list(itertools.starmap(probe, itertools.islice(pairs, _CHUNK)))
+        products = _plain(list(itertools.islice(read, _CHUNK)))
         if not products:
             break
         values = [*_chain(map(dict.values, products))]
@@ -635,8 +681,8 @@ def _product_csr(probe, left, right, columns: dict, width: int):
         if exact is None:
             found = _inexact_entry(products, width)
             if found is not None:
-                row, label, c = found
-                x, y = divmod(start + row, len(right))
+                k, label, c = found
+                x, y = divmod(start + k, len(right))
                 raise _Inexact(left[x], right[y], label, c)
             exact = np.array(values, dtype=np.int64)  # int subclasses
         keys = [*_chain(products)]
@@ -651,12 +697,14 @@ def _product_csr(probe, left, right, columns: dict, width: int):
             np.cumsum(np.concatenate(counts), dtype=np.int32))
 
 
-def _associativity_counterexample(ring, labels, probe):
+def _associativity_counterexample(ring, labels, table):
     """The first window triple with (xi*eta)*zeta != xi*(eta*zeta), as a
-    message, or None.
+    message, or None.  ``table`` maps each label to its products with
+    ``labels``, in order.
 
     P holds the window products, one row per pair (xi_i, eta_j) at
-    i*n + j, one column per label of B.  For each xi_i in window order,
+    i*n + j, one column per label of B, the window labels of B first.
+    For each xi_i in window order,
     rows (j, k) of kron(P_i, I_n) @ R_i are (xi_i eta_j) zeta_k and those of
     P @ L_i are xi_i (eta_j zeta_k), where R_i[(beta, k), gamma] =
     N(beta, zeta_k -> gamma) for beta in B_i, the supports of the row block
@@ -668,12 +716,15 @@ def _associativity_counterexample(ring, labels, probe):
     """
     n = len(labels)
     fmt = ring.format_label
-    b_labels = list(dict.fromkeys(_chain(itertools.starmap(
-        probe, itertools.product(labels, labels)))))
+    b_labels = [*dict.fromkeys(_chain(_chain(table.values())))]
+    b_labels = ([b for b in b_labels if b in table]
+                + [b for b in b_labels if b not in table])
     width = len(b_labels)
+    by_window = _row_reader(ring, table, labels, labels)
+    by_b = _row_reader(ring, table, labels, b_labels)
     try:
         P = sparse.csr_matrix(
-            _product_csr(probe, labels, labels,
+            _product_csr(by_window, labels, labels,
                          dict(zip(b_labels, itertools.count())), width),
             shape=(n * n, width))
 
@@ -691,17 +742,18 @@ def _associativity_counterexample(ring, labels, probe):
             new = used[~np.isin(used, kept)]
             gamma: dict = {}
             data, indices, indptr = _product_csr(
-                probe, [b_labels[b] for b in new.tolist()], labels, gamma, width)
+                by_window, [b_labels[b] for b in new.tolist()], labels, gamma,
+                width)
             if kept.size:
                 # one lookup per distinct carried gamma label
-                table = np.zeros(carried.shape[1], dtype=np.int32)
-                table[list(carried_gamma)] = [gamma.setdefault(label, len(gamma))
+                remap = np.zeros(carried.shape[1], dtype=np.int32)
+                remap[list(carried_gamma)] = [gamma.setdefault(label, len(gamma))
                                               for label in carried_gamma.values()]
                 data = np.concatenate((data, carried.data))
-                indices = np.concatenate((indices, table[carried.indices]))
+                indices = np.concatenate((indices, remap[carried.indices]))
                 indptr = np.concatenate((indptr, carried.indptr[1:] + indptr[-1]))
                 carried = carried_gamma = None  # R holds the rows now
-            L = _product_csr(probe, (xi,), b_labels, gamma, width)
+            L = _product_csr(by_b, (xi,), b_labels, gamma, width)
             order = np.concatenate((new, kept))
             group[order] = np.arange(len(order), dtype=np.int32)
             R = sparse.csr_matrix((data, indices, indptr),
@@ -755,14 +807,17 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     reciprocity runs over the nonzero entries of three product tables, in
     O(n**2 * s).  Associativity takes one block of sparse integer matrix
     products per first factor xi, where B is the union of the supports of
-    the window products and B_xi that of the products xi * eta.  Block xi
-    reads the |B| products xi * beta, and the n products beta * zeta of
-    each beta in B_xi that the block before it did not hold; it keeps the
-    rows of the betas the next block shares.  So a run of consecutive
-    blocks whose B_xi contain beta reads each beta * zeta once, and a
-    beta that leaves and comes back is read again.  None of these
-    second-stage products is cached, and besides the window products at
-    most one block's rows live at a time.
+    the window products, its window labels first, and B_xi that of the
+    products xi * eta.  Block xi reads the row of the |B| products
+    xi * beta, and the row of the n products beta * zeta of each beta in
+    B_xi that the block before it did not hold; it keeps the rows of the
+    betas the next block shares.  So a run of consecutive blocks whose
+    B_xi contain beta reads each beta * zeta once, and a beta that leaves
+    and comes back is read again.  A row takes its window products from
+    the table (a slice, since B lists window labels first) and the others
+    straight from the product rule: these second-stage products are
+    neither cached nor looked up in the cache, and besides the window
+    products at most one block's rows live at a time.
 
     Associativity is decided in int64 arithmetic, which is exact only when
     every coefficient it reads is an ``int`` (``bool`` excluded) and
@@ -880,7 +935,8 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     checks.append(AxiomCheck("dimension_multiplicativity", bad is None, bad))
 
     # associativity: (xi eta) zeta = xi (eta zeta) as coefficient maps
-    bad = _associativity_counterexample(ring, distinct, probe)
+    bad = _associativity_counterexample(
+        ring, distinct, {x: [prods[(x, y)] for y in distinct] for x in distinct})
     checks.append(AxiomCheck("associativity", bad is None, bad))
 
     # dimension bound: N(xi,eta->alpha) > 0 implies d(alpha)*d(eta) >= d(xi)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import random
 
 import pytest
 
@@ -34,6 +35,36 @@ class TestGroupRings:
         for u in words:
             for v in words:
                 assert fk.product_basis(f2, u, v) == {free_reduce(u + v): 1}
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_free_rule_is_free_reduction(self, rank):
+        # the rule itself, uncached: every pair of reduced words of length
+        # <= 4 at rank 2, and at rank 3 a seeded sample in which v starts
+        # by cancelling a suffix of u of random length
+        rule = fk.free_group_ring(rank)._product_rule
+        alphabet = "abc"[:rank] + "ABC"[:rank]
+        words = [w for n in range(5)
+                 for w in map("".join, itertools.product(alphabet, repeat=n))
+                 if is_reduced_word(w, rank)]
+        if rank == 2:
+            pairs = list(itertools.product(words, words))
+        else:
+            rng = random.Random(3)
+            pairs = []
+            for _ in range(20_000):
+                u, w = rng.choice(words), rng.choice(words)
+                cut = rng.randrange(len(u) + 1)
+                pairs.append((u, free_reduce(u[cut:][::-1].swapcase() + w)))
+        assert len(pairs) == 20_000 if rank == 3 else len(words) ** 2 == 25_921
+        for u, v in pairs:
+            assert rule(u, v) == {free_reduce(u + v): 1}, (u, v)
+
+    @pytest.mark.parametrize("labels,table", [
+        (5, {}), (None, {}), ([["e"]], {}), (["e"], None), (["e"], 5),
+        (["e"], [(("e", "e"), "e")])])
+    def test_table_arguments_are_typed(self, labels, table):
+        with pytest.raises(fk.InvalidTable):
+            fk.group_ring_from_table(labels, table)
 
     def test_cyclic_two(self):
         ring = fk.cyclic_ring(2)

@@ -1,6 +1,7 @@
 import collections.abc
 import functools
 import inspect
+import itertools
 import math
 import os
 import random
@@ -497,6 +498,75 @@ class TestVerifyAxioms:
         assert x in support(window[failing - 1]) & support(window[failing])
 
 
+def reshape(product, shape, zeros):
+    """``product`` as a Counter, a read-only proxy, or a dict with an
+    explicit zero (False, then 0.0) at each label of ``zeros`` that it does
+    not hold."""
+    if shape == "counter":
+        return collections.Counter(product)
+    if shape == "proxy":
+        return types.MappingProxyType(dict(product))
+    if shape == "zeros":
+        return dict(zip(zeros, (False, 0.0))) | product
+    return product
+
+
+def reshaped_ring(base, shape):
+    """``base`` with every product returned as ``reshape`` makes it."""
+    return fk.FusionRing(
+        unit=base.unit,
+        product_rule=lambda x, y: reshape(base._product_rule(x, y), shape, (x, y)),
+        conjugate_rule=base._conjugate_rule, dim_rule=base._dim_rule,
+        description=base.description, is_label=base._is_label,
+        format_label=base.format_label)
+
+
+def _z3_with(**rules):
+    ring = fk.FusionRing(**{"unit": 0,
+                            "product_rule": lambda x, y: {(x + y) % 3: 1},
+                            "conjugate_rule": lambda x: -x % 3,
+                            "dim_rule": lambda x: 1,
+                            "is_label": lambda x: x in (0, 1, 2)} | rules)
+    return ring, [0, 1, 2]
+
+
+def _mutated(name, x, y):
+    base, window, _ = axiom_window(name)
+    product = base.product(x, y)
+    product[min(product, key=repr)] += 1
+    return patched_ring(base, {(x, y): product}), window
+
+
+def _table_ring(table):
+    # the ring of a {(x, y): z} table of Z/3 labels, not verified
+    return fk.FusionRing(unit=0, product_rule=lambda x, y: {table[(x, y)]: 1},
+                         conjugate_rule=lambda x: -x % 3, dim_rule=lambda x: 1,
+                         is_label=lambda x: x in (0, 1, 2)), [0, 1, 2]
+
+
+#: rings and windows whose reports must not depend on the type of the
+#: rule's maps: passing windows, and the failing cases of the tests above
+REPORT_CASES = {
+    "su2-r30": lambda: (fk.build_su2_ring(),
+                        fk.build_window(fk.build_su2_ring(), (1,), 30)),
+    "f2-r2": lambda: (fk.free_group_ring(2),
+                      fk.build_window(fk.free_group_ring(2), ("a", "b"), 2)),
+    "dsu2-r6": lambda: (fk.build_deformed_su2_ring(3),
+                        fk.build_window(fk.build_deformed_su2_ring(3), (1,), 6)),
+    "broken-involution": lambda: _z3_with(
+        conjugate_rule=lambda x: (x + 1) % 3 if x else 0),
+    "broken-frobenius": lambda: _z3_with(conjugate_rule=lambda x: x),
+    "table-frobenius": lambda: _table_ring(
+        {(0, x): x for x in range(3)} | {(x, 0): x for x in range(3)}
+        | {(1, 1): 2, (1, 2): 0, (2, 1): 0, (2, 2): 2}),
+    **{f"coefficient-{c!r}": functools.partial(
+        lambda c: (patched_ring(fk.cyclic_ring(3), {(1, 1): {2: c}}), [0, 1, 2]), c)
+       for c in (0.5, True, -1, 2 ** 32)},
+    **{f"mutated-{name}-{x}-{y}": functools.partial(_mutated, name, x, y)
+       for name, x, y in (("su2", 2, 1), ("z6", 1, 2), ("f2", "a", "b"))},
+}
+
+
 def patched_ring(base, overrides):
     """``base`` with the products of the pairs in ``overrides`` replaced."""
     def rule(x, y):
@@ -518,6 +588,44 @@ def axiom_window(name):
                     "su2xz3": (fk.tensor_product(fk.build_su2_ring(),
                                                  fk.cyclic_ring(3)), 2)}[name]
     return ring, pool_for(ring, radius), pool_for(ring, radius + 1)
+
+
+class TestVerifyAxiomsRuleReads:
+    def test_f2_radius_3_rule_evaluations(self):
+        # window products (less the 68 the window search cached) and the
+        # second-stage products of the associativity blocks, each read
+        # straight from the rule
+        ring, calls = counting_ring(fk.free_group_ring(2))
+        window = fk.build_window(ring, ring.generators, 3)
+        calls.clear()
+        assert fk.verify_axioms(ring, window).passed
+        assert len(calls) == 191_156
+
+    @pytest.mark.parametrize("shape", ["counter", "proxy", "zeros"])
+    @pytest.mark.parametrize("case", sorted(REPORT_CASES))
+    def test_report_does_not_depend_on_the_mapping_type(self, case, shape):
+        ring, window = REPORT_CASES[case]()
+        expected = fk.verify_axioms(ring, window)
+        assert fk.verify_axioms(reshaped_ring(ring, shape), window) == expected
+
+    def test_mixed_mapping_types_across_chunks(self, monkeypatch):
+        # chunks of 7 products, in which plain dicts, Counters, proxies
+        # and maps with explicit zeros alternate
+        base = fk.free_group_ring(2)
+        window = fk.build_window(base, base.generators, 2)
+        shapes = itertools.cycle(["plain", "counter", "plain", "proxy", "zeros"])
+
+        def rule(x, y):
+            return reshape(base._product_rule(x, y), next(shapes), (x, y))
+
+        ring = fk.FusionRing(unit=base.unit, product_rule=rule,
+                             conjugate_rule=base._conjugate_rule,
+                             dim_rule=base._dim_rule, is_label=base._is_label,
+                             description=base.description,
+                             format_label=base.format_label)
+        expected = fk.verify_axioms(base, window)
+        monkeypatch.setattr(fk.core, "_CHUNK", 7)
+        assert fk.verify_axioms(ring, window) == expected
 
 
 class TestElementBasics:
@@ -951,6 +1059,28 @@ def public_parameters(names):
                 continue
             found += [f"{label}:{p}" for p in params if p in names]
     return found
+
+
+class TestRingConstructor:
+    RULES = {"product_rule": lambda x, y: {x + y: 1},
+             "conjugate_rule": lambda x: -x, "dim_rule": lambda x: 1}
+
+    @pytest.mark.parametrize("name,value", [
+        (name, value)
+        for name in ("product_rule", "conjugate_rule", "dim_rule",
+                     "is_label", "parse_label", "format_label")
+        # None leaves a label hook at its default
+        for value in (None, 0, "str", {1: 1})
+        if value is not None or name.endswith("rule")])
+    def test_rule_that_is_not_callable_raises(self, name, value):
+        with pytest.raises(fk.InvalidParam, match=f"^{name} must be callable"):
+            fk.FusionRing(0, **self.RULES | {name: value})
+
+    def test_optional_label_hooks_default(self):
+        ring = fk.FusionRing(0, **self.RULES, is_label=None,
+                             parse_label=None, format_label=None)
+        assert ring.parse_label("5") == "5" and ring.format_label(5) == "5"
+        assert fk.build_window(ring, [1], 1).labels == (0, -1, 1)
 
 
 class TestRingArguments:
