@@ -166,6 +166,10 @@ def group_ring_from_table(labels, table, *, description: str = "finite group rin
         raise InvalidTable(f"table must be a mapping, not {type(table).__name__}")
 
     if table and isinstance(next(iter(table.values())), Mapping):
+        for g, row in table.items():
+            if not isinstance(row, Mapping):
+                raise InvalidTable(
+                    f"table row {g!r} must be a mapping, not {type(row).__name__}")
         flat = {(g, h): k for g, row in table.items() for h, k in row.items()}
     else:
         flat = dict(table)
@@ -174,7 +178,11 @@ def group_ring_from_table(labels, table, *, description: str = "finite group rin
             k = flat.get((g, h))
             if k is None:
                 raise InvalidTable(f"missing table entry for ({g!r}, {h!r})")
-            if k not in label_set:
+            try:
+                inside = k in label_set
+            except TypeError:  # unhashable, so no label
+                inside = False
+            if not inside:
                 raise InvalidTable(f"table entry ({g!r}, {h!r}) -> {k!r} leaves the label set")
 
     unit = next((e for e in labels

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import InvalidLabel, InvalidParam, RingMismatch
 
@@ -37,7 +36,8 @@ class FusionRing:
     function, and a product rule returning the structure constants of the
     product of two basis labels as a finitely supported ``{label: int}`` map.
     The three rules must be callable, and so must each label hook given
-    (``is_label``, ``parse_label``, ``format_label``); anything else raises
+    (``is_label``, ``parse_label``, ``format_label``), and ``generators``
+    must be an iterable of hashable labels; anything else raises
     InvalidParam.
 
     Product results are memoized; the ring is immutable after construction
@@ -65,9 +65,14 @@ class FusionRing:
             if not (callable(rule) or rule is None and what.endswith("label")):
                 raise InvalidParam(
                     f"{what} must be callable, not {type(rule).__name__}")
+        try:
+            self.generators = tuple(generators)
+            hash(self.generators)
+        except TypeError:
+            raise InvalidParam("generators must be an iterable of hashable "
+                               f"labels, got {generators!r}") from None
         self.unit = unit
         self.description = description
-        self.generators = tuple(generators)
         self.parse_label = parse_label if parse_label is not None else _parse_identity
         self.format_label = format_label if format_label is not None else str
         self._product_rule = product_rule
@@ -714,6 +719,8 @@ def _associativity_counterexample(ring, labels, table):
     the other groups in one batch, in B order; nothing else outlives a
     block.
     """
+    import scipy.sparse as sparse  # only here: importing fusionkit loads no scipy
+
     n = len(labels)
     fmt = ring.format_label
     b_labels = [*dict.fromkeys(_chain(_chain(table.values())))]
@@ -818,6 +825,10 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     straight from the product rule: these second-stage products are
     neither cached nor looked up in the cache, and besides the window
     products at most one block's rows live at a time.
+
+    Associativity is the one check that imports ``scipy.sparse``, on its
+    first run; so a table ring, which runs ``verify_axioms`` when it is
+    built, imports it too.
 
     Associativity is decided in int64 arithmetic, which is exact only when
     every coefficient it reads is an ``int`` (``bool`` excluded) and

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .core import (Element, FusionRing, ProbMeasure, _kind, _over,
                    check_labels, conjugate_element)
@@ -220,6 +220,53 @@ def _bfs_levels(ring: FusionRing, S: set, cap: int, read):
         frontier = new
 
 
+class _CSR:
+    """An n x n CSR matrix on numpy arrays alone (``data``, ``indices``,
+    ``indptr``), with what the estimate path does with one: ``M @ x``, the
+    sign test ``min()``, ``toarray()`` and the leading principal
+    submatrices.
+
+    ``M @ x`` is ``np.bincount`` over the row of each entry, computed once
+    here: it adds its weights one at a time in array order, so each row is
+    summed from 0.0 in CSR order, as scipy's ``csr_matvec`` does, and
+    ``toarray`` adds duplicate entries in the same order, as scipy's does.
+    """
+
+    __slots__ = ("shape", "data", "indices", "indptr", "_rows")
+
+    def __init__(self, data, indices, indptr):
+        n = len(indptr) - 1
+        self.shape = (n, n)
+        self.data = data
+        self.indices = indices
+        self.indptr = indptr
+        self._rows = np.repeat(np.arange(n), np.diff(indptr))
+
+    def __matmul__(self, x):
+        return np.bincount(self._rows, self.data * x[self.indices],
+                           minlength=self.shape[0])
+
+    def min(self):
+        # min(0, least stored entry): negative exactly when some entry is
+        return self.data.min(initial=0.0)
+
+    def toarray(self):
+        n = self.shape[0]
+        return np.bincount(self._rows * n + self.indices, self.data,
+                           minlength=n * n).reshape(n, n)
+
+    def leading(self, n: int) -> "_CSR":
+        """The leading principal n x n submatrix, its entries in the same
+        order."""
+        if n == self.shape[0]:
+            return self
+        end = self.indptr[n]
+        keep = self.indices[:end] < n
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        return _CSR(self.data[:end][keep], self.indices[:end][keep],
+                    kept[self.indptr[:n + 1]])
+
+
 class CompressedOperator:
     """A sparse matrix compression of a convolution operator to a window.
 
@@ -228,23 +275,62 @@ class CompressedOperator:
     its transpose entrywise exactly, because each entry is an exact integer
     numerator over one common denominator, turned into a float by one
     correctly rounded division.
+
+    The operators that ``l_operator``, ``l_measure_operator`` and
+    ``gns_operator`` build hold numpy CSR arrays, and ``top_eigenvalue``
+    and ``amenability_estimate`` run on those alone, so they import no
+    scipy.  The ``matrix`` property builds a ``scipy.sparse.csr_matrix``
+    from the arrays on its first read, which imports ``scipy.sparse``.  The
+    constructor takes a real scipy.sparse matrix, so its caller has loaded
+    scipy already; it refuses anything else without importing scipy.
     """
 
-    __slots__ = ("window", "matrix", "selfadjoint")
+    __slots__ = ("window", "selfadjoint", "_csr", "_matrix")
 
     def __init__(self, window: TruncationWindow, matrix, selfadjoint: bool):
-        self.window = _kind(window, TruncationWindow, "window")
-        n = len(window)
-        if not sparse.issparse(matrix) or matrix.shape != (n, n):
+        n = len(_kind(window, TruncationWindow, "window"))
+        # a value cannot be a scipy matrix unless scipy.sparse is loaded,
+        # so refusing one imports nothing
+        sparse = sys.modules.get("scipy.sparse")
+        if (sparse is None or not sparse.issparse(matrix)
+                or matrix.shape != (n, n)):
             raise InvalidParam("matrix must be a scipy.sparse matrix of shape "
                                f"{(n, n)}, got {type(matrix).__name__} "
                                f"{getattr(matrix, 'shape', '')}")
-        self.matrix = matrix
+        if matrix.dtype.kind not in "biuf":
+            raise InvalidParam(f"matrix entries must be real, got {matrix.dtype}")
+        csr = matrix.tocsr()
+        self._set(window, _CSR(csr.data, csr.indices, csr.indptr),
+                  selfadjoint, matrix)
+
+    @classmethod
+    def _trusted(cls, window: TruncationWindow, csr: _CSR,
+                 selfadjoint: bool) -> "CompressedOperator":
+        # an operator whose arrays fit its window by construction
+        op = object.__new__(cls)
+        op._set(window, csr, selfadjoint, None)
+        return op
+
+    def _set(self, window, csr, selfadjoint, matrix):
+        self.window = window
         self.selfadjoint = selfadjoint
+        self._csr = csr
+        self._matrix = matrix
+
+    @property
+    def matrix(self):
+        """The matrix as a ``scipy.sparse.csr_matrix``, built once on the
+        first read from the operator's arrays; that read imports scipy."""
+        if self._matrix is None:
+            import scipy.sparse as sparse
+            csr = self._csr
+            self._matrix = sparse.csr_matrix(
+                (csr.data, csr.indices, csr.indptr), shape=csr.shape)
+        return self._matrix
 
     @property
     def shape(self):
-        return self.matrix.shape
+        return self._csr.shape
 
     def __repr__(self):
         tag = "selfadjoint" if self.selfadjoint else "general"
@@ -308,8 +394,8 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
                        count=len(keys))
     keys = np.array(keys, dtype=np.int64)
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    matrix = sparse.csr_matrix((data, keys % n, indptr), shape=(n, n))
-    return CompressedOperator(window, matrix, selfadjoint)
+    return CompressedOperator._trusted(window, _CSR(data, keys % n, indptr),
+                                       selfadjoint)
 
 
 def l_operator(ring: FusionRing, xi, window: TruncationWindow) -> CompressedOperator:
@@ -442,12 +528,11 @@ def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9) -> SpectralEstimat
     if not _kind(op, CompressedOperator, "op").selfadjoint:
         raise NotSelfAdjoint("top_eigenvalue requires a self-adjoint operator")
     positive(tol, "tol")
-    n = op.matrix.shape[0]
-    if n <= DENSE_EIG_LIMIT:
-        eigs = np.linalg.eigvalsh(op.matrix.toarray())
+    M = op._csr
+    if M.shape[0] <= DENSE_EIG_LIMIT:
+        eigs = np.linalg.eigvalsh(M.toarray())
         return SpectralEstimate(value=float(eigs[-1]), method="dense",
                                 iterations=0, residual=0.0)
-    M = op.matrix
     theta, x, matvecs = _lanczos_top(M, tol)
     resid = float(np.linalg.norm(M @ x - theta * x))
     if not resid < tol:
@@ -606,8 +691,8 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
     for radius in radii:
         sub = window.prefix(radius)
         n = len(sub)
-        est = top_eigenvalue(
-            CompressedOperator(sub, op.matrix[:n, :n], op.selfadjoint), tol=tol)
+        est = top_eigenvalue(CompressedOperator._trusted(
+            sub, op._csr.leading(n), op.selfadjoint), tol=tol)
         entries.append(RadiusEstimate(radius=radius, window_size=n,
                                       lambda_max=est.value, method=est.method,
                                       iterations=est.iterations))

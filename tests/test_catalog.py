@@ -66,6 +66,16 @@ class TestGroupRings:
         with pytest.raises(fk.InvalidTable):
             fk.group_ring_from_table(labels, table)
 
+    @pytest.mark.parametrize("labels,table", [
+        (["e"], {("e", "e"): ["e"]}),
+        (["e"], {("e", "e"): {"e"}}),
+        (["e", "x"], {"e": {"e": "e", "x": "x"}, "x": 5}),
+        (["e", "x"], {"e": {"e": "e", "x": "x"}, "x": None})])
+    def test_table_entries_are_typed(self, labels, table):
+        # an unhashable entry, or a nested row that is not a mapping
+        with pytest.raises(fk.InvalidTable):
+            fk.group_ring_from_table(labels, table)
+
     def test_cyclic_two(self):
         ring = fk.cyclic_ring(2)
         assert ring.conj(1) == 1

@@ -1076,6 +1076,15 @@ class TestRingConstructor:
         with pytest.raises(fk.InvalidParam, match=f"^{name} must be callable"):
             fk.FusionRing(0, **self.RULES | {name: value})
 
+    @pytest.mark.parametrize("generators", [5, None, [[1]], [1, {2}]])
+    def test_generators_must_be_hashable_labels(self, generators):
+        with pytest.raises(fk.InvalidParam, match="^generators must be"):
+            fk.FusionRing(0, **self.RULES, generators=generators)
+
+    def test_generators_take_any_iterable(self):
+        ring = fk.FusionRing(0, **self.RULES, generators=iter([1, -1]))
+        assert ring.generators == (1, -1)
+
     def test_optional_label_hooks_default(self):
         ring = fk.FusionRing(0, **self.RULES, is_label=None,
                              parse_label=None, format_label=None)
@@ -1174,3 +1183,28 @@ class TestCompressedOperatorConstructor:
         op = fk.CompressedOperator(ctx.window, ctx.op.matrix, True)
         assert op.shape == (n, n)
         assert fk.top_eigenvalue(op).value == fk.top_eigenvalue(ctx.op).value
+
+    def test_refusal_imports_no_scipy(self):
+        # without scipy.sparse loaded no value can be a scipy matrix
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "import fusionkit as fk\n"
+                "su2 = fk.build_su2_ring()\n"
+                "window = fk.build_window(su2, [1], 3)\n"
+                "try:\n"
+                "    fk.CompressedOperator(window, np.eye(len(window)), True)\n"
+                "except fk.InvalidParam as exc:\n"
+                "    print(exc)\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == ("matrix must be a scipy.sparse matrix of shape (4, 4), "
+                       "got ndarray (4, 4)\n[]\n")
+
+    def test_complex_matrix_refused(self):
+        ring, _, ctx = ring_bound_context("f2")
+        matrix = ctx.op.matrix.astype(complex)
+        with pytest.raises(fk.InvalidParam, match="must be real"):
+            fk.CompressedOperator(ctx.window, matrix, True)

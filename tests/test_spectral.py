@@ -584,6 +584,51 @@ class TestTopEigenvalue:
                              capture_output=True, text=True, check=True).stdout
         assert out == "[]\n"
 
+    def test_estimates_searches_and_cli_load_no_scipy(self, tmp_path):
+        # the estimate path runs on numpy CSR arrays; scipy.sparse loads
+        # for associativity and for CompressedOperator.matrix alone, and
+        # that matrix holds the same bytes as the Fraction assembly
+        su2_file = tmp_path / "su2.json"
+        su2_file.write_text('{"type": "builtin", "name": "su2", "params": {}}')
+        code = f"""
+import contextlib, io, sys
+from fractions import Fraction
+import fusionkit as fk
+import fusionkit.cli
+f2 = fk.free_group_ring(2)
+mu = fk.ProbMeasure.uniform(f2, f2.generators)
+report = fk.amenability_estimate(f2, mu, [5, 6])
+assert report.entries[-1].method == "lanczos"
+su2 = fk.build_su2_ring()
+report = fk.amenability_estimate(su2, fk.ProbMeasure.delta(su2, 1), [600])
+assert report.entries[-1].method == "lanczos"
+z2 = fk.integer_lattice_ring(2)
+assert fk.foelner_search(z2, z2.generators, 0.1, strategy="balls",
+                        budget=4000).found
+window = fk.build_window(f2, f2.generators, 6)
+op = fk.l_measure_operator(f2, mu, window)
+assert fk.top_eigenvalue(op).method == "lanczos"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert fk.cli.main(["spectrum", {str(su2_file)!r}, "--measure", "delta:1",
+                        "--radii", "10,600"]) == 0
+    assert fk.cli.main(["check", {str(su2_file)!r}, "--condition", "fc3",
+                        "--set", "interval:0..100", "--support", "1",
+                        "--eps", "0.06"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+assert fk.verify_axioms(f2, fk.build_window(f2, f2.generators, 2)).passed
+print("scipy.sparse" in sys.modules)
+sys.path.insert(0, {os.path.dirname(__file__)!r})
+from oracles import direct_compress
+from test_spectral import assert_bitwise_equal
+assert_bitwise_equal(op.matrix, direct_compress(
+    f2, [(x, Fraction(w)) for x, w in mu.sorted_items()], window))
+"""
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "[]\nTrue\n"
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, None, "1e-9"])
     def test_tol_must_be_finite_and_positive(self, su2, tol):
         op = fk.l_operator(su2, 1, fk.build_window(su2, {1}, 3))
