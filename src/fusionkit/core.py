@@ -131,10 +131,11 @@ class FusionRing:
     def _product_probe(self, xi, eta) -> dict:
         # Like _product_cached but never inserts into the cache: used where
         # a product is read once (the window table of verify_axioms,
-        # operator assembly, the window search of amenability_estimate and
-        # of the balls search, the factors of a tensor product ring, which
-        # caches the products itself).  A rule's dict without zeros is
-        # returned as is, so callers must not mutate the result.
+        # export_table, operator assembly, the window search of
+        # amenability_estimate and of the balls search, the factors of a
+        # tensor product ring, which caches the products itself).  A rule's
+        # dict without zeros is returned as is, so callers must not mutate
+        # the result.
         hit = self._cache.get((xi, eta))
         if hit is not None:
             return hit
@@ -808,14 +809,15 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     rule returns outside the window is checked once, and every conjugate
     before any axiom reads it.
 
-    Cost, for a window of n labels whose products have at most s terms:
-    the n**2 window products are probed once into a table that every
-    check reads, and nothing is cached.  Frobenius
-    reciprocity runs over the nonzero entries of three product tables, in
-    O(n**2 * s).  Associativity takes one block of sparse integer matrix
-    products per first factor xi, where B is the union of the supports of
-    the window products, its window labels first, and B_xi that of the
-    products xi * eta.  Block xi reads the row of the |B| products
+    Cost, for a window of n distinct labels whose products have at most s
+    terms: the n**2 window products are probed once into a table that
+    every check reads, and nothing is cached; a repeated label adds no
+    product.  Frobenius reciprocity runs over the nonzero entries of three
+    product tables, in O(n**2 * s).  Associativity takes one block of
+    sparse integer matrix products per first factor xi, where B is the
+    union of the supports of the window products, its window labels
+    first, and B_xi that of the products xi * eta.  Block xi reads the
+    row of the |B| products
     xi * beta, and the row of the n products beta * zeta of each beta in
     B_xi that the block before it did not hold; it keeps the rows of the
     betas the next block shares.  So a run of consecutive blocks whose
@@ -852,21 +854,25 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
 
     fmt = ring.format_label
     unit = ring.unit
-    conj = {l: ring._conjugate_rule(l) for l in labels}
-    dims = {l: ring._dim_rule(l) for l in labels}
-    # the triple checks run over each label once, in window order: a
-    # repeated label only repeats triples first met at its first occurrence
+    # every check runs over each label once, in window order: a repeated
+    # label only repeats pairs and triples first met at its first occurrence
     distinct = list(dict.fromkeys(labels))
+    conj = {l: ring._conjugate_rule(l) for l in distinct}
+    dims = {l: ring._dim_rule(l) for l in distinct}
 
-    # all pairwise products inside the window, probed once
-    prods: dict = {}
-    for x in labels:
-        for y in labels:
-            prods[(x, y)] = ring._product_probe(x, y)
+    # the window table: the products x * y of distinct window labels, one
+    # row per x in window order, each probed once
+    table = {x: [ring._product_probe(x, y) for y in distinct] for x in distinct}
+    index = {y: j for j, y in enumerate(distinct)}
 
     def probe(x, y):
-        p = prods.get((x, y))
-        return ring._product_probe(x, y) if p is None else p
+        row, j = table.get(x), index.get(y)
+        return ring._product_probe(x, y) if row is None or j is None else row[j]
+
+    def products():
+        # (x, y, x * y) over the window table, in window order
+        for x in distinct:
+            yield from zip(itertools.repeat(x), distinct, table[x])
 
     def dim_of(label):
         # d of a label a rule returned, checked and read once
@@ -883,12 +889,12 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
 
     # unit law: e*xi = xi*e = {xi: 1}
     bad = None
-    for xi in labels:
-        if prods[(unit, xi)] != {xi: 1}:
-            bad = f"e*{fmt(xi)} = {prods[(unit, xi)]}"
+    for xi in distinct:
+        if probe(unit, xi) != {xi: 1}:
+            bad = f"e*{fmt(xi)} = {probe(unit, xi)}"
             break
-        if prods[(xi, unit)] != {xi: 1}:
-            bad = f"{fmt(xi)}*e = {prods[(xi, unit)]}"
+        if probe(xi, unit) != {xi: 1}:
+            bad = f"{fmt(xi)}*e = {probe(xi, unit)}"
             break
     checks.append(AxiomCheck("unit_law", bad is None, bad))
 
@@ -898,7 +904,7 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     if conj[unit] != unit:
         bad = f"conj(e) = {fmt(conj[unit])}"
     else:
-        for xi in labels:
+        for xi in distinct:
             xibar = conj[xi]
             if not _finite(dims[xi]):
                 bad = f"d({fmt(xi)}) = {dims[xi]} is not finite"
@@ -917,7 +923,7 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
 
     # structure constants: non-negative integers
     bad = None
-    for (x, y), p in prods.items():
+    for x, y, p in products():
         for alpha, n in p.items():
             if not isinstance(n, int) or n < 0:
                 bad = f"N({fmt(x)},{fmt(y)}->{fmt(alpha)}) = {n!r}"
@@ -933,7 +939,7 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
 
     # dimension multiplicativity: sum_alpha N*d(alpha) = d(xi)*d(eta)
     bad = None
-    for (x, y), p in prods.items():
+    for x, y, p in products():
         lhs = sum(n * dim_of(alpha) for alpha, n in p.items())
         rhs = dims[x] * dims[y]
         if isinstance(lhs, int) and isinstance(rhs, int):
@@ -946,13 +952,12 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     checks.append(AxiomCheck("dimension_multiplicativity", bad is None, bad))
 
     # associativity: (xi eta) zeta = xi (eta zeta) as coefficient maps
-    bad = _associativity_counterexample(
-        ring, distinct, {x: [prods[(x, y)] for y in distinct] for x in distinct})
+    bad = _associativity_counterexample(ring, distinct, table)
     checks.append(AxiomCheck("associativity", bad is None, bad))
 
     # dimension bound: N(xi,eta->alpha) > 0 implies d(alpha)*d(eta) >= d(xi)
     bad = None
-    for (x, y), p in prods.items():
+    for x, y, p in products():
         for alpha, n in p.items():
             if n > 0 and dim_of(alpha) * dims[y] < dims[x]:
                 bad = (f"N({fmt(x)},{fmt(y)}->{fmt(alpha)}) = {n} but "

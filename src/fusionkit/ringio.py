@@ -44,15 +44,21 @@ MAX_TENSOR_DEPTH = 32
 def load_ring(source) -> FusionRing:
     """Load a ring from a path, JSON text, or an already-parsed document.
 
-    A missing path, malformed JSON, JSON nested too deeply to decode or a
-    non-object document raise InvalidParam.
+    A missing path, a path that cannot be read (a directory, say), a file
+    that is not UTF-8 text, malformed JSON, JSON nested too deeply to
+    decode or a non-object document raise InvalidParam.
     """
     if isinstance(source, Mapping):
         return ring_from_doc(source)
     if isinstance(source, (str, os.PathLike)) and os.path.exists(source):
         name = f"ring file {os.fspath(source)!r}"
-        with open(source, "r", encoding="utf-8") as fh:
-            source = fh.read()
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                source = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidParam(f"{name} is not UTF-8 text: {exc}") from None
+        except OSError as exc:
+            raise InvalidParam(f"cannot read {name}: {exc.strerror}") from None
     elif isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         name = "ring JSON text"
     elif isinstance(source, (str, os.PathLike)):
@@ -218,7 +224,9 @@ def export_table(ring: FusionRing, labels) -> dict:
     The window must be closed under products (and conjugation), otherwise
     the exported table could not be complete; a non-closed window raises
     InvalidParam.  Reloading the document yields identical product, dim and
-    conjugation maps on the window.
+    conjugation maps on the window.  Each product is read once, so it is
+    probed rather than cached, and the ring's product cache stays as it
+    was.
     """
     labels = check_labels(ring, labels)
     if not labels:
@@ -241,7 +249,7 @@ def export_table(ring: FusionRing, labels) -> dict:
     products = {}
     for a in labels:
         for b in labels:
-            entry = ring._product_cached(a, b)
+            entry = ring._product_probe(a, b)
             for alpha in entry:
                 if alpha not in label_set:
                     raise InvalidParam(

@@ -30,9 +30,6 @@ from .core import (Element, FusionRing, ProbMeasure, _kind, _over,
 from .errors import (BudgetExceeded, EmptySet, InvalidParam, NoConvergence,
                      NonSymmetricMeasure, NotSelfAdjoint, count, positive)
 
-#: dense symmetric eigensolve is used up to this window size
-DENSE_EIG_LIMIT = 512
-
 #: default cap on window sizes
 DEFAULT_WINDOW_CAP = 250_000
 
@@ -223,13 +220,13 @@ def _bfs_levels(ring: FusionRing, S: set, cap: int, read):
 class _CSR:
     """An n x n CSR matrix on numpy arrays alone (``data``, ``indices``,
     ``indptr``), with what the estimate path does with one: ``M @ x``, the
-    sign test ``min()``, ``toarray()`` and the leading principal
-    submatrices.
+    sign test ``min()`` and the leading principal submatrices.
 
     ``M @ x`` is ``np.bincount`` over the row of each entry, computed once
     here: it adds its weights one at a time in array order, so each row is
-    summed from 0.0 in CSR order, as scipy's ``csr_matvec`` does, and
-    ``toarray`` adds duplicate entries in the same order, as scipy's does.
+    summed from 0.0 in CSR order, as scipy's ``csr_matvec`` does.  It is
+    float64 even when the matrix stores no entries, where ``np.bincount``
+    alone returns int64 zeros.
     """
 
     __slots__ = ("shape", "data", "indices", "indptr", "_rows")
@@ -243,17 +240,13 @@ class _CSR:
         self._rows = np.repeat(np.arange(n), np.diff(indptr))
 
     def __matmul__(self, x):
-        return np.bincount(self._rows, self.data * x[self.indices],
-                           minlength=self.shape[0])
+        y = np.bincount(self._rows, self.data * x[self.indices],
+                        minlength=self.shape[0])
+        return y.astype(np.float64, copy=False)
 
     def min(self):
         # min(0, least stored entry): negative exactly when some entry is
         return self.data.min(initial=0.0)
-
-    def toarray(self):
-        n = self.shape[0]
-        return np.bincount(self._rows * n + self.indices, self.data,
-                           minlength=n * n).reshape(n, n)
 
     def leading(self, n: int) -> "_CSR":
         """The leading principal n x n submatrix, its entries in the same
@@ -504,7 +497,7 @@ class SpectralEstimate:
     """Top of spectrum of a compressed operator, with its residual."""
 
     value: float
-    method: str  # "dense" or "lanczos"
+    method: str  # always "lanczos", the one solver
     iterations: int
     residual: float
 
@@ -513,11 +506,11 @@ def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9) -> SpectralEstimat
     """Largest eigenvalue of a self-adjoint compression, to absolute
     accuracy ``tol``.
 
-    Windows of dimension at most 512 use a dense symmetric eigensolve.
-    Larger ones use thick-restart Lanczos (``_lanczos_top``) from a
-    deterministic start vector; ``iterations`` counts its matvecs.  The
-    value is the top one when no entry is negative; otherwise it misses
-    the top only with probability zero (see ``_lanczos_top``).
+    Every window, from one label to the cap, runs thick-restart Lanczos
+    (``_lanczos_top``) from a deterministic start vector; ``iterations``
+    counts its matvecs, at least one.  The value is the top one when no
+    entry is negative; otherwise it misses the top only with probability
+    zero (see ``_lanczos_top``).
     The search stops when its residual estimate falls below tol/2, when it
     finds an invariant subspace, or after 10 n matvecs.  The Ritz pair
     (theta, x) it returns is accepted when ||Mx - theta x||, recomputed
@@ -529,10 +522,6 @@ def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9) -> SpectralEstimat
         raise NotSelfAdjoint("top_eigenvalue requires a self-adjoint operator")
     positive(tol, "tol")
     M = op._csr
-    if M.shape[0] <= DENSE_EIG_LIMIT:
-        eigs = np.linalg.eigvalsh(M.toarray())
-        return SpectralEstimate(value=float(eigs[-1]), method="dense",
-                                iterations=0, residual=0.0)
     theta, x, matvecs = _lanczos_top(M, tol)
     resid = float(np.linalg.norm(M @ x - theta * x))
     if not resid < tol:

@@ -76,8 +76,8 @@ def test_c2_kesten_spectral_values():
     v100 = fk.top_eigenvalue(fk.l_measure_operator(su2, mu2, window100)).value
     assert v100 == pytest.approx(0.9995162823, abs=1e-9)
 
-    # windows of 1000 and 2000 labels, both past the dense limit; the
-    # solver's cost is bounded by its matvec count, not by wall time
+    # windows of 1000 and 2000 labels; the solver's cost is bounded by its
+    # matvec count, not by wall time
     # (736 and 1,920 matvecs with the thick-restart Lanczos)
     large = fk.amenability_estimate(su2, mu2, [999, 1999])
     for m, max_matvecs, entry in zip((1000, 2000), (4_000, 14_000), large.entries):

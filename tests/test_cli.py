@@ -375,6 +375,14 @@ class TestRingFileErrors:
         with pytest.raises(fk.InvalidParam):
             fk.load_ring("{not json")
 
+    def test_directory(self, tmp_path, capsys):
+        assert str(tmp_path) in self.check(str(tmp_path), capsys)
+
+    def test_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes("{}".encode("utf-16"))  # leading bytes ff fe
+        assert str(path) in self.check(str(path), capsys)
+
     def test_document_not_an_object(self, ring_file, capsys):
         self.check(ring_file("list.json", []), capsys)
         with pytest.raises(fk.InvalidParam):

@@ -601,6 +601,31 @@ class TestVerifyAxiomsRuleReads:
         assert fk.verify_axioms(ring, window).passed
         assert len(calls) == 191_156
 
+    def test_repeated_labels_read_their_products_once(self, su2):
+        # 21 rule reads: the 9 window products and the 12 second-stage
+        # products of associativity (probing every pair of list positions
+        # made 37 for the repeated window)
+        reads, reports = [], []
+        for window in ([0, 1, 2], [0, 1, 1, 2, 2]):
+            ring, calls = counting_ring(su2)
+            reports.append(fk.verify_axioms(ring, window).checks)
+            reads.append(calls)
+        assert len(reads[0]) == 21 and reads[1] == reads[0]
+        assert reports[1] == reports[0]
+
+    @pytest.mark.parametrize("case", sorted(REPORT_CASES))
+    def test_doubled_labels_change_no_read_and_no_check(self, case):
+        # each label listed twice, next to itself
+        base, window = REPORT_CASES[case]()
+        labels = list(getattr(window, "labels", window))
+        reads, reports = [], []
+        for listed in (labels, [x for x in labels for _ in range(2)]):
+            ring, calls = counting_ring(base)
+            reports.append(fk.verify_axioms(ring, listed).checks)
+            reads.append(calls)
+        assert reads[1] == reads[0]
+        assert reports[1] == reports[0]
+
     @pytest.mark.parametrize("shape", ["counter", "proxy", "zeros"])
     @pytest.mark.parametrize("case", sorted(REPORT_CASES))
     def test_report_does_not_depend_on_the_mapping_type(self, case, shape):

@@ -136,6 +136,23 @@ class TestExportRoundTrip:
                 expected = {fmt(k): n for k, n in fk.product_basis(ring, x, y).items()}
                 assert fk.product_basis(reloaded, fmt(x), fmt(y)) == expected
 
+    @pytest.mark.parametrize("make, labels", [
+        (lambda: fk.cyclic_ring(6), range(6)),
+        (lambda: fk.tensor_product(fk.cyclic_ring(2), fk.cyclic_ring(3)),
+         [(a, b) for a in range(2) for b in range(3)])], ids=["z6", "z2xz3"])
+    def test_export_leaves_the_product_cache_unchanged(self, make, labels):
+        # each product is read once, so it is probed, not cached; a cache
+        # filled beforehand gives the same document and stays as it was
+        ring = make()
+        doc = fk.export_table(ring, labels)
+        assert ring._cache == {}
+        for a in labels:
+            for b in labels:
+                ring.product(a, b)
+        cached = dict(ring._cache)
+        assert fk.export_table(ring, labels) == doc
+        assert ring._cache == cached
+
     def test_non_closed_window_rejected(self, su2):
         with pytest.raises(fk.InvalidParam):
             fk.export_table(su2, [0, 1])
@@ -153,6 +170,16 @@ class TestExportRoundTrip:
 
 
 class TestLoadErrors:
+    def test_directory_path(self, tmp_path):
+        with pytest.raises(fk.InvalidParam, match=str(tmp_path)):
+            fk.load_ring(tmp_path)
+
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes("{}".encode("utf-16"))  # leading bytes ff fe
+        with pytest.raises(fk.InvalidParam, match="not UTF-8"):
+            fk.load_ring(path)
+
     def test_unknown_type(self):
         with pytest.raises(fk.InvalidParam):
             fk.ring_from_doc({"type": "magic"})

@@ -481,9 +481,9 @@ class TestRhoApply:
         assert asked == ["a"]
 
 
-#: ring, radius and size of a window just above the dense limit, for the
+#: ring, radius and size of a window of 513 to 4,373 labels, for the
 #: uniform measure on the ring's generators (delta_1 on the SU(2) rules)
-ABOVE_DENSE_LIMIT = {
+LARGE_WINDOWS = {
     "z2": (lambda: fk.integer_lattice_ring(2), 16, 545),
     "z3": (lambda: fk.integer_lattice_ring(3), 7, 575),
     "su2": (fk.build_su2_ring, 512, 513),
@@ -499,9 +499,30 @@ ABOVE_DENSE_LIMIT = {
 }
 
 
+#: (ring, radius) of windows from 1 label to 545: the uniform measure on
+#: the ring's generators (delta_1 on the SU(2) rules), and on Z the signed
+#: GNS operator of 2 delta_0 - delta_1 - delta_-1
+ONE_PATH_WINDOWS = ([("su2", m - 1) for m in (1, 2, 31, 32, 33, 100, 512, 513)]
+                    + [("dsu2", r) for r in (0, 32, 99)]
+                    + [("f2", r) for r in range(6)]
+                    + [("z2", r) for r in range(17)]
+                    + [("z1-signed", r) for r in (0, 1, 50, 300)])
+
+
+def one_path_operator(name, radius):
+    """The operator of a ``ONE_PATH_WINDOWS`` case."""
+    if name == "z1-signed":
+        ring = fk.integer_lattice_ring(1)
+        x = fk.Element(ring, {0: 2, 1: -1, -1: -1})
+        return fk.gns_operator(ring, x, fk.build_window(ring, (1,), radius))
+    ring, support = oracle_ring(name)
+    return fk.l_measure_operator(ring, fk.ProbMeasure.uniform(ring, support),
+                                 fk.build_window(ring, support, radius))
+
+
 def above_limit_operator(name):
-    """l_mu compressed to the ``ABOVE_DENSE_LIMIT`` window of ``name``."""
-    make, radius, size = ABOVE_DENSE_LIMIT[name]
+    """l_mu compressed to the ``LARGE_WINDOWS`` window of ``name``."""
+    make, radius, size = LARGE_WINDOWS[name]
     ring = make()
     window = fk.build_window(ring, ring.generators, radius)
     assert len(window) == size
@@ -521,7 +542,7 @@ class TestTopEigenvalue:
             assert len(window) == m
             op = fk.l_measure_operator(su2, fk.ProbMeasure.delta(su2, 1), window)
             est = fk.top_eigenvalue(op)
-            assert est.method == "dense"
+            assert est.method == "lanczos" and est.residual < 1e-9
             assert est.value == pytest.approx(math.cos(math.pi / (m + 1)), abs=1e-9)
 
     def test_deformed_closed_form(self, dsu2):
@@ -530,7 +551,7 @@ class TestTopEigenvalue:
         expected = (2 / 3) * math.cos(math.pi / 101)
         assert fk.top_eigenvalue(op).value == pytest.approx(expected, abs=1e-9)
 
-    @pytest.mark.parametrize("name", sorted(ABOVE_DENSE_LIMIT))
+    @pytest.mark.parametrize("name", sorted(LARGE_WINDOWS))
     def test_lanczos_matches_dense(self, name):
         op = above_limit_operator(name)
         est = fk.top_eigenvalue(op, tol=1e-10)
@@ -538,6 +559,25 @@ class TestTopEigenvalue:
         assert 0 < est.iterations <= 10 * op.shape[0]
         dense_top = float(np.linalg.eigvalsh(op.matrix.toarray())[-1])
         assert est.value == pytest.approx(dense_top, abs=1e-9)
+
+    @pytest.mark.parametrize("name, radius", ONE_PATH_WINDOWS)
+    def test_every_window_runs_lanczos(self, name, radius):
+        op = one_path_operator(name, radius)
+        est = fk.top_eigenvalue(op)
+        assert est.method == "lanczos"
+        assert est.iterations >= 1 and est.residual < 1e-9
+        dense_top = float(np.linalg.eigvalsh(op.matrix.toarray())[-1])
+        assert est.value == pytest.approx(dense_top, abs=1e-9)
+
+    def test_operator_with_no_stored_entries(self, z1):
+        # delta_10000 + delta_-10000 moves every label of the 601-label
+        # window out of it, so the compression stores no entry
+        window = fk.build_window(z1, (1,), 300)
+        op = fk.gns_operator(z1, fk.Element(z1, {10000: 1, -10000: 1}), window)
+        assert op.shape == (601, 601) and op.matrix.nnz == 0
+        est = fk.top_eigenvalue(op)
+        assert (est.value, est.method, est.iterations, est.residual) == \
+            (0.0, "lanczos", 1, 0.0)
 
     def test_invariant_start_vector_stops_after_one_matvec(self):
         # on a finite abelian group ring the uniform vector is the Perron
@@ -569,7 +609,7 @@ class TestTopEigenvalue:
         assert np.linalg.norm(M @ x - theta * x) < 1e-14
 
     def test_no_scipy_linalg_import(self):
-        # an estimate past the dense limit runs on numpy alone
+        # an estimate runs on numpy alone
         code = ("import sys\n"
                 "import fusionkit as fk\n"
                 "f2 = fk.free_group_ring(2)\n"
@@ -747,6 +787,17 @@ class TestAmenabilityEstimate:
         assert report.verdict is fk.Verdict.EVIDENCE_NONAMENABLE
         assert report.gap == pytest.approx(1 / 3, abs=1e-3)
 
+    def test_radius_0_with_no_stored_entries(self, z6):
+        # the window of radius 0 is the unit, which the uniform measure on
+        # the generators moves off it, so l_mu compresses to a 1 x 1 zero
+        mu = fk.ProbMeasure.uniform(z6, z6.generators)
+        report = fk.amenability_estimate(z6, mu, [0])
+        assert report.entries == (fk.RadiusEstimate(
+            radius=0, window_size=1, lambda_max=0.0, method="lanczos",
+            iterations=1),)
+        assert report.gap == 1.0
+        assert report.verdict is fk.Verdict.INCONCLUSIVE
+
     def test_short_run_is_inconclusive(self, su2):
         mu = fk.ProbMeasure.delta(su2, 1)
         report = fk.amenability_estimate(su2, mu, [3, 4, 5])
@@ -757,7 +808,7 @@ class TestAmenabilityEstimate:
             fk.amenability_estimate(su2, fk.ProbMeasure.delta(su2, 1), [-1, 5])
 
     @pytest.mark.parametrize("ring_name, radii", [
-        ("f2", range(1, 8)),  # windows from 5 to 4373 labels, across the dense limit
+        ("f2", range(1, 8)),  # windows from 5 to 4373 labels
         ("z6", (0, 1, 2, 3, 7)),  # saturates at radius 3
     ])
     def test_one_estimate_equals_separate_radii(self, request, ring_name, radii):
