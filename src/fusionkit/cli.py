@@ -261,7 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", required=True,
                    help="uniform-gens | delta:LABEL | decomp:LABEL=k,...")
     p.add_argument("--radii", required=True, help="comma-separated radii")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="absolute accuracy of each top eigenvalue; below "
+                        "rounding (about 1e-15 times the operator norm) "
+                        "the estimate ends in NoConvergence (exit 3)")
     p.add_argument("--cap", type=int, default=spectral.DEFAULT_WINDOW_CAP,
                    help="max window size")
     p.add_argument("--csv", help="write per-radius results to this CSV file")

@@ -603,20 +603,32 @@ class _Inexact(Exception):
     label exactly."""
 
 
-def _int64_values(values: list, width: int):
+def _int64_array(values: list):
     """``values`` as an int64 array when every one is an ``int`` (not a
-    subclass) with N**2 * width < 2**63, else None."""
+    subclass) that int64 holds, else None."""
     if not {*map(type, values)} <= {int}:
         return None
     try:
-        array = np.array(values, dtype=np.int64)
+        return np.array(values, dtype=np.int64)
     except OverflowError:
         return None
-    if array.size:
-        bound = max(int(array.max()), -int(array.min()))
+
+
+def _int64_values(values: list, width: int):
+    """``values`` as an int64 array when every one is an ``int`` (not a
+    subclass) with N**2 * width < 2**63, else None."""
+    array = _int64_array(values)
+    if array is not None and array.size:
+        bound = _abs_max(array)
         if bound * bound * width >= _INT64_LIMIT:
             return None
     return array
+
+
+def _abs_max(array) -> int:
+    """max |v| over a non-empty int64 array, as an int (no overflow at
+    -2**63)."""
+    return max(int(array.max()), -int(array.min()))
 
 
 def _inexact_entry(products, width):

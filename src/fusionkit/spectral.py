@@ -25,8 +25,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (Element, FusionRing, ProbMeasure, _kind, _over,
-                   check_labels, conjugate_element)
+from . import core
+from .core import (_INT64_LIMIT, Element, FusionRing, ProbMeasure, _abs_max,
+                   _chain, _int64_array, _kind, _over, check_labels,
+                   conjugate_element)
 from .errors import (BudgetExceeded, EmptySet, InvalidParam, NoConvergence,
                      NonSymmetricMeasure, NotSelfAdjoint, count, positive)
 
@@ -43,6 +45,9 @@ STALL_THRESHOLD = 1e-6
 #: restarts from this many top Ritz vectors when the basis is full
 _LANCZOS_BASIS = 32
 _LANCZOS_KEEP = 16
+
+#: ints below this are exact float64s
+_FLOAT_EXACT = 2 ** 53
 
 
 class TruncationWindow:
@@ -325,6 +330,15 @@ class CompressedOperator:
     def shape(self):
         return self._csr.shape
 
+    @property
+    def nnz(self) -> int:
+        """The number of stored entries, entries that cancelled to 0
+        included, read from the operator's CSR arrays without importing
+        scipy.  It equals ``matrix.nnz``, but for an operator constructed
+        from a non-CSR matrix with duplicate entries, which the CSR arrays
+        hold summed."""
+        return int(self._csr.indptr[-1])
+
     def __repr__(self):
         tag = "selfadjoint" if self.selfadjoint else "general"
         return f"CompressedOperator({self.shape[0]}x{self.shape[1]}, {tag})"
@@ -336,9 +350,9 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
 
     Entry (alpha, eta) is the sum of c N(xi,eta->alpha).  With D the lcm of
     the denominators of the exact (int or Fraction) coefficients c, it is
-    the integer numerator sum of a_xi N, a_xi = c D, over D; it is divided
-    once, and int/int true division is correctly rounded, so the float
-    equals that of the exact rational.
+    the integer numerator sum of a_xi N, a_xi = c D, over D, divided once
+    with correct rounding, so the float equals that of the exact rational.
+    An entry some product reaches is stored even when its sum cancels to 0.
 
     When ``selfadjoint`` is set, symmetric assembly reads each conjugate
     pair once: for xi != conj(xi) with equal coefficients, the conj(xi)
@@ -351,6 +365,20 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
     their own products.  Integer sums do not depend on the order of
     addition, so either way the matrix is the same to the bit.
 
+    Each pass reads xi * eta for one chunk of ``core._CHUNK`` window labels
+    eta at a time, and keeps the in-window terms as int32 row and column
+    arrays and an array of numerators a N; only those arrays outlive a
+    chunk.  At the end the keys i n + j are sorted once (stably) and
+    ``np.add.reduceat`` sums each entry: O(E log E) array work for E
+    terms, after one rule or cache read per product.
+    The numerators are int64 when every structure constant read is an
+    ``int`` and max|a| max|N| 2 len(terms) < 2**63, so no sum can
+    overflow; otherwise they are Python ints in object arrays.  The
+    division is float64 when the numerators are int64 and D and every
+    |sum| are below 2**53: both are then exact floats, and IEEE division
+    rounds their quotient correctly, as int / int does.  Otherwise each
+    entry is divided as int / int.
+
     Each product is read once, so it is probed rather than cached; every
     label here was checked when the window, measure or element was built,
     so none is checked again.
@@ -359,11 +387,18 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
     terms = [(xi, Fraction(c)) for xi, c in terms]
     D = math.lcm(*(c.denominator for _, c in terms))
     coefficient = dict(terms)
+    # max|a N| times this stays below 2**63 exactly when no sum can overflow
+    scale = 2 * len(terms) * max(
+        (abs(c.numerator) * (D // c.denominator) for _, c in terms), default=0)
     index = window._index
     labels = window.labels
     probe = ring._product_probe
+    chunk = core._CHUNK
     paired = set()  # conjugates already added as transposes
-    acc: dict = {}  # i * n + j -> int numerator
+    rows = [np.zeros(0, dtype=np.int32)]
+    cols = [np.zeros(0, dtype=np.int32)]
+    numerators = [np.zeros(0, dtype=np.int64)]
+    wide = False  # numerators held as Python ints
     for xi, c in terms:
         if xi in paired:
             continue
@@ -372,22 +407,64 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
         pair = xibar != xi and coefficient.get(xibar) == c
         if pair:
             paired.add(xibar)
-        for j, eta in enumerate(labels):
-            for alpha, N in probe(xi, eta).items():
-                i = index.get(alpha)
-                if i is not None:
-                    aN = a * N
-                    key = i * n + j
-                    acc[key] = acc.get(key, 0) + aN
-                    if pair:
-                        key = j * n + i
-                        acc[key] = acc.get(key, 0) + aN
-    keys = sorted(acc)
-    data = np.fromiter((acc[key] / D for key in keys), dtype=np.float64,
-                       count=len(keys))
-    keys = np.array(keys, dtype=np.int64)
+        for start in range(0, n, chunk):
+            products = [*map(probe, itertools.repeat(xi),
+                             labels[start:start + chunk])]
+            sizes = np.fromiter(map(len, products), dtype=np.int32,
+                                count=len(products))
+            i = np.fromiter(map(index.get, _chain(products),
+                                itertools.repeat(-1)),
+                            dtype=np.int32, count=int(sizes.sum()))
+            keep = np.flatnonzero(i >= 0)
+            if not keep.size:
+                continue
+            N = [*_chain(map(dict.values, products))]
+            values = None if wide else _int64_array(N)
+            if values is None or _abs_max(values) * scale >= _INT64_LIMIT:
+                if not wide:
+                    numerators = [p.astype(object) for p in numerators]
+                    wide = True
+                values = np.array(N, dtype=object)
+            i = i[keep]
+            j = np.repeat(np.arange(start, start + len(products),
+                                    dtype=np.int32), sizes)[keep]
+            aN = values[keep] * a
+            rows.append(i)
+            cols.append(j)
+            numerators.append(aN)
+            if pair:
+                rows.append(j)
+                cols.append(i)
+                numerators.append(aN)
+    # each array is freed as soon as the next one is built from it: the
+    # E-sized temporaries set the assembly's peak memory
+    keys = np.concatenate(rows, dtype=np.int64)
+    del rows
+    keys *= n
+    keys += np.concatenate(cols)
+    del cols
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    numerators = np.concatenate(numerators)[order]
+    del order
+    new = np.empty(len(keys), dtype=bool)  # where a new entry starts
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    del new
+    sums = np.add.reduceat(numerators, first)
+    del numerators
+    keys = keys[first]
+    del first
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    return CompressedOperator._trusted(window, _CSR(data, keys % n, indptr),
+    keys %= n  # the column indices
+    if (not wide and D < _FLOAT_EXACT
+            and (not sums.size or _abs_max(sums) < _FLOAT_EXACT)):
+        data = sums / D
+    else:
+        data = np.fromiter((s / D for s in sums.tolist()), dtype=np.float64,
+                           count=len(sums))
+    return CompressedOperator._trusted(window, _CSR(data, keys, indptr),
                                        selfadjoint)
 
 
@@ -517,6 +594,10 @@ def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9) -> SpectralEstimat
     from x, is below tol, which puts an eigenvalue of M within tol of
     theta; otherwise NoConvergence carries theta, the residual and the
     matvec count.
+    The recomputed residual cannot fall below rounding, about
+    1e-15 ||M||, so a tol under that ends in NoConvergence after up to
+    10 n matvecs (SU(2) delta_1 on 100 labels stops at residual 1.0e-15,
+    so tol=1e-15 fails there); such a tol is not refused up front.
     """
     if not _kind(op, CompressedOperator, "op").selfadjoint:
         raise NotSelfAdjoint("top_eigenvalue requires a self-adjoint operator")

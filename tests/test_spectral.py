@@ -315,6 +315,87 @@ class TestCompressOracle:
             ring, sorted(x.coeffs.items()), window))
         assert op.matrix.nnz == 8 and op.matrix[2, 2] == 0.0
 
+    def test_nnz_counts_stored_entries(self):
+        # the cancelled entry of 1 - chi_2 counts, and an operator with no
+        # stored entries counts 0, as in matrix.nnz
+        ring, S = oracle_ring("su2")
+        window = fk.build_window(ring, S, 3)
+        ops = [fk.gns_operator(ring, fk.Element(ring, {0: 1, 2: -1}), window),
+               fk.l_operator(ring, 1, window),
+               fk.l_operator(ring, 1, fk.build_window(ring, S, 0))]
+        ops.append(fk.CompressedOperator(window, ops[0].matrix.tocoo(), True))
+        assert [op.nnz for op in ops] == [8, 6, 0, 8]
+        assert [op.matrix.nnz for op in ops] == [8, 6, 0, 8]
+
+    @pytest.mark.parametrize("k", [2 ** 40, 2 ** 62, -2 ** 63, 2 ** 70])
+    @pytest.mark.parametrize("name, labels", [
+        ("su2", [0, 2, 4]), ("f2", ["", "a", "A"])])
+    def test_numerators_on_both_sides_of_int64(self, name, labels, k):
+        # k on three labels: with 2**40 every numerator and sum fits
+        # int64; with 2**62 the entry k N(0,2->2) + k N(2,2->2) of SU(2)
+        # is 2**63, and -2**63 and 2**70 do not fit at all
+        ring, S = oracle_ring(name)
+        window = fk.build_window(ring, S, 4)
+        x = fk.Element(ring, dict.fromkeys(labels, k))
+        op = fk.gns_operator(ring, x, window)
+        assert op.selfadjoint
+        assert_bitwise_equal(op.matrix, direct_compress(
+            ring, sorted(x.coeffs.items()), window))
+
+    @pytest.mark.parametrize("name, weights", [
+        ("z6", {0: 1 / 3, 1: 1 / 3, 5: 1 / 3}),
+        ("su2", {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}),
+        ("dsu2", {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}),
+        ("f2", {"": 1 / 3, "a": 1 / 3, "A": 1 / 3}),
+        ("fib", {"1": 1 / 3, "t": 2 / 3}),
+        ("dsu2", {41: 1.0})])
+    def test_common_denominator_at_least_2_53(self, name, weights):
+        # float weights: the common denominator D of the mu(xi)/d(xi) is
+        # at least 2**53, so the entries are divided as int / int; for
+        # delta_41 on deformed SU(2) it is d(41), which is no float64,
+        # over int64 numerators N(41, eta -> alpha)
+        ring, _ = oracle_ring(name)
+        window = fk.build_window(ring, weights, 2)
+        mu = fk.ProbMeasure(ring, weights)
+        terms = [(x, Fraction(w) / Fraction(ring.dim(x)))
+                 for x, w in mu.sorted_items()]
+        assert math.lcm(*(c.denominator for _, c in terms)) >= 2 ** 53
+        op = fk.l_measure_operator(ring, mu, window)
+        assert_bitwise_equal(op.matrix, direct_compress(ring, terms, window))
+
+    @pytest.mark.parametrize("terms", [
+        [(1, Fraction(2 ** 53 + 5, 3))],
+        [(0, Fraction(2 ** 52 + 1, 3)), (2, Fraction(2 ** 52 + 4, 3))],
+        [(0, Fraction(-2 ** 52 - 1, 3)), (2, Fraction(-2 ** 52 - 4, 3))]])
+    def test_sums_at_least_2_53_over_a_small_denominator(self, terms):
+        # D = 3 and int64 numerators that sum to +-(2**53 + 5), which is
+        # no float64: rounding the sum to a float before dividing gives
+        # (2**53 + 4) / 3, one rounding too many
+        ring, S = oracle_ring("su2")
+        window = fk.build_window(ring, S, 6)
+        op = fk.spectral._compress(ring, terms, window, selfadjoint=True)
+        want = direct_compress(ring, terms, window)
+        assert_bitwise_equal(op.matrix, want)
+        assert abs(want.data).max() == (2 ** 53 + 5) / 3
+
+    @pytest.mark.parametrize("name, radius", [("f2", 4), ("su2", 40)])
+    def test_chunk_boundaries(self, monkeypatch, name, radius):
+        # chunks of 7 window labels: entries whose terms come from
+        # different chunks, and pairs whose transposes cross them
+        monkeypatch.setattr(fk.core, "_CHUNK", 7)
+        ring, S = oracle_ring(name)
+        window = fk.build_window(ring, S, radius)
+        mu = fk.ProbMeasure.uniform(ring, S | {ring.unit})
+        op = fk.l_measure_operator(ring, mu, window)
+        assert_bitwise_equal(op.matrix, direct_compress(
+            ring, [(x, Fraction(w) / Fraction(ring.dim(x)))
+                   for x, w in mu.sorted_items()], window))
+        labels = sorted(S | {ring.unit})
+        x = fk.Element(ring, {label: 3 - i for i, label in enumerate(labels)})
+        op = fk.gns_operator(ring, x, window)
+        assert_bitwise_equal(op.matrix, direct_compress(
+            ring, sorted(x.coeffs.items()), window))
+
     @pytest.mark.parametrize("name", ["su2", "f2", "su2xz3"])
     def test_radius_zero_window_drops_every_product(self, name):
         ring, S = oracle_ring(name)
@@ -417,6 +498,26 @@ class TestLMeasureOperator:
         window = fk.build_window(z1, {1, -1}, 3)
         op = fk.l_measure_operator(z1, fk.ProbMeasure.delta(z1, 1), window)
         assert not op.selfadjoint
+
+    def test_peak_traced_memory(self):
+        # F2 radius 8, 13,121 labels: the chunked array assembly peaks at
+        # 2.36 MB here; adding each term to a dict of numerators peaked at
+        # 3.31 MB, and reading the whole window at once at 6.92 MB
+        ring = fk.free_group_ring(2)
+        mu = fk.ProbMeasure.uniform(ring, ring.generators)
+        # a first small assembly, so one-time set-up stays out of the trace
+        fk.l_measure_operator(ring, mu, fk.build_window(ring, ring.generators, 2))
+        window = fk.build_window(ring, ring.generators, 8)
+        assert len(window) == 13_121
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            op = fk.l_measure_operator(ring, mu, window)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert op.nnz == 4 * 13_121 - 4 * 3 ** 8
+        assert peak < 2_800_000
 
 
 class TestRhoApply:
@@ -668,6 +769,22 @@ assert_bitwise_equal(op.matrix, direct_compress(
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True).stdout
         assert out == "[]\nTrue\n"
+
+    def test_nnz_loads_no_scipy(self):
+        # nnz reads the operator's own arrays, not CompressedOperator.matrix
+        code = ("import sys\n"
+                "import fusionkit as fk\n"
+                "f2 = fk.free_group_ring(2)\n"
+                "window = fk.build_window(f2, f2.generators, 4)\n"
+                "mu = fk.ProbMeasure.uniform(f2, f2.generators)\n"
+                "op = fk.l_measure_operator(f2, mu, window)\n"
+                "print(op.nnz, 'scipy' in sys.modules)\n"
+                "print(op.matrix.nnz, 'scipy' in sys.modules)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "320 False\n320 True\n"
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, None, "1e-9"])
     def test_tol_must_be_finite_and_positive(self, su2, tol):
