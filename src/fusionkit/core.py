@@ -130,12 +130,12 @@ class FusionRing:
 
     def _product_probe(self, xi, eta) -> dict:
         # Like _product_cached but never inserts into the cache: used where
-        # a product is read once (the window table of verify_axioms,
-        # export_table, operator assembly, the window search of
-        # amenability_estimate and of the balls search, the factors of a
-        # tensor product ring, which caches the products itself).  A rule's
-        # dict without zeros is returned as is, so callers must not mutate
-        # the result.
+        # a product is read once but may be cached already (the window
+        # table of verify_axioms, export_table, the window search of the
+        # balls search, the factors of a tensor product ring, which caches
+        # the products itself).  Operator assembly and the window search of
+        # amenability_estimate read the rule itself.  A rule's dict without
+        # zeros is returned as is, so callers must not mutate the result.
         hit = self._cache.get((xi, eta))
         if hit is not None:
             return hit

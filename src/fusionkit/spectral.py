@@ -164,7 +164,7 @@ def build_window(ring: FusionRing, S: Iterable, radius: int,
 def _build_window(ring: FusionRing, S: set, radius: int, cap: int,
                   read) -> TruncationWindow:
     # build_window from a non-empty set S of checked labels, reading products
-    # with ``read``: ring._product_probe where nothing reads them again
+    # with ``read``: ring._product_rule where nothing reads them again
     radius = count(radius, "radius", 0)
     cap = count(cap, "cap", 1)
 
@@ -191,8 +191,11 @@ def _bfs_levels(ring: FusionRing, S: set, cap: int, read):
     is a product of checked labels, so none is checked again.
 
     The products w * t are read with ``read(w, t)``: ring._product_cached
-    when a caller reads them again, ring._product_probe when nothing does.
-    Both return the same products, so the levels do not depend on it.
+    when a caller reads them again (a public window), ring._product_probe
+    where the cache may hold them already (the balls search), and the rule
+    itself where nothing does (an estimate).  A label whose coefficient is
+    0 is skipped, so ``read`` may return any Mapping, explicit zeros
+    included; the levels do not depend on the reader.
     """
     conj = ring._conjugate_rule
     steps = sorted((S | {conj(xi) for xi in S}) - {ring.unit})
@@ -205,9 +208,11 @@ def _bfs_levels(ring: FusionRing, S: set, cap: int, read):
         new = []
         for w in frontier:
             for t in steps:
-                for alpha in sorted(read(w, t)):
-                    if alpha in seen:
-                        continue  # its conjugate entered together with it
+                p = read(w, t)
+                for alpha in sorted(p):
+                    # a seen label's conjugate entered together with it
+                    if alpha in seen or not p[alpha]:
+                        continue
                     for cand in (alpha, conj(alpha)):
                         if cand not in seen:
                             if len(seen) + 1 > cap:
@@ -280,7 +285,11 @@ class CompressedOperator:
     scipy.  The ``matrix`` property builds a ``scipy.sparse.csr_matrix``
     from the arrays on its first read, which imports ``scipy.sparse``.  The
     constructor takes a real scipy.sparse matrix, so its caller has loaded
-    scipy already; it refuses anything else without importing scipy.
+    scipy already; it refuses anything else without importing scipy.  It
+    copies the matrix into a ``csr_matrix`` once, summing duplicate
+    entries, and that is what ``matrix`` returns.  With ``selfadjoint``
+    set it raises NotSelfAdjoint unless that matrix is exactly its
+    transpose.
     """
 
     __slots__ = ("window", "selfadjoint", "_csr", "_matrix")
@@ -297,9 +306,14 @@ class CompressedOperator:
                                f"{getattr(matrix, 'shape', '')}")
         if matrix.dtype.kind not in "biuf":
             raise InvalidParam(f"matrix entries must be real, got {matrix.dtype}")
-        csr = matrix.tocsr()
+        # a copy, with duplicate entries summed: changing the caller's
+        # matrix later changes neither the operator nor its symmetry
+        csr = sparse.csr_matrix(matrix, copy=True)
+        if selfadjoint and (csr != csr.T).nnz:
+            raise NotSelfAdjoint("selfadjoint is set, but the matrix is not "
+                                 "exactly its transpose")
         self._set(window, _CSR(csr.data, csr.indices, csr.indptr),
-                  selfadjoint, matrix)
+                  selfadjoint, csr)
 
     @classmethod
     def _trusted(cls, window: TruncationWindow, csr: _CSR,
@@ -317,8 +331,9 @@ class CompressedOperator:
 
     @property
     def matrix(self):
-        """The matrix as a ``scipy.sparse.csr_matrix``, built once on the
-        first read from the operator's arrays; that read imports scipy."""
+        """The matrix as a ``scipy.sparse.csr_matrix``: the constructor's,
+        or built once on the first read from the arrays of an operator the
+        library assembled; that read imports scipy."""
         if self._matrix is None:
             import scipy.sparse as sparse
             csr = self._csr
@@ -334,9 +349,7 @@ class CompressedOperator:
     def nnz(self) -> int:
         """The number of stored entries, entries that cancelled to 0
         included, read from the operator's CSR arrays without importing
-        scipy.  It equals ``matrix.nnz``, but for an operator constructed
-        from a non-CSR matrix with duplicate entries, which the CSR arrays
-        hold summed."""
+        scipy.  It equals ``matrix.nnz``."""
         return int(self._csr.indptr[-1])
 
     def __repr__(self):
@@ -370,7 +383,7 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
     arrays and an array of numerators a N; only those arrays outlive a
     chunk.  At the end the keys i n + j are sorted once (stably) and
     ``np.add.reduceat`` sums each entry: O(E log E) array work for E
-    terms, after one rule or cache read per product.
+    terms, after one rule read per product.
     The numerators are int64 when every structure constant read is an
     ``int`` and max|a| max|N| 2 len(terms) < 2**63, so no sum can
     overflow; otherwise they are Python ints in object arrays.  The
@@ -379,9 +392,12 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
     rounds their quotient correctly, as int / int does.  Otherwise each
     entry is divided as int / int.
 
-    Each product is read once, so it is probed rather than cached; every
-    label here was checked when the window, measure or element was built,
-    so none is checked again.
+    Each product is read once, so it is read straight from the rule,
+    neither cached nor looked up in the cache; each chunk of products
+    passes through ``core._plain``, which rebuilds only a chunk holding
+    maps that are not plain dicts without zeros.  Every label here was
+    checked when the window, measure or element was built, so none is
+    checked again.
     """
     n = len(window)
     terms = [(xi, Fraction(c)) for xi, c in terms]
@@ -392,7 +408,7 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
         (abs(c.numerator) * (D // c.denominator) for _, c in terms), default=0)
     index = window._index
     labels = window.labels
-    probe = ring._product_probe
+    rule = ring._product_rule
     chunk = core._CHUNK
     paired = set()  # conjugates already added as transposes
     rows = [np.zeros(0, dtype=np.int32)]
@@ -408,8 +424,8 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
         if pair:
             paired.add(xibar)
         for start in range(0, n, chunk):
-            products = [*map(probe, itertools.repeat(xi),
-                             labels[start:start + chunk])]
+            products = core._plain([*map(rule, itertools.repeat(xi),
+                                         labels[start:start + chunk])])
             sizes = np.fromiter(map(len, products), dtype=np.int32,
                                 count=len(products))
             i = np.fromiter(map(index.get, _chain(products),
@@ -740,9 +756,12 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
 
     Each radius must be an int >= 0, ``cap`` an int >= 1 and ``tol``
     finite and positive; anything else raises InvalidParam before a window
-    is built.  The window search probes its products w * t rather than
-    caching them, since the assembly reads other products (xi * eta for xi
-    in supp(mu)), so an estimate leaves the product cache as it found it.
+    is built.  The window search reads its products w * t, and the
+    assembly its products xi * eta, straight from the rule, once each:
+    nothing reads them again, so they are not cached, and the cache is not
+    looked up.  So an estimate leaves the product cache as it found it,
+    and its rule evaluations do not depend on what the cache holds (F2,
+    uniform on its generators, at radii 1..9: 131,214).
     """
     if not _over(ring, mu, ProbMeasure, "mu").symmetric:
         raise NonSymmetricMeasure(
@@ -755,7 +774,7 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
         raise InvalidParam("need at least one radius")
     positive(tol, "tol")
     support = tuple(sorted(mu.support))
-    window = _build_window(ring, set(support), radii[-1], cap, ring._product_probe)
+    window = _build_window(ring, set(support), radii[-1], cap, ring._product_rule)
     op = l_measure_operator(ring, mu, window)
     entries = []
     for radius in radii:

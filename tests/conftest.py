@@ -8,7 +8,9 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import collections
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -76,6 +78,29 @@ def counting_ring(base):
                          dim_rule=base._dim_rule, generators=base.generators,
                          is_label=base._is_label, description=base.description)
     return ring, calls
+
+
+def reshape(product, shape, zeros):
+    """``product`` as a Counter, a read-only proxy, or a dict with an
+    explicit zero (False, then 0.0) at each label of ``zeros`` that it does
+    not hold."""
+    if shape == "counter":
+        return collections.Counter(product)
+    if shape == "proxy":
+        return types.MappingProxyType(dict(product))
+    if shape == "zeros":
+        return dict(zip(zeros, (False, 0.0))) | product
+    return product
+
+
+def reshaped_ring(base, shape):
+    """``base`` with every product returned as ``reshape`` makes it."""
+    return fk.FusionRing(
+        unit=base.unit,
+        product_rule=lambda x, y: reshape(base._product_rule(x, y), shape, (x, y)),
+        conjugate_rule=base._conjugate_rule, dim_rule=base._dim_rule,
+        description=base.description, is_label=base._is_label,
+        format_label=base.format_label)
 
 
 def label_counting_ring(base):

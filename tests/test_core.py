@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
 from conftest import (counting_ring, fibonacci_ring, label_counting_ring,
-                      pool_for, random_integer_function, random_real_function)
+                      pool_for, random_integer_function, random_real_function,
+                      reshape, reshaped_ring)
 
 from oracles import direct_associativity, direct_frobenius, su2_product_oracle
 
@@ -496,29 +497,6 @@ class TestVerifyAxioms:
             return {b for eta in window for b in base.product(xi, eta)}
 
         assert x in support(window[failing - 1]) & support(window[failing])
-
-
-def reshape(product, shape, zeros):
-    """``product`` as a Counter, a read-only proxy, or a dict with an
-    explicit zero (False, then 0.0) at each label of ``zeros`` that it does
-    not hold."""
-    if shape == "counter":
-        return collections.Counter(product)
-    if shape == "proxy":
-        return types.MappingProxyType(dict(product))
-    if shape == "zeros":
-        return dict(zip(zeros, (False, 0.0))) | product
-    return product
-
-
-def reshaped_ring(base, shape):
-    """``base`` with every product returned as ``reshape`` makes it."""
-    return fk.FusionRing(
-        unit=base.unit,
-        product_rule=lambda x, y: reshape(base._product_rule(x, y), shape, (x, y)),
-        conjugate_rule=base._conjugate_rule, dim_rule=base._dim_rule,
-        description=base.description, is_label=base._is_label,
-        format_label=base.format_label)
 
 
 def _z3_with(**rules):
@@ -1233,3 +1211,41 @@ class TestCompressedOperatorConstructor:
         matrix = ctx.op.matrix.astype(complex)
         with pytest.raises(fk.InvalidParam, match="must be real"):
             fk.CompressedOperator(ctx.window, matrix, True)
+
+    @staticmethod
+    def duplicate_coo(entries):
+        # a 3 x 3 COO matrix holding each (row, column, value) as given,
+        # duplicates included
+        rows, cols, values = zip(*entries)
+        return sparse.coo_matrix((values, (rows, cols)), shape=(3, 3))
+
+    def test_selfadjoint_flag_on_a_matrix_that_is_not_symmetric(self, su2):
+        # 1.0 and 2.0 at (0, 1) sum to 3.0 with no entry at (1, 0): refused
+        # when built, not left to end in NoConvergence in Lanczos
+        window = fk.build_window(su2, [1], 2)
+        matrix = self.duplicate_coo([(0, 1, 1.0), (0, 1, 2.0)])
+        with pytest.raises(fk.NotSelfAdjoint):
+            fk.CompressedOperator(window, matrix, True)
+        assert not fk.CompressedOperator(window, matrix, False).selfadjoint
+
+    @pytest.mark.parametrize("selfadjoint", [False, True])
+    def test_matrix_is_the_summed_csr(self, su2, selfadjoint):
+        # self-adjoint: the entries at (0, 1) sum to the one at (1, 0)
+        window = fk.build_window(su2, [1], 2)
+        entries = [(0, 1, 1.0), (0, 1, 2.0)]
+        if selfadjoint:
+            entries.append((1, 0, 3.0))
+        op = fk.CompressedOperator(window, self.duplicate_coo(entries),
+                                   selfadjoint)
+        assert isinstance(op.matrix, sparse.csr_matrix)
+        assert op.matrix.nnz == op.nnz == len(entries) - 1
+        assert op.matrix[0, 1] == 3.0
+
+    def test_matrix_is_a_copy(self, su2):
+        # a symmetric CSR matrix changed after the operator was built
+        window = fk.build_window(su2, [1], 2)
+        matrix = self.duplicate_coo([(0, 1, 3.0), (1, 0, 3.0)]).tocsr()
+        op = fk.CompressedOperator(window, matrix, True)
+        matrix.data[0] = 5.0
+        assert (op.matrix != op.matrix.T).nnz == 0
+        assert fk.top_eigenvalue(op).value == pytest.approx(3.0)

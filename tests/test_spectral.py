@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import os
 import random
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
 from conftest import (counting_ring, fibonacci_ring, label_counting_ring,
-                      pool_for, random_symmetric_measure)
+                      pool_for, random_symmetric_measure, reshaped_ring)
 
 from oracles import (direct_apply, direct_compress, direct_window,
                      lattice_ball_top_eigenvalue)
@@ -28,16 +29,15 @@ def assert_bitwise_equal(a, b):
         assert x.tobytes() == y.tobytes()
 
 
-def window_outcome(ring, S, radius, cap, oracle=False, probe=False):
+def window_outcome(ring, S, radius, cap, oracle=False, read=None):
     """(labels, level_sizes) of a window, or the cap and the radius it
     stopped at, from ``build_window``, from the same search with the
-    product reader that caches nothing, or from the direct oracle."""
+    product reader ``read``, or from the direct oracle."""
     try:
         if oracle:
             return direct_window(ring, S, radius, cap)
-        if probe:
-            window = fk.spectral._build_window(ring, S, radius, cap,
-                                               ring._product_probe)
+        if read is not None:
+            window = fk.spectral._build_window(ring, S, radius, cap, read)
         else:
             window = fk.build_window(ring, S, radius, cap=cap)
     except fk.BudgetExceeded as exc:
@@ -98,27 +98,71 @@ class TestBuildWindow:
         assert (window.labels, window.radius) == ((0, 1, 2, 3, 4), 4)
 
 
+def level_caps(ring, S, radius):
+    """Caps at, just past and between the level boundaries of the window,
+    so most of them cut a level in the middle."""
+    sizes = direct_window(ring, S, radius, fk.spectral.DEFAULT_WINDOW_CAP)[1]
+    caps = {1, sizes[-1] + 1}
+    for lo, hi in zip(sizes, sizes[1:]):
+        caps.update({lo, lo + 1, (lo + hi) // 2, hi - 1})
+    return sorted(caps)
+
+
+#: the rings and radii of the window oracle tests
+WINDOW_CASES = [("z2", 6), ("su2", 12), ("f2", 4), ("z6", 9), ("su2xz3", 4)]
+
+#: the maps a raw product rule may return: Counters, read-only proxies,
+#: dicts with explicit zeros at x and y, and at the labels of (x*y)*y
+RAW_SHAPES = ["counter", "proxy", "zeros", "far-zeros"]
+
+
+def raw_ring(base, shape):
+    """``base`` with every product returned in one of the RAW_SHAPES.  The
+    far zeros lie mostly where the window search has not been yet, while
+    x and y of a product it reads are reached already."""
+    if shape != "far-zeros":
+        return reshaped_ring(base, shape)
+
+    def rule(x, y):
+        product = base._product_rule(x, y)
+        farther = [a for z in product for a in base._product_rule(z, y)]
+        return dict(zip(farther, itertools.cycle((False, 0.0)))) | product
+
+    return fk.FusionRing(unit=base.unit, product_rule=rule,
+                         conjugate_rule=base._conjugate_rule,
+                         dim_rule=base._dim_rule, is_label=base._is_label,
+                         description=base.description)
+
+
 class TestWindowOracle:
-    @pytest.mark.parametrize("name, radius", [
-        ("z2", 6), ("su2", 12), ("f2", 4), ("z6", 9), ("su2xz3", 4)])
+    @pytest.mark.parametrize("name, radius", WINDOW_CASES)
     def test_matches_direct_window_at_every_cap(self, name, radius):
         ring, S = oracle_ring(name)
         full = direct_window(ring, S, radius, fk.spectral.DEFAULT_WINDOW_CAP)
         sizes = full[1]
-        # caps at, just past and between the level boundaries, so most of
-        # them cut a level in the middle
-        caps = {1, sizes[-1] + 1}
-        for lo, hi in zip(sizes, sizes[1:]):
-            caps.update({lo, lo + 1, (lo + hi) // 2, hi - 1})
         # the probing reader on a copy of the ring with an empty cache:
         # the same levels and the same BudgetExceeded, and nothing cached
         fresh, _ = counting_ring(ring)
-        for cap in sorted(caps):
+        for cap in level_caps(ring, S, radius):
             want = window_outcome(ring, S, radius, cap, oracle=True)
             assert window_outcome(ring, S, radius, cap) == want
-            assert window_outcome(fresh, S, radius, cap, probe=True) == want
+            assert window_outcome(fresh, S, radius, cap,
+                                  read=fresh._product_probe) == want
         assert window_outcome(ring, S, radius, sizes[-1]) == full
         assert not fresh._cache
+
+    @pytest.mark.parametrize("shape", RAW_SHAPES)
+    @pytest.mark.parametrize("name, radius", WINDOW_CASES)
+    def test_raw_rule_reads_at_every_cap(self, name, radius, shape):
+        # the estimate's reader, the rule itself, in every raw shape: the
+        # oracle's levels and BudgetExceeded, and nothing cached
+        ring, S = oracle_ring(name)
+        raw = raw_ring(ring, shape)
+        for cap in level_caps(ring, S, radius):
+            want = window_outcome(ring, S, radius, cap, oracle=True)
+            assert window_outcome(raw, S, radius, cap,
+                                  read=raw._product_rule) == want
+        assert not raw._cache
 
     def test_free_group_label_checks(self):
         # only S is checked, once per label; the labels the search reaches
@@ -144,10 +188,10 @@ class TestWindowOracle:
 
     def test_free_group_symmetric_assembly_rule_evaluations(self):
         # a symmetric measure reads one label of each conjugate pair: the
-        # products A*eta and B*eta, not a*eta and b*eta as well (5,808
-        # evaluations); the products A*t and B*t of the window's search are
-        # cached already, but for A*e and B*e, which the search no longer
-        # reads
+        # products A*eta and B*eta of the 1,457 window labels, not a*eta
+        # and b*eta as well; each is read once, straight from the rule, so
+        # the products A*t and B*t the window's search cached are read
+        # again
         base = fk.free_group_ring(2)
         rule_calls = []
 
@@ -162,7 +206,7 @@ class TestWindowOracle:
         mu = fk.ProbMeasure.uniform(ring, base.generators)
         del rule_calls[:]
         op = fk.l_measure_operator(ring, mu, window)
-        assert len(rule_calls) == 2_906
+        assert len(rule_calls) == 2_914
         assert {u for u, _ in rule_calls} == {"A", "B"}
         assert_bitwise_equal(op.matrix, direct_compress(
             ring, [(x, Fraction(w) / Fraction(ring.dim(x)))
@@ -945,9 +989,10 @@ class TestAmenabilityEstimate:
         ("dsu2", [50, 100]), ("su2xz3", [4, 10]), ("su2xz3", [10, 40])])
     @pytest.mark.parametrize("prefilled", [False, True])
     def test_leaves_product_cache_unchanged(self, name, radii, prefilled):
-        # the window search probes the products w * t, which nothing reads
-        # again; the assembly probes xi * eta; a tensor ring probes the
-        # products of its factors, so their caches stay as they were too
+        # the window search and the assembly read w * t and xi * eta
+        # straight from the rule, since nothing reads them again; a tensor
+        # ring probes the products of its factors, so their caches stay as
+        # they were too
         factors = ()
         base = oracle_ring(name)[0]
         if name == "su2xz3":  # fresh factors, not the shared oracle's
@@ -964,6 +1009,53 @@ class TestAmenabilityEstimate:
         assert not any(before[1:])
         fk.amenability_estimate(ring, mu, radii)
         assert [r._cache for r in rings] == before
+
+    @pytest.mark.parametrize("prefilled", [False, True])
+    def test_free_group_rule_evaluations(self, prefilled):
+        # radii 1..9: the window search reads the 4 steps of each of the
+        # 13,121 labels up to radius 8 (52,484) and the assembly A*eta and
+        # B*eta for the 39,365 window labels (78,730), each once and
+        # straight from the rule, so a warm cache saves none of them
+        ring, calls = counting_ring(fk.free_group_ring(2))
+        mu = fk.ProbMeasure.uniform(ring, ring.generators)
+        if prefilled:
+            fk.build_window(ring, ring.generators, 4)
+        before = dict(ring._cache)
+        assert bool(before) == prefilled
+        del calls[:]
+        fk.amenability_estimate(ring, mu, range(1, 10))
+        assert len(calls) == 131_214
+        assert ring._cache == before
+
+    @pytest.mark.parametrize("shape", RAW_SHAPES)
+    @pytest.mark.parametrize("name, radii", [
+        ("f2", [1, 3, 5]), ("su2", [30, 101]), ("z2", [4, 9]),
+        ("dsu2", [30, 60]), ("su2xz3", [3, 8]), ("z6", [1, 9])])
+    def test_raw_rule_shapes_change_nothing(self, name, radii, shape):
+        # a rule in every raw shape: the plain ring's windows, operators (a
+        # paired symmetric one, and l_xi for the least generator xi) and
+        # estimates, to the bit, and nothing cached
+        ring, S = oracle_ring(name)
+        raw = raw_ring(ring, shape)
+
+        def run(r):
+            mu = fk.ProbMeasure.uniform(r, S)
+            window = fk.spectral._build_window(
+                r, set(S), radii[-1], fk.spectral.DEFAULT_WINDOW_CAP,
+                r._product_rule)
+            ops = [fk.l_measure_operator(r, mu, window),
+                   fk.l_operator(r, min(S), window)]
+            entries = [(e.radius, e.window_size, e.lambda_max.hex(),
+                        e.iterations)
+                       for e in fk.amenability_estimate(r, mu, radii).entries]
+            return (window.labels, window.level_sizes), ops, entries
+
+        got, want = run(raw), run(ring)
+        assert got[0] == want[0]
+        for op, want_op in zip(got[1], want[1]):
+            assert_bitwise_equal(op.matrix, want_op.matrix)
+        assert got[2] == want[2]
+        assert not raw._cache
 
     @pytest.mark.parametrize("name, radii", [
         ("f2", range(1, 8)), ("su2", [3, 600, 601]), ("z2", [0, 4, 16]),
