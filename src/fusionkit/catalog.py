@@ -298,15 +298,14 @@ def tensor_product(ring1: FusionRing, ring2: FusionRing) -> FusionRing:
 
     The unit is the pair of units, conjugation and dimensions act
     componentwise, and N((a,b),(c,d) -> (x,y)) = N1(a,c->x) * N2(b,d->y).
-    The factor products are probed, not cached: the tensor ring caches
-    the products that are read again, so the factors' caches stay as they
-    were.
+    The factor products are read from the factors' rules, uncached; a
+    zero a factor returns gives zeros here, which every reader skips.
     """
     _kind(ring1, FusionRing, "ring1")
     _kind(ring2, FusionRing, "ring2")
     def product(x, y):
-        p = ring1._product_probe(x[0], y[0])
-        q = ring2._product_probe(x[1], y[1])
+        p = ring1._product_rule(x[0], y[0])
+        q = ring2._product_rule(x[1], y[1])
         return {(u, v): m * n for u, m in p.items() for v, n in q.items()}
 
     def is_label(x):

@@ -40,10 +40,10 @@ class FusionRing:
     must be an iterable of hashable labels; anything else raises
     InvalidParam.
 
-    Product results are memoized; the ring is immutable after construction
-    except for this cache.  The rules are given only labels checked where
-    they entered the public API (``check_label``, ``check_labels``) and
-    labels read off their products.
+    The ring is immutable after construction except for its product
+    cache, which only the Foelner layer fills.  The rules are given only
+    labels checked where they entered the public API (``check_label``,
+    ``check_labels``) and labels read off their products.
     """
 
     __slots__ = ("unit", "description", "generators", "parse_label",
@@ -104,21 +104,18 @@ class FusionRing:
     def product(self, xi, eta) -> dict:
         """Structure constants of ``xi * eta`` as a fresh ``{label: N}`` map.
 
-        Both labels are checked.  Zero coefficients are never stored.
-        Results are memoized internally; the returned map is a copy, so
-        callers may mutate it freely.
+        Both labels are checked.  Zero coefficients are dropped.  The map
+        is read from the rule, not cached, so callers may mutate it freely.
         """
         self.check_label(xi)
         self.check_label(eta)
-        return dict(self._product_cached(xi, eta))
+        return dict(_row(self, xi, (eta,))[0])
 
     def _product_cached(self, xi, eta) -> dict:
-        # Internal read-only view of the memoized product.  Callers must not
-        # mutate the returned dict.  The labels are not checked: every
-        # caller passes labels checked where they entered the public API,
-        # or labels read off products of such labels.  Used where a product
-        # is read again: the public window search, the Foelner cuts and FC
-        # checks, the convolutions.
+        # Internal read-only view of the memoized product, for the Foelner
+        # layer alone, since only it reads products again.  Callers must not
+        # mutate it, and pass labels checked at the public API or read off
+        # products of such labels.
         key = (xi, eta)
         hit = self._cache.get(key)
         if hit is not None:
@@ -127,22 +124,6 @@ class FusionRing:
         result = {alpha: n for alpha, n in raw.items() if n != 0}
         self._cache[key] = result
         return result
-
-    def _product_probe(self, xi, eta) -> dict:
-        # Like _product_cached but never inserts into the cache: used where
-        # a product is read once but may be cached already (the window
-        # table of verify_axioms, export_table, the window search of the
-        # balls search, the factors of a tensor product ring, which caches
-        # the products itself).  Operator assembly and the window search of
-        # amenability_estimate read the rule itself.  A rule's dict without
-        # zeros is returned as is, so callers must not mutate the result.
-        hit = self._cache.get((xi, eta))
-        if hit is not None:
-            return hit
-        raw = self._product_rule(xi, eta)
-        if type(raw) is dict and all(raw.values()):
-            return raw
-        return {alpha: n for alpha, n in raw.items() if n != 0}
 
     def conj(self, xi):
         """The conjugate basis label."""
@@ -169,7 +150,7 @@ def _parse_identity(text: str):
 
 
 def product_basis(ring: FusionRing, xi, eta) -> dict:
-    """Coefficient map of the basis product ``xi * eta`` (memoized, exact)."""
+    """Coefficient map of the basis product ``xi * eta`` (exact)."""
     return _kind(ring, FusionRing, "ring").product(xi, eta)
 
 
@@ -331,9 +312,9 @@ def multiply(x: Element, y: Element) -> Element:
     _over(ring, y, Element, "y")
     out: dict = {}
     for xi, a in x.coeffs.items():
-        for eta, b in y.coeffs.items():
+        for (eta, b), p in zip(y.coeffs.items(), _row(ring, xi, y.coeffs)):
             ab = a * b
-            for alpha, n in ring._product_cached(xi, eta).items():
+            for alpha, n in p.items():
                 out[alpha] = out.get(alpha, 0) + ab * n
     return Element._trusted(ring, out)
 
@@ -365,9 +346,9 @@ def convolve(f: Element, g: Element) -> Element:
     out: dict = {}
     for xi, a in f.coeffs.items():
         dxi = _exact_dim(ring, xi)
-        for eta, b in g.coeffs.items():
+        for (eta, b), p in zip(g.coeffs.items(), _row(ring, xi, g.coeffs)):
             w = (a * b) / (dxi * _exact_dim(ring, eta))
-            for alpha, n in ring._product_cached(xi, eta).items():
+            for alpha, n in p.items():
                 out[alpha] = (out.get(alpha, 0)
                               + w * n * _exact_dim(ring, alpha))
     return Element._trusted(ring, out)
@@ -653,6 +634,13 @@ def _plain(products: list) -> list:
             else {alpha: n for alpha, n in p.items() if n != 0} for p in products]
 
 
+def _row(ring: FusionRing, x, others, left: bool = True) -> list:
+    """x * y (y * x unless ``left``) for y in ``others``, read from the rule
+    as every reader outside the Foelner layer reads.  Do not mutate."""
+    pairs = (itertools.repeat(x), others)
+    return _plain([*map(ring._product_rule, *(pairs if left else pairs[::-1]))])
+
+
 def _row_reader(ring, table: dict, labels: list, right: list):
     """``row(x)``, an iterator over the products x*y for y in ``right``.
 
@@ -822,10 +810,10 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     before any axiom reads it.
 
     Cost, for a window of n distinct labels whose products have at most s
-    terms: the n**2 window products are probed once into a table that
-    every check reads, and nothing is cached; a repeated label adds no
-    product.  Frobenius reciprocity runs over the nonzero entries of three
-    product tables, in O(n**2 * s).  Associativity takes one block of
+    terms: the n**2 window products are read once from the rule into a
+    table that every check reads; a repeated label adds no product.
+    Frobenius reciprocity runs over the nonzero entries of three product
+    tables, in O(n**2 * s).  Associativity takes one block of
     sparse integer matrix products per first factor xi, where B is the
     union of the supports of the window products, its window labels
     first, and B_xi that of the products xi * eta.  Block xi reads the
@@ -836,9 +824,8 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     B_xi contain beta reads each beta * zeta once, and a beta that leaves
     and comes back is read again.  A row takes its window products from
     the table (a slice, since B lists window labels first) and the others
-    straight from the product rule: these second-stage products are
-    neither cached nor looked up in the cache, and besides the window
-    products at most one block's rows live at a time.
+    straight from the product rule, and besides the window products at
+    most one block's rows live at a time.
 
     Associativity is the one check that imports ``scipy.sparse``, on its
     first run; so a table ring, which runs ``verify_axioms`` when it is
@@ -873,13 +860,13 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     dims = {l: ring._dim_rule(l) for l in distinct}
 
     # the window table: the products x * y of distinct window labels, one
-    # row per x in window order, each probed once
-    table = {x: [ring._product_probe(x, y) for y in distinct] for x in distinct}
+    # row per x in window order, each read once from the rule
+    table = {x: _row(ring, x, distinct) for x in distinct}
     index = {y: j for j, y in enumerate(distinct)}
 
     def probe(x, y):
         row, j = table.get(x), index.get(y)
-        return ring._product_probe(x, y) if row is None or j is None else row[j]
+        return _row(ring, x, (y,))[0] if row is None or j is None else row[j]
 
     def products():
         # (x, y, x * y) over the window table, in window order

@@ -15,12 +15,13 @@ only in reports.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .core import (Element, FusionRing, ProbMeasure, _exact_dim, _kind,
-                   _over, _weight, check_labels, convolve)
+                   _over, _row, _weight, check_labels, convolve)
 from .errors import (BudgetExceeded, EmptySet, InvalidParam,
                      MeasureMissingUnit, NonSymmetricMeasure, ZeroFunction,
                      count, positive)
@@ -28,11 +29,27 @@ from .spectral import _bfs_levels
 
 
 def as_float(value) -> float:
-    """Float view of an exact weight; huge integers saturate to inf."""
+    """Float view of an exact value; huge ones saturate to +-inf."""
     try:
         return float(value)
     except OverflowError:
-        return float("inf")
+        return math.inf if value > 0 else -math.inf
+
+
+def _root(value: Fraction, r: int) -> float:
+    """value ** (1/r) for an exact value >= 0.  Past the float range,
+    value = m 2**(q r + k) with m in [1/2, 2) and 0 <= k < r, and the root
+    is m**(1/r) 2**(k/r) 2**q, or inf when even that overflows."""
+    try:
+        return float(value) ** (1.0 / r)
+    except OverflowError:
+        num, den = value.numerator, value.denominator
+    q, k = divmod(num.bit_length() - den.bit_length(), r)
+    m = num / (den << (q * r + k))
+    try:
+        return math.ldexp(m ** (1.0 / r) * 2.0 ** (k / r), q)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -320,7 +337,7 @@ def dirichlet_norm(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> flo
     The sum runs over the kernel rows convolve(delta_xi, mu) of supp(f) and
     of the xi that reach it (by Frobenius reciprocity, xi in
     supp(eta * conj(omega))), each computed once, in exact rational
-    arithmetic; only the final r-th root is float.
+    arithmetic; only the final r-th root is float, taken past floats too.
     """
     r = count(r, "r", 1)
     _over(ring, mu, ProbMeasure, "mu")
@@ -328,8 +345,8 @@ def dirichlet_norm(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> flo
     conj, dim, exact = ring._conjugate_rule, ring._dim_rule, _exact_measure(mu)
     sources = dict.fromkeys(f.support)
     for eta in f.support:
-        for omega in mu.support:
-            sources.update(dict.fromkeys(ring._product_cached(eta, conj(omega))))
+        for p in _row(ring, eta, map(conj, mu.support)):
+            sources.update(dict.fromkeys(p))
     energy = Fraction(0)
     for xi in sources:
         d = dim(xi)
@@ -339,27 +356,29 @@ def dirichlet_norm(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> flo
             diff = value - Fraction(f[eta])
             if diff and p:
                 energy += sigma * p * abs(diff) ** r
-    value = energy / 2
-    return float(value) ** (1.0 / r)
+    return _root(energy / 2, r)
 
 
 def lp_sigma_norm(f: Element, r: int) -> float:
-    """The l^r norm with respect to the sigma weights."""
+    """The l^r norm with respect to the sigma weights, past floats too."""
     r = count(r, "r", 1)
     ring = _kind(f, Element, "f").ring
     total = Fraction(0)
     for label, value in f.coeffs.items():
         total += Fraction(ring._sigma(label)) * abs(Fraction(value)) ** r
-    return float(total) ** (1.0 / r)
+    return _root(total, r)
 
 
 def inner_sigma(f: Element, g: Element) -> float:
-    """The real inner product on l2(sigma)."""
+    """The real inner product on l2(sigma); saturates like ``as_float``."""
     ring = _kind(f, Element, "f").ring
     _over(ring, g, Element, "g")
     small, large = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
-    return float(sum(ring._sigma(l) * v * large[l]
-                     for l, v in small.coeffs.items()))
+    terms = [(ring._sigma(l), v, large[l]) for l, v in small.coeffs.items()]
+    try:
+        return float(sum(map(math.prod, terms)))
+    except OverflowError:  # a sigma or the sum past the float range
+        return as_float(sum(math.prod(map(Fraction, t)) for t in terms))
 
 
 def nw_ratio(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> float:
@@ -408,7 +427,7 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
 
     Both strategies cache the products their cut reads.  When the window
     search of ``balls`` expands w, the cut has cached w * xi and
-    w * conj(xi) already, and these are all the search reads.
+    w * conj(xi) already, and these are all the search reads: all hits.
 
     The report equals ``fc3_check(ring, S, labels, eps)`` field for field.
     It is built from the boundary the cut had when the best ratio was
@@ -444,7 +463,7 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
     found = False
     if strategy == "balls":
         try:
-            levels = _bfs_levels(ring, S, budget, ring._product_probe)
+            levels = _bfs_levels(ring, S, budget, ring._product_cached)
             for radius, new in enumerate(levels):
                 for label in new:
                     cut.add(label)

@@ -29,7 +29,7 @@ import os
 from typing import Mapping
 
 from . import catalog
-from .core import FusionRing, check_labels
+from .core import FusionRing, _row, check_labels
 from .errors import IncompleteTable, InvalidParam, InvalidTable
 
 PAIR_SEPARATOR = "|"
@@ -224,9 +224,8 @@ def export_table(ring: FusionRing, labels) -> dict:
     The window must be closed under products (and conjugation), otherwise
     the exported table could not be complete; a non-closed window raises
     InvalidParam.  Reloading the document yields identical product, dim and
-    conjugation maps on the window.  Each product is read once, so it is
-    probed rather than cached, and the ring's product cache stays as it
-    was.
+    conjugation maps on the window.  Each product is read once, straight
+    from the rule: only the Foelner layer caches products.
     """
     labels = check_labels(ring, labels)
     if not labels:
@@ -248,8 +247,7 @@ def export_table(ring: FusionRing, labels) -> dict:
 
     products = {}
     for a in labels:
-        for b in labels:
-            entry = ring._product_probe(a, b)
+        for b, entry in zip(labels, _row(ring, a, labels)):
             for alpha in entry:
                 if alpha not in label_set:
                     raise InvalidParam(

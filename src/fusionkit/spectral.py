@@ -118,12 +118,18 @@ class TruncationWindow:
         return len(self.labels)
 
     def __contains__(self, label) -> bool:
-        return label in self._index
+        try:  # an unhashable value is no label
+            return label in self._index
+        except TypeError:
+            return False
 
     def __iter__(self):
         return iter(self.labels)
 
     def index(self, label) -> int:
+        """The position of ``label``; InvalidParam when it is not here."""
+        if label not in self:
+            raise InvalidParam(f"{label!r} is not in the window")
         return self._index[label]
 
     def prefix(self, radius: int) -> "TruncationWindow":
@@ -151,26 +157,23 @@ def build_window(ring: FusionRing, S: Iterable, radius: int,
     BudgetExceeded if the label count would exceed ``cap``, reporting the
     last fully expanded radius.
 
-    The products w * t the search reads are cached, because the callers
-    of a public window read them again: ``verify_axioms`` reads every
-    window product, and the CLI's FC checks on a ``ball:r`` set read many.
+    The products w * t the search reads come straight from the rule:
+    only the Foelner layer caches products.
     """
     S = set(check_labels(ring, S))
     if not S:
         raise EmptySet("window generator support must be non-empty")
-    return _build_window(ring, S, radius, cap, ring._product_cached)
+    return _build_window(ring, S, radius, cap)
 
 
-def _build_window(ring: FusionRing, S: set, radius: int, cap: int,
-                  read) -> TruncationWindow:
-    # build_window from a non-empty set S of checked labels, reading products
-    # with ``read``: ring._product_rule where nothing reads them again
+def _build_window(ring: FusionRing, S: set, radius: int, cap: int) -> TruncationWindow:
+    # build_window from a non-empty set S of checked labels
     radius = count(radius, "radius", 0)
     cap = count(cap, "cap", 1)
 
     order = []
     level_sizes = []
-    for new in itertools.islice(_bfs_levels(ring, S, cap, read), radius + 1):
+    for new in itertools.islice(_bfs_levels(ring, S, cap, ring._product_rule), radius + 1):
         if not new:
             break
         order.extend(new)
@@ -190,12 +193,10 @@ def _bfs_levels(ring: FusionRing, S: set, cap: int, read):
     in the middle of a level.  S must be checked labels; every other label
     is a product of checked labels, so none is checked again.
 
-    The products w * t are read with ``read(w, t)``: ring._product_cached
-    when a caller reads them again (a public window), ring._product_probe
-    where the cache may hold them already (the balls search), and the rule
-    itself where nothing does (an estimate).  A label whose coefficient is
-    0 is skipped, so ``read`` may return any Mapping, explicit zeros
-    included; the levels do not depend on the reader.
+    The products w * t are read with ``read(w, t)``: the rule for a
+    window, ring._product_cached for the balls search, whose cut cached
+    them already.  A label whose coefficient is 0 is skipped, so ``read``
+    may return any Mapping, explicit zeros included.
     """
     conj = ring._conjugate_rule
     steps = sorted((S | {conj(xi) for xi in S}) - {ring.unit})
@@ -392,10 +393,9 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
     rounds their quotient correctly, as int / int does.  Otherwise each
     entry is divided as int / int.
 
-    Each product is read once, so it is read straight from the rule,
-    neither cached nor looked up in the cache; each chunk of products
-    passes through ``core._plain``, which rebuilds only a chunk holding
-    maps that are not plain dicts without zeros.  Every label here was
+    Each product is read once, straight from the rule; each chunk of
+    products is a ``core._row``, which rebuilds only a chunk holding maps
+    that are not plain dicts without zeros.  Every label here was
     checked when the window, measure or element was built, so none is
     checked again.
     """
@@ -408,7 +408,6 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
         (abs(c.numerator) * (D // c.denominator) for _, c in terms), default=0)
     index = window._index
     labels = window.labels
-    rule = ring._product_rule
     chunk = core._CHUNK
     paired = set()  # conjugates already added as transposes
     rows = [np.zeros(0, dtype=np.int32)]
@@ -424,8 +423,7 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
         if pair:
             paired.add(xibar)
         for start in range(0, n, chunk):
-            products = core._plain([*map(rule, itertools.repeat(xi),
-                                         labels[start:start + chunk])])
+            products = core._row(ring, xi, labels[start:start + chunk])
             sizes = np.fromiter(map(len, products), dtype=np.int32,
                                 count=len(products))
             i = np.fromiter(map(index.get, _chain(products),
@@ -532,17 +530,15 @@ def _apply(ring: FusionRing, mu: ProbMeasure, f: Element, left: bool) -> Element
     # additions match a scan over all of f
     _over(ring, mu, ProbMeasure, "mu")
     _over(ring, f, Element, "f")
-    dim, read = ring._dim_rule, ring._product_cached
+    dim = ring._dim_rule
     position = {alpha: i for i, alpha in enumerate(f.coeffs)}
     out: dict = {}
     for xi, w in mu.sorted_items():
         xibar = ring._conjugate_rule(xi)
-        candidates = set()
-        for alpha in f.support:
-            candidates.update(read(xi, alpha) if left else read(alpha, xibar))
+        first, second = (xi, xibar) if left else (xibar, xi)
+        candidates = [*set().union(*core._row(ring, first, f.support, left))]
         dxi = dim(xi)
-        for eta in candidates:
-            p = read(xibar, eta) if left else read(eta, xi)
+        for eta, p in zip(candidates, core._row(ring, second, candidates, left)):
             s = 0.0
             for alpha in sorted((a for a in p if a in position),
                                 key=position.__getitem__):
@@ -757,11 +753,9 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
     Each radius must be an int >= 0, ``cap`` an int >= 1 and ``tol``
     finite and positive; anything else raises InvalidParam before a window
     is built.  The window search reads its products w * t, and the
-    assembly its products xi * eta, straight from the rule, once each:
-    nothing reads them again, so they are not cached, and the cache is not
-    looked up.  So an estimate leaves the product cache as it found it,
-    and its rule evaluations do not depend on what the cache holds (F2,
-    uniform on its generators, at radii 1..9: 131,214).
+    assembly its products xi * eta, straight from the rule, once each
+    (F2, uniform on its generators, at radii 1..9: 131,214 rule
+    evaluations): only the Foelner layer caches products.
     """
     if not _over(ring, mu, ProbMeasure, "mu").symmetric:
         raise NonSymmetricMeasure(
@@ -774,7 +768,7 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
         raise InvalidParam("need at least one radius")
     positive(tol, "tol")
     support = tuple(sorted(mu.support))
-    window = _build_window(ring, set(support), radii[-1], cap, ring._product_rule)
+    window = _build_window(ring, set(support), radii[-1], cap)
     op = l_measure_operator(ring, mu, window)
     entries = []
     for radius in radii:

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -257,6 +258,17 @@ class TestDirichletCommand:
         out = capsys.readouterr().out
         line = [l for l in out.splitlines() if "energy_identity_residual" in l][0]
         assert float(line.split()[-1]) < 1e-10
+
+    def test_past_float_range(self, dsu2_file, capsys):
+        # the exact energy and norm leave the float range, their roots do
+        # not: d(400) d(401) / 3 is about 2.87e334
+        code = main(["dirichlet", dsu2_file, "--measure", "delta:1",
+                     "--fn", "interval:0..400", "--r", "2"])
+        assert code == 0
+        lines = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        d = fk.build_deformed_su2_ring(3).dim
+        energy = Fraction(lines["dirichlet_norm"]) ** 2
+        assert abs(energy * 3 / (d(400) * d(401)) - 1) < 1e-10
 
     def test_constant_on_finite_ring(self, ring_file, capsys):
         path = ring_file("z6.json",

@@ -288,6 +288,41 @@ class TestDirichlet:
                 assert math.isclose(lhs, rhs, rel_tol=1e-10, abs_tol=1e-10)
 
 
+class TestSigmaNormsPastFloatRange:
+    """Deformed SU(2) (n = 3) with mu = delta_1 and f = chi_[0,b]: the
+    energy sums sigma(b) p(b, b + 1) + sigma(b + 1) p(b + 1, b), so
+    ||f||_D(2)**2 = d(b) d(b + 1) / 3, and ||f||_{2,sigma}**2 is the sum of
+    d(k)**2 for k <= b.  Both sums leave the float range at b = 369."""
+
+    @staticmethod
+    def assert_root_of(value, exact):
+        # value equals sqrt(exact) to a relative error of 1e-12
+        assert abs(Fraction(value) ** 2 / exact - 1) < 2e-12
+
+    @pytest.mark.parametrize("b", [5, 40, 250, 399])
+    def test_closed_forms(self, dsu2, b):
+        mu = fk.ProbMeasure.delta(dsu2, 1)
+        f = fk.indicator(dsu2, range(b + 1))
+        d = dsu2.dim
+        D, L = fk.dirichlet_norm(dsu2, mu, f, 2), fk.lp_sigma_norm(f, 2)
+        self.assert_root_of(D, Fraction(d(b) * d(b + 1), 3))
+        self.assert_root_of(L, sum(d(k) ** 2 for k in range(b + 1)))
+        assert fk.nw_ratio(dsu2, mu, f, 2) == D / L
+
+    def test_roots_of_sums_past_float_range(self, dsu2):
+        f = fk.indicator(dsu2, range(400))
+        with pytest.raises(OverflowError):
+            float(sum(dsu2.dim(k) ** 2 for k in range(400)))
+        assert 1e166 < fk.lp_sigma_norm(f, 2) < 1e167
+        assert fk.lp_sigma_norm(f, 1) == math.inf
+
+    def test_inner_product_saturates(self, dsu2):
+        f = fk.indicator(dsu2, range(400))
+        rho_f = fk.rho_measure_apply(dsu2, fk.ProbMeasure.delta(dsu2, 1), f)
+        assert fk.inner_sigma(f, f) == fk.inner_sigma(rho_f, f) == math.inf
+        assert fk.inner_sigma(f, -f) == -math.inf
+
+
 class TestDirichletOracle:
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(["z2", "su2", "dsu2", "f2", "su2xz", "fibz"]),

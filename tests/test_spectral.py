@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -29,17 +30,13 @@ def assert_bitwise_equal(a, b):
         assert x.tobytes() == y.tobytes()
 
 
-def window_outcome(ring, S, radius, cap, oracle=False, read=None):
+def window_outcome(ring, S, radius, cap, oracle=False):
     """(labels, level_sizes) of a window, or the cap and the radius it
-    stopped at, from ``build_window``, from the same search with the
-    product reader ``read``, or from the direct oracle."""
+    stopped at, from ``build_window`` or from the direct oracle."""
     try:
         if oracle:
             return direct_window(ring, S, radius, cap)
-        if read is not None:
-            window = fk.spectral._build_window(ring, S, radius, cap, read)
-        else:
-            window = fk.build_window(ring, S, radius, cap=cap)
+        window = fk.build_window(ring, S, radius, cap=cap)
     except fk.BudgetExceeded as exc:
         return ("budget", exc.cap, exc.achieved_radius)
     return window.labels, window.level_sizes
@@ -97,6 +94,19 @@ class TestBuildWindow:
         window = fk.build_window(su2, {1}, np.int64(4), cap=np.int64(10))
         assert (window.labels, window.radius) == ((0, 1, 2, 3, 4), 4)
 
+    def test_unhashable_value_is_not_in_the_window(self, su2):
+        # as FusionRing.contains reads it, not a TypeError
+        window = fk.build_window(su2, {1}, 3)
+        assert [1] not in window and {} not in window
+        assert 1 in window and 7 not in window
+
+    @pytest.mark.parametrize("value", [7, [1]])
+    def test_index_of_a_value_outside_raises_invalid_param(self, su2, value):
+        window = fk.build_window(su2, {1}, 3)
+        assert [window.index(label) for label in window] == [0, 1, 2, 3]
+        with pytest.raises(fk.InvalidParam, match=re.escape(repr(value))):
+            window.index(value)
+
 
 def level_caps(ring, S, radius):
     """Caps at, just past and between the level boundaries of the window,
@@ -140,28 +150,26 @@ class TestWindowOracle:
         ring, S = oracle_ring(name)
         full = direct_window(ring, S, radius, fk.spectral.DEFAULT_WINDOW_CAP)
         sizes = full[1]
-        # the probing reader on a copy of the ring with an empty cache:
-        # the same levels and the same BudgetExceeded, and nothing cached
+        # a copy of the ring with an empty cache: the same levels and the
+        # same BudgetExceeded, and nothing cached
         fresh, _ = counting_ring(ring)
         for cap in level_caps(ring, S, radius):
             want = window_outcome(ring, S, radius, cap, oracle=True)
             assert window_outcome(ring, S, radius, cap) == want
-            assert window_outcome(fresh, S, radius, cap,
-                                  read=fresh._product_probe) == want
+            assert window_outcome(fresh, S, radius, cap) == want
         assert window_outcome(ring, S, radius, sizes[-1]) == full
         assert not fresh._cache
 
     @pytest.mark.parametrize("shape", RAW_SHAPES)
     @pytest.mark.parametrize("name, radius", WINDOW_CASES)
     def test_raw_rule_reads_at_every_cap(self, name, radius, shape):
-        # the estimate's reader, the rule itself, in every raw shape: the
+        # the window's reader, the rule itself, in every raw shape: the
         # oracle's levels and BudgetExceeded, and nothing cached
         ring, S = oracle_ring(name)
         raw = raw_ring(ring, shape)
         for cap in level_caps(ring, S, radius):
             want = window_outcome(ring, S, radius, cap, oracle=True)
-            assert window_outcome(raw, S, radius, cap,
-                                  read=raw._product_rule) == want
+            assert window_outcome(raw, S, radius, cap) == want
         assert not raw._cache
 
     def test_free_group_label_checks(self):
@@ -991,8 +999,8 @@ class TestAmenabilityEstimate:
     def test_leaves_product_cache_unchanged(self, name, radii, prefilled):
         # the window search and the assembly read w * t and xi * eta
         # straight from the rule, since nothing reads them again; a tensor
-        # ring probes the products of its factors, so their caches stay as
-        # they were too
+        # ring reads the rules of its factors, so their caches stay as they
+        # were too; the warm cache is a Foelner cut's
         factors = ()
         base = oracle_ring(name)[0]
         if name == "su2xz3":  # fresh factors, not the shared oracle's
@@ -1002,8 +1010,8 @@ class TestAmenabilityEstimate:
         rings = (ring, *factors)
         mu = fk.ProbMeasure.uniform(ring, ring.generators)
         if prefilled:
-            fk.build_window(ring, ring.generators, 2)
-            ring.product(ring.unit, ring.unit)
+            fk.boundary(ring, ring.generators,
+                        fk.build_window(ring, ring.generators, 2))
         before = [dict(r._cache) for r in rings]
         assert bool(before[0]) == prefilled
         assert not any(before[1:])
@@ -1015,11 +1023,13 @@ class TestAmenabilityEstimate:
         # radii 1..9: the window search reads the 4 steps of each of the
         # 13,121 labels up to radius 8 (52,484) and the assembly A*eta and
         # B*eta for the 39,365 window labels (78,730), each once and
-        # straight from the rule, so a warm cache saves none of them
+        # straight from the rule, so a cache a Foelner cut warmed saves
+        # none of them
         ring, calls = counting_ring(fk.free_group_ring(2))
         mu = fk.ProbMeasure.uniform(ring, ring.generators)
         if prefilled:
-            fk.build_window(ring, ring.generators, 4)
+            fk.boundary(ring, ring.generators,
+                        fk.build_window(ring, ring.generators, 4))
         before = dict(ring._cache)
         assert bool(before) == prefilled
         del calls[:]
@@ -1041,8 +1051,7 @@ class TestAmenabilityEstimate:
         def run(r):
             mu = fk.ProbMeasure.uniform(r, S)
             window = fk.spectral._build_window(
-                r, set(S), radii[-1], fk.spectral.DEFAULT_WINDOW_CAP,
-                r._product_rule)
+                r, set(S), radii[-1], fk.spectral.DEFAULT_WINDOW_CAP)
             ops = [fk.l_measure_operator(r, mu, window),
                    fk.l_operator(r, min(S), window)]
             entries = [(e.radius, e.window_size, e.lambda_max.hex(),

@@ -39,3 +39,27 @@ def test_install_counts_and_uninstalls():
     assert report["core.product_lookups"] > 0
     assert report["core.rule_evaluations"] == report["core.product_misses"] > 0
     assert report["foelner.fc2_s"] > 0
+
+
+def traced_report(run):
+    """The tracer's report of ``run(ring)`` on a freshly loaded SU(2) ring."""
+    tracer = load_tracer().Tracer()
+    tracer.install(fk)
+    try:
+        run(fk.load_ring({"type": "builtin", "name": "su2", "params": {}}))
+        return tracer.report()
+    finally:
+        tracer.uninstall()
+
+
+def test_only_the_foelner_layer_counts_as_cache_traffic():
+    # a window and the axiom check read the rule, not the cache; the balls
+    # search reads through the cache, and its window search only hits
+    report = traced_report(lambda ring: fk.verify_axioms(
+        ring, fk.build_window(ring, ring.generators, 10)))
+    assert report["core.product_lookups"] == 0
+    assert report["core.rule_evaluations"] > 0
+    report = traced_report(lambda ring: fk.foelner_search(
+        ring, ring.generators, 0.5, strategy="balls", budget=100))
+    assert report["core.product_lookups"] > report["core.product_misses"]
+    assert report["core.rule_evaluations"] == report["core.product_misses"] > 0
