@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 from . import catalog, foelner, ringio, spectral
@@ -42,12 +43,8 @@ def _parse_label(ring: FusionRing, text: str):
 
 
 def _parse_labels(ring: FusionRing, text: str) -> list:
-    labels = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        labels.append(_parse_label(ring, part))
+    labels = [_parse_label(ring, part.strip())
+              for part in text.split(",") if part.strip()]
     if not labels:
         raise InvalidParam(f"no labels in {text!r}")
     return labels
@@ -230,7 +227,9 @@ def cmd_dirichlet(args) -> int:
     if args.r == 2:
         rho_f = spectral.rho_measure_apply(ring, mu, f)
         energy = foelner.inner_sigma(f, f) - foelner.inner_sigma(rho_f, f)
-        print(f"energy_identity_residual {_fmt(abs(value * value - energy))}")
+        residual = abs(value * value - energy)  # inf or nan past floats
+        print("energy_identity_residual", _fmt(residual)
+              if math.isfinite(residual) else "out_of_float_range")
     return EXIT_OK
 
 

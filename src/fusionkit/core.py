@@ -112,10 +112,10 @@ class FusionRing:
         return dict(_row(self, xi, (eta,))[0])
 
     def _product_cached(self, xi, eta) -> dict:
-        # Internal read-only view of the memoized product, for the Foelner
-        # layer alone, since only it reads products again.  Callers must not
-        # mutate it, and pass labels checked at the public API or read off
-        # products of such labels.
+        # Internal read-only view of the memoized product, for the readers
+        # beside a Foelner cut alone, since only they read products again.
+        # Callers must not mutate it, and pass labels checked at the public
+        # API or read off products of such labels.
         key = (xi, eta)
         hit = self._cache.get(key)
         if hit is not None:
@@ -375,11 +375,11 @@ def _weight(ring: FusionRing, labels) -> object:
 class ProbMeasure:
     """A finitely supported probability measure on the basis.
 
-    Weights are floats in (0, 1] summing to 1 within 1e-12, given as a
-    mapping or as (label, weight) pairs.  ``symmetric`` is computed, never
-    asserted: it holds iff the stored weight at conj(label) equals the
-    weight at label exactly, for every support label.  Instances are
-    immutable values.
+    Weights are ``numbers.Number``s other than bools, stored as floats in
+    (0, 1] summing to 1 within 1e-12, given as a mapping or as (label,
+    weight) pairs.  ``symmetric`` is computed, never asserted: it holds iff
+    the stored weight at conj(label) equals the weight at label exactly,
+    for every support label.  Instances are immutable values.
     """
 
     __slots__ = ("ring", "weights", "symmetric")
@@ -395,8 +395,9 @@ class ProbMeasure:
     def _set(self, ring: FusionRing, weights: dict) -> None:
         clean = {}
         for label, w in weights.items():
-            try:
-                weight = float(w)
+            try:  # float() also reads True, "1" and b"1"; none is a weight
+                weight = (float(w) if isinstance(w, numbers.Number)
+                          and not isinstance(w, bool) else math.nan)
             except (TypeError, ValueError, OverflowError):
                 weight = math.nan  # not a real number: refused below
             if not 0.0 < weight <= 1.0:

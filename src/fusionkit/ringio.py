@@ -207,12 +207,14 @@ def table_ring_from_doc(doc: Mapping) -> FusionRing:
                 f"missing product entry for '{x}{PAIR_SEPARATOR}{y}'")
         return entry
 
+    if not isinstance(description := doc.get("description", ""), str):
+        raise InvalidTable(f"description {description!r} is not text")
     return catalog._verified_table_ring(FusionRing(
         unit=unit,
         product_rule=product_rule,
         conjugate_rule=lambda x: conj_map[x],
         dim_rule=lambda x: dims[x],
-        description=doc.get("description") or "table ring",
+        description=description or "table ring",
         generators=tuple(l for l in labels if l != unit),
         is_label=is_label,
     ), labels)

@@ -3,13 +3,14 @@
 Everything here is deliberately implemented from first principles, without
 going through the fusion-rule oracles under test: character polynomials for
 the SU(2) rules, a definition-level boundary scan and a direct two-scan
-boundary, a letter-by-letter reduced-word test and a stack free reduction,
-triple-loop Frobenius and associativity scans, a breadth-first window that
-conjugates every product label it meets, operator compression accumulated
-in `Fraction`s, convolution applies that scan every coefficient of f for
-each output label, the Dirichlet norm summed pair by pair, exact return
-probabilities of the simple random walk on a free group via its radial
-projection, and truncated lattice adjacency matrices.
+boundary, the FC2 distance summed label by label, a letter-by-letter
+reduced-word test and a stack free reduction, triple-loop Frobenius and
+associativity scans, a breadth-first window that conjugates every product
+label it meets, operator compression accumulated in `Fraction`s,
+convolution applies that scan every coefficient of f for each output
+label, the Dirichlet norm summed pair by pair, exact return probabilities
+of the simple random walk on a free group via its radial projection, and
+truncated lattice adjacency matrices.
 """
 from __future__ import annotations
 
@@ -101,6 +102,26 @@ def direct_boundary(ring, S, F):
         return sum(ring.dim(label) ** 2 for label in labels)
 
     return inner, outer, weight(inner), weight(outer), weight(F)
+
+
+def direct_fc2(ring, xi, F):
+    """|| rho_xi(chi_F) - chi_F ||_{1,sigma} by definition, in `Fraction`s:
+    the sum over eta of sigma(eta) |rho_xi(chi_F)(eta) - chi_F(eta)|, with
+    rho_xi(chi_F)(eta) = sum_{alpha in F} d(alpha) N(eta,xi->alpha)
+    / (d(eta) d(xi)).  eta runs over F and the labels whose product by xi
+    meets F, found as supp(alpha * conj(xi)) for alpha in F."""
+    F = set(F)
+    dim = lambda label: Fraction(ring.dim(label))
+    etas = set(F)
+    for alpha in F:
+        etas.update(ring.product(alpha, ring.conj(xi)))
+    total = Fraction(0)
+    for eta in etas:
+        product = ring.product(eta, xi)
+        rho = sum(dim(alpha) * product.get(alpha, 0) for alpha in F)
+        rho /= dim(eta) * dim(xi)
+        total += dim(eta) ** 2 * abs(rho - int(eta in F))
+    return total
 
 
 # ---------------------------------------------------------------------------

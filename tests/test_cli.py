@@ -270,6 +270,21 @@ class TestDirichletCommand:
         energy = Fraction(lines["dirichlet_norm"]) ** 2
         assert abs(energy * 3 / (d(400) * d(401)) - 1) < 1e-10
 
+    @pytest.mark.parametrize("fixture,hi,residual", [
+        ("su2_file", 3, lambda text: float(text) < 1e-10),
+        ("dsu2_file", 400, lambda text: text == "out_of_float_range")],
+        ids=["su2", "past_float_range"])
+    def test_energy_residual_line(self, fixture, hi, residual, request, capsys):
+        # past the float range the squared norm and both sigma products are
+        # inf, so no residual is computed; every line keeps two fields
+        code = main(["dirichlet", request.getfixturevalue(fixture),
+                     "--measure", "delta:1", "--fn", f"interval:0..{hi}",
+                     "--r", "2"])
+        assert code == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert {len(fields) for fields in lines} == {2}
+        assert residual(dict(lines)["energy_identity_residual"])
+
     def test_constant_on_finite_ring(self, ring_file, capsys):
         path = ring_file("z6.json",
                          {"type": "builtin", "name": "cyclic", "params": {"n": 6}})

@@ -221,6 +221,12 @@ class TestProbMeasure:
         with pytest.raises(fk.InvalidParam, match="not a number in"):
             fk.ProbMeasure(su2, {1: weight})
 
+    @pytest.mark.parametrize("weight", ["1", b"1", True])
+    def test_weight_that_converts_is_no_number(self, su2, weight):
+        # float() reads each of these as 1.0, but none is a weight
+        with pytest.raises(fk.InvalidParam, match="not a number in"):
+            fk.ProbMeasure(su2, {0: weight})
+
     def test_symmetry_computed(self, z1):
         assert not fk.ProbMeasure.delta(z1, 1).symmetric
         assert fk.ProbMeasure.uniform(z1, [1, -1]).symmetric

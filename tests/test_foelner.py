@@ -13,7 +13,7 @@ from conftest import (counting_ring, fibonacci_ring, label_counting_ring,
 from fusionkit.foelner import _Cut
 
 from oracles import (brute_boundary, direct_boundary, direct_dirichlet,
-                     direct_kernel)
+                     direct_fc2, direct_kernel)
 
 
 @functools.cache
@@ -25,6 +25,19 @@ def cut_ring(name):
             "su2xz3": lambda: fk.tensor_product(fk.build_su2_ring(),
                                                 fk.cyclic_ring(3))}[name]()
     return ring, pool_for(ring, 3)
+
+
+#: the FC2 corpus, ring name -> (ring, S): S = {1} on SU(2), the 4
+#: generators of Z^2, the non-symmetric S = {a} on F_2, and the generators
+#: of a tensor ring
+FC2_RINGS = {
+    "su2": lambda: (fk.build_su2_ring(), [1]),
+    "z2": lambda: (fk.integer_lattice_ring(2),
+                   [(1, 0), (-1, 0), (0, 1), (0, -1)]),
+    "f2": lambda: (fk.free_group_ring(2), ["a"]),
+    "su2xz3": lambda: (fk.tensor_product(fk.build_su2_ring(), fk.cyclic_ring(3)),
+                       [(1, 0), (0, 1), (0, 2)]),
+}
 
 
 class TestBoundary:
@@ -216,6 +229,50 @@ class TestFC2:
         ring = fibonacci_ring()
         for F in ({"1"}, {"t"}):
             assert fk.fc2_check(ring, {"t"}, F, 1.0).extra["per_label"] == {"t": 2.0}
+
+    @pytest.mark.parametrize("name", sorted(FC2_RINGS))
+    def test_exact_values_match_the_definition(self, name):
+        ring, S = FC2_RINGS[name]()
+        rng = random.Random(23)
+        pool = pool_for(ring, 3)
+        for _ in range(6):
+            F = set(rng.sample(pool, rng.randint(1, len(pool) // 2)))
+            values = [direct_fc2(ring, xi, F) for xi in S]
+            weight_F = sum(ring.sigma(label) for label in F)
+            rep = fk.fc2_check(ring, S, F, 1.0)
+            assert rep.extra["per_label"] == {
+                ring.format_label(xi): float(v) for xi, v in zip(S, values)}
+            assert rep.lhs == float(max(values))
+            assert rep.weight_F == weight_F
+            # eps at and next to the exact ratio: satisfied pins the worst
+            # value between adjacent float multiples of weight_F
+            ratio = float(max(values) / weight_F)
+            for eps in (math.nextafter(ratio, 0), ratio,
+                        math.nextafter(ratio, math.inf)):
+                if eps > 0:
+                    assert fk.fc2_check(ring, S, F, eps).satisfied == (
+                        max(values) < Fraction(eps) * weight_F)
+
+    @pytest.mark.parametrize("F", [{"1"}, {"t"}, {"1", "t"}])
+    def test_float_dims_match_the_definition(self, F):
+        # the float golden ratio is no exact dimension (phi * phi != 1 + phi
+        # in binary), so the definition and the cut expansion part by a
+        # rounding error
+        ring = fibonacci_ring()
+        rep = fk.fc2_check(ring, {"t"}, F, 1.0)
+        assert rep.extra["per_label"]["t"] == pytest.approx(
+            float(direct_fc2(ring, "t", F)), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(FC2_RINGS))
+    def test_reads_each_product_once_from_the_rule(self, name):
+        base, S = FC2_RINGS[name]()
+        F = set(pool_for(base, 3))
+        ring, calls = counting_ring(base)
+        fk.fc2_check(ring, S, F, 0.5)
+        steps = {t for xi in S for t in (xi, ring.conj(xi))}
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {(eta, t) for eta in F for t in steps}
+        assert ring._cache == {}
 
 
 class TestTransitionKernel:

@@ -61,6 +61,19 @@ class TestTableRings:
         assert fk.product_basis(ring, "g", "g") == {"e": 1}
         assert ring.dim("g") == 1
 
+    @pytest.mark.parametrize("description", [5, ["x"], None, True])
+    def test_description_must_be_text(self, description):
+        doc = z2_table_doc()
+        doc["description"] = description
+        with pytest.raises(fk.InvalidTable, match="description"):
+            fk.ring_from_doc(doc)
+
+    @pytest.mark.parametrize("extra,description", [
+        ({}, "table ring"), ({"description": ""}, "table ring"),
+        ({"description": "Z/2"}, "Z/2")])
+    def test_description_read(self, extra, description):
+        assert fk.ring_from_doc({**z2_table_doc(), **extra}).description == description
+
     def test_missing_entry_is_incomplete(self):
         doc = z2_table_doc()
         del doc["products"]["g|g"]

@@ -31,14 +31,14 @@ def test_install_counts_and_uninstalls():
     tracer.install(fk)
     try:
         ring = fk.load_ring({"type": "builtin", "name": "su2", "params": {}})
-        fk.fc2_check(ring, {1}, {0, 1, 2}, 0.5)
+        fk.fc3_check(ring, {1}, {0, 1, 2}, 0.5)
         report = tracer.report()
     finally:
         tracer.uninstall()
     assert fk.core.FusionRing._product_cached is original
     assert report["core.product_lookups"] > 0
     assert report["core.rule_evaluations"] == report["core.product_misses"] > 0
-    assert report["foelner.fc2_s"] > 0
+    assert report["foelner.fc3_s"] > 0
 
 
 def traced_report(run):
