@@ -36,9 +36,9 @@ class FusionRing:
     function, and a product rule returning the structure constants of the
     product of two basis labels as a finitely supported ``{label: int}`` map.
     The three rules must be callable, and so must each label hook given
-    (``is_label``, ``parse_label``, ``format_label``), and ``generators``
-    must be an iterable of hashable labels; anything else raises
-    InvalidParam.
+    (``is_label``, ``parse_label``, ``format_label``), ``description``
+    must be a ``str`` and ``generators`` an iterable of hashable labels;
+    anything else raises InvalidParam.
 
     The ring is immutable after construction except for its product
     cache, which only the Foelner layer fills.  The rules are given only
@@ -65,6 +65,9 @@ class FusionRing:
             if not (callable(rule) or rule is None and what.endswith("label")):
                 raise InvalidParam(
                     f"{what} must be callable, not {type(rule).__name__}")
+        if not isinstance(description, str):
+            raise InvalidParam("description must be a str, not "
+                               f"{type(description).__name__}")
         try:
             self.generators = tuple(generators)
             hash(self.generators)
@@ -161,7 +164,7 @@ class Element:
     function-space vectors; zero coefficients are never stored, so the
     support is exactly the set of stored keys.  Every given label is
     checked, a zero coefficient's too, and every coefficient must be a
-    ``numbers.Number``.  Instances are immutable values.
+    ``numbers.Number`` other than a bool.  Instances are immutable values.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -169,7 +172,8 @@ class Element:
     def __init__(self, ring: FusionRing, coeffs: Mapping | Iterable = ()):
         coeffs = _checked_items(ring, coeffs)
         for value in coeffs.values():
-            _kind(value, numbers.Number, "coefficient")
+            if isinstance(_kind(value, numbers.Number, "coefficient"), bool):
+                raise InvalidParam("coefficient must be a Number, not bool")
         self.ring = ring
         self.coeffs = {l: v for l, v in coeffs.items() if v != 0}
 
@@ -579,6 +583,17 @@ _CHUNK = 4096
 #: int64 sums of products of structure constants are exact below this bound
 _INT64_LIMIT = 2 ** 63
 
+#: ints below this are exact float64s
+_FLOAT_EXACT = 2 ** 53
+
+#: an associativity block is compared in dense float64 products (BLAS)
+#: when its n**2 * G result cells are fewer than this many per term of its
+#: sparse products, else by sorting int64 keys
+_DENSE_CELLS_PER_TERM = 4
+
+#: float64 cells or int64 terms one chunk of an associativity block holds
+_BLOCK_CHUNK = 2 ** 16
+
 
 class _Inexact(Exception):
     """args (x, y, label, N): int64 cannot sum the coefficient N of x*y at
@@ -704,6 +719,95 @@ def _product_csr(row, left, right, columns: dict, width: int):
             np.cumsum(np.concatenate(counts), dtype=np.int32))
 
 
+def _ragged(starts, counts):
+    """The positions s, s + 1, ..., s + c - 1 for each (s, c) of ``starts``
+    and ``counts`` in turn, as one int64 array."""
+    ends = np.cumsum(counts, dtype=np.int64)
+    return (np.arange(ends[-1] if ends.size else 0, dtype=np.int64)
+            + np.repeat(starts - (ends - counts), counts))
+
+
+def _dense(csr, rows, width: int):
+    """The rows ``rows`` of the CSR arrays ``csr`` as a float64 array of
+    ``width`` columns."""
+    data, indices, indptr = csr
+    counts = indptr[rows + 1] - indptr[rows]
+    at = _ragged(indptr[rows], counts)
+    out = np.zeros((len(rows), width))
+    out[np.repeat(np.arange(len(rows)), counts), indices[at]] = data[at]
+    return out
+
+
+def _dense_difference(block, R, P, L, n: int, G: int):
+    """The first row j*n + k at which kron(block, I_n) @ R and P @ L
+    differ, or None, from float64 (BLAS) products; exact when every
+    partial sum is an integer below 2**53.  ``block``, R, P and L are CSR
+    arrays of n, m * n, n**2 and width rows and m, G, width and G columns.
+    The rows are compared for one chunk of k at a time, so that each chunk
+    holds about _BLOCK_CHUNK float64 cells.
+    """
+    m, width = (len(R[2]) - 1) // n, len(L[2]) - 1
+    B = _dense(block, np.arange(n), m)
+    Ld = _dense(L, np.arange(width), G)
+    step = max(1, _BLOCK_CHUNK // (m * G + n * (2 * G + width)))
+    first = None
+    for k0 in range(0, n, step):
+        k = np.arange(k0, min(k0 + step, n))
+        # rows (j, k) of both sides: (xi eta_j) zeta_k and xi (eta_j zeta_k)
+        lhs = B @ _dense(R, (np.arange(m)[:, None] * n + k).ravel(),
+                         G).reshape(m, len(k) * G)
+        rhs = _dense(P, (np.arange(n)[:, None] * n + k).ravel(), width) @ Ld
+        j, kk = np.divmod(np.flatnonzero(
+            (lhs.reshape(rhs.shape) != rhs).any(axis=1)), len(k))
+        if j.size and (first is None or j[0] * n + k[kk[0]] < first):
+            first = int(j[0] * n + k[kk[0]])
+    return first
+
+
+def _sorted_difference(block, R, P, L, n: int, G: int):
+    """The first row j*n + k at which kron(block, I_n) @ R and P @ L
+    differ, or None, from int64 keys row*G + gamma over the terms of the
+    left side and the negated terms of the right, sorted and summed per
+    key, for one chunk of about _BLOCK_CHUNK terms of rows j at a time.
+    The sums may wrap; with each side below 2**63 in absolute value a sum
+    is 0 exactly when the sides agree.
+    """
+    # (xi eta_j) zeta_k: the block's term (j, g, v) times each row
+    # g*n + k of R, that is, times row group g
+    r_starts = R[2][block[1] * n]
+    r_counts = R[2][(block[1] + 1) * n] - r_starts
+    r_k = np.repeat(np.arange(len(R[2]) - 1) % n, np.diff(R[2]))
+    # xi (eta_j zeta_k): P's term (j*n + k, beta, v) times row beta of L
+    l_starts = L[2][P[1]]
+    l_counts = L[2][P[1] + 1] - l_starts
+    terms = int(r_counts.sum()) + int(l_counts.sum())
+    step = max(1, n * _BLOCK_CHUNK // max(terms, 1))
+    for j0 in range(0, n, step):
+        j1 = min(j0 + step, n)
+        b0, b1 = block[2][j0], block[2][j1]
+        counts = r_counts[b0:b1]
+        at = _ragged(r_starts[b0:b1], counts)
+        rows = np.repeat(np.arange(j0, j1) * n, np.diff(block[2][j0:j1 + 1]))
+        keys = [(np.repeat(rows, counts) + r_k[at]) * G + R[1][at]]
+        values = [np.repeat(block[0][b0:b1], counts) * R[0][at]]
+        p0, p1 = P[2][j0 * n], P[2][j1 * n]
+        counts = l_counts[p0:p1]
+        at = _ragged(l_starts[p0:p1], counts)
+        rows = np.repeat(np.arange(j0 * n, j1 * n),
+                         np.diff(P[2][j0 * n:j1 * n + 1]))
+        keys.append(np.repeat(rows * G, counts) + L[1][at])
+        values.append(np.repeat(-P[0][p0:p1], counts) * L[0][at])
+        keys, values = np.concatenate(keys), np.concatenate(values)
+        order = np.argsort(keys)
+        keys, values = keys[order], values[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        if starts.size:
+            differ = np.flatnonzero(np.add.reduceat(values, starts))
+            if differ.size:
+                return int(keys[starts[differ[0]]] // G)
+    return None
+
+
 def _associativity_counterexample(ring, labels, table):
     """The first window triple with (xi*eta)*zeta != xi*(eta*zeta), as a
     message, or None.  ``table`` maps each label to its products with
@@ -719,10 +823,12 @@ def _associativity_counterexample(ring, labels, table):
     beta form its row group.  A block keeps the groups of the betas that
     the next block needs, re-indexed to the next block's gamma, and reads
     the other groups in one batch, in B order; nothing else outlives a
-    block.
+    block.  All matrices are int64 CSR arrays (data, indices, indptr).
+    A block's two sides are compared by _dense_difference when float64
+    sums are exact (max|N|**2 * |B| < 2**53) and its n**2 * |gamma|
+    result cells are fewer than _DENSE_CELLS_PER_TERM per term of its
+    products, else by _sorted_difference.
     """
-    import scipy.sparse as sparse  # only here: importing fusionkit loads no scipy
-
     n = len(labels)
     fmt = ring.format_label
     b_labels = [*dict.fromkeys(_chain(_chain(table.values())))]
@@ -732,15 +838,14 @@ def _associativity_counterexample(ring, labels, table):
     by_window = _row_reader(ring, table, labels, labels)
     by_b = _row_reader(ring, table, labels, b_labels)
     try:
-        P = sparse.csr_matrix(
-            _product_csr(by_window, labels, labels,
-                         dict(zip(b_labels, itertools.count())), width),
-            shape=(n * n, width))
+        P = _product_csr(by_window, labels, labels,
+                         dict(zip(b_labels, itertools.count())), width)
+        p_max = _abs_max(P[0]) if P[0].size else 0
+        p_terms = np.bincount(P[1], minlength=width)  # P's terms per beta
 
         def support(i):
-            return np.unique(P.indices[P.indptr[i * n]:P.indptr[(i + 1) * n]])
+            return np.unique(P[1][P[2][i * n]:P[2][(i + 1) * n]])
 
-        identity = sparse.identity(n, dtype=np.int64, format="csr")
         group = np.zeros(width, dtype=np.int32)  # beta -> its row group in R
         # the carried row groups: their betas, their rows, and the labels
         # of the gamma columns those rows use
@@ -755,28 +860,31 @@ def _associativity_counterexample(ring, labels, table):
                 width)
             if kept.size:
                 # one lookup per distinct carried gamma label
-                remap = np.zeros(carried.shape[1], dtype=np.int32)
+                remap = np.zeros(max(carried_gamma, default=0) + 1, dtype=np.int32)
                 remap[list(carried_gamma)] = [gamma.setdefault(label, len(gamma))
                                               for label in carried_gamma.values()]
-                data = np.concatenate((data, carried.data))
-                indices = np.concatenate((indices, remap[carried.indices]))
-                indptr = np.concatenate((indptr, carried.indptr[1:] + indptr[-1]))
+                data = np.concatenate((data, carried[0]))
+                indices = np.concatenate((indices, remap[carried[1]]))
+                indptr = np.concatenate((indptr, carried[2][1:] + indptr[-1]))
                 carried = carried_gamma = None  # R holds the rows now
             L = _product_csr(by_b, (xi,), b_labels, gamma, width)
             order = np.concatenate((new, kept))
             group[order] = np.arange(len(order), dtype=np.int32)
-            R = sparse.csr_matrix((data, indices, indptr),
-                                  shape=(len(order) * n, len(gamma)))
-            block = P[i * n:(i + 1) * n]
-            block = sparse.csr_matrix(
-                (block.data, group[block.indices], block.indptr),
-                shape=(n, len(order)))
-            lhs = sparse.kron(block, identity, format="csr") @ R
-            rhs = P @ sparse.csr_matrix(L, shape=(width, len(gamma)))
-            differ = np.flatnonzero(np.diff((lhs != rhs).indptr))
-            del lhs, rhs  # before the rows are carried and the next reads
-            if differ.size:
-                j, k = divmod(int(differ[0]), n)
+            R = (data, indices, indptr)
+            lo, hi = P[2][i * n], P[2][(i + 1) * n]
+            block = (P[0][lo:hi], group[P[1][lo:hi]],
+                     P[2][i * n:(i + 1) * n + 1] - lo)
+            # each term of the block meets its row group of R, and each
+            # term of P its row of L
+            terms = (np.diff(indptr[::n])[block[1]].sum()
+                     + np.diff(L[2]) @ p_terms)
+            bound = max([p_max] + [_abs_max(a) for a in (data, L[0]) if a.size])
+            dense = (bound * bound * width < _FLOAT_EXACT
+                     and n * n * len(gamma) < _DENSE_CELLS_PER_TERM * terms)
+            row = (_dense_difference if dense else _sorted_difference)(
+                block, R, P, L, n, len(gamma))
+            if row is not None:
+                j, k = divmod(row, n)
                 eta, zeta = labels[j], labels[k]
                 return (f"({fmt(xi)}*{fmt(eta)})*{fmt(zeta)} != "
                         f"{fmt(xi)}*({fmt(eta)}*{fmt(zeta)})")
@@ -784,10 +892,15 @@ def _associativity_counterexample(ring, labels, table):
                 used = support(i + 1)
                 keep = np.flatnonzero(np.isin(order, used))
                 kept = order[keep]
-                carried = R[(keep[:, None] * n + np.arange(n)).ravel()]
+                # the rows of the kept groups, each group n rows from g * n
+                starts = indptr[keep * n]
+                at = _ragged(starts, indptr[(keep + 1) * n] - starts)
+                counts = np.diff(indptr).reshape(-1, n)[keep].ravel()
+                carried = (data[at], indices[at], np.concatenate(
+                    (np.zeros(1, np.int32), np.cumsum(counts, dtype=np.int32))))
                 names = list(gamma)
                 carried_gamma = {g: names[g]
-                                 for g in np.unique(carried.indices).tolist()}
+                                 for g in np.unique(carried[1]).tolist()}
     except _Inexact as exc:
         x, y, label, c = exc.args
         entry = f"N({fmt(x)},{fmt(y)}->{fmt(label)}) = {c!r}"
@@ -815,7 +928,7 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     table that every check reads; a repeated label adds no product.
     Frobenius reciprocity runs over the nonzero entries of three product
     tables, in O(n**2 * s).  Associativity takes one block of
-    sparse integer matrix products per first factor xi, where B is the
+    integer matrix products per first factor xi, where B is the
     union of the supports of the window products, its window labels
     first, and B_xi that of the products xi * eta.  Block xi reads the
     row of the |B| products
@@ -826,15 +939,19 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     and comes back is read again.  A row takes its window products from
     the table (a slice, since B lists window labels first) and the others
     straight from the product rule, and besides the window products at
-    most one block's rows live at a time.
+    most one block's rows live at a time.  A block compares its n**2 rows
+    (xi eta) zeta and xi (eta zeta) in one of two ways, both on numpy
+    arrays: as dense float64 matrix products, one chunk of zeta at a time,
+    when its n**2 * |G| result cells (G the labels of its rows) are few
+    against the terms of its sparse products; else by sorting the int64
+    keys of those terms and summing each key's terms.  No check imports
+    scipy.
 
-    Associativity is the one check that imports ``scipy.sparse``, on its
-    first run; so a table ring, which runs ``verify_axioms`` when it is
-    built, imports it too.
-
-    Associativity is decided in int64 arithmetic, which is exact only when
-    every coefficient it reads is an ``int`` (``bool`` excluded) and
-    max|N|**2 * |B| < 2**63.  Otherwise the check fails and its
+    Associativity is decided in exact integer arithmetic: int64, which is
+    exact only when every coefficient it reads is an ``int`` (``bool``
+    excluded) and max|N|**2 * |B| < 2**63, and dense float64 products
+    only when max|N|**2 * |B| < 2**53, so that every partial sum is an
+    exact integer.  When the int64 guard fails the check fails and its
     counterexample names the first coefficient that breaks the guard.  A
     coefficient sum that cancels to zero counts as an absent term.
 

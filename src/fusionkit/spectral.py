@@ -26,9 +26,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import core
-from .core import (_INT64_LIMIT, Element, FusionRing, ProbMeasure, _abs_max,
-                   _chain, _int64_array, _kind, _over, check_labels,
-                   conjugate_element)
+from .core import (_FLOAT_EXACT, _INT64_LIMIT, Element, FusionRing,
+                   ProbMeasure, _abs_max, _chain, _int64_array, _kind, _over,
+                   check_labels, conjugate_element)
 from .errors import (BudgetExceeded, EmptySet, InvalidParam, NoConvergence,
                      NonSymmetricMeasure, NotSelfAdjoint, count, positive)
 
@@ -45,9 +45,6 @@ STALL_THRESHOLD = 1e-6
 #: restarts from this many top Ritz vectors when the basis is full
 _LANCZOS_BASIS = 32
 _LANCZOS_KEEP = 16
-
-#: ints below this are exact float64s
-_FLOAT_EXACT = 2 ** 53
 
 
 class TruncationWindow:
@@ -334,9 +331,15 @@ class CompressedOperator:
     def matrix(self):
         """The matrix as a ``scipy.sparse.csr_matrix``: the constructor's,
         or built once on the first read from the arrays of an operator the
-        library assembled; that read imports scipy."""
+        library assembled; that read imports scipy, and raises InvalidParam
+        when scipy is not installed (the ``scipy`` extra)."""
         if self._matrix is None:
-            import scipy.sparse as sparse
+            try:
+                import scipy.sparse as sparse
+            except ImportError:
+                raise InvalidParam(
+                    "CompressedOperator.matrix needs scipy: install "
+                    "fusionkit[scipy]") from None
             csr = self._csr
             self._matrix = sparse.csr_matrix(
                 (csr.data, csr.indices, csr.indptr), shape=csr.shape)

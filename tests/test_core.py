@@ -1,4 +1,5 @@
 import collections.abc
+import contextlib
 import functools
 import inspect
 import itertools
@@ -641,6 +642,125 @@ class TestVerifyAxiomsRuleReads:
         assert fk.verify_axioms(ring, window) == expected
 
 
+#: associativity settings: the default choice per block, every block in
+#: dense float64 products (when they are exact) or by sorted int64 keys,
+#: and each of the two in chunks of one zeta (dense) or one eta (sorted)
+ACCUMULATORS = {
+    "default": {},
+    "dense": {"_DENSE_CELLS_PER_TERM": 10 ** 12},
+    "dense-by-zeta": {"_DENSE_CELLS_PER_TERM": 10 ** 12, "_BLOCK_CHUNK": 1},
+    "sorted": {"_DENSE_CELLS_PER_TERM": 0},
+    "sorted-by-eta": {"_DENSE_CELLS_PER_TERM": 0, "_BLOCK_CHUNK": 1},
+}
+
+
+@contextlib.contextmanager
+def accumulator(name):
+    """The associativity setting ``name``, and a count of the blocks each
+    accumulator compares under it."""
+    blocks = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for attr, value in ACCUMULATORS[name].items():
+            mp.setattr(fk.core, attr, value)
+        for which in ("dense", "sorted"):
+            compare = getattr(fk.core, f"_{which}_difference")
+
+            def spy(*args, _compare=compare, _which=which):
+                blocks[_which] += 1
+                return _compare(*args)
+
+            mp.setattr(fk.core, f"_{which}_difference", spy)
+        yield blocks
+
+
+def _sum_beyond_float_ring():
+    # the sides of (1*1)*2 = 1*(1*2) at label 1 are A**2 + 1 and A**2 with
+    # A = 2**27: one apart, but the same float64
+    A = 2 ** 27
+    table = {(1, 1): {1: A, 2: 1}, (1, 2): {1: A}, (2, 1): {1: A},
+             (2, 2): {1: 1, 2: A}}
+
+    def rule(x, y):
+        return {x + y: 1} if 0 in (x, y) else dict(table[(x, y)])
+
+    ring = fk.FusionRing(unit=0, product_rule=rule, conjugate_rule=lambda x: x,
+                         dim_rule=lambda x: 1, is_label=lambda x: x in (0, 1, 2))
+    return ring, [0, 1, 2]
+
+
+class TestAssociativityAccumulators:
+    @pytest.mark.parametrize("how", sorted(ACCUMULATORS))
+    @pytest.mark.parametrize("case", sorted(REPORT_CASES))
+    def test_same_report(self, case, how):
+        ring, window = REPORT_CASES[case]()
+        expected = fk.verify_axioms(ring, window)
+        with accumulator(how) as blocks:
+            assert fk.verify_axioms(ring, window) == expected
+        if how != "default":
+            assert not blocks["sorted" if how.startswith("dense") else "dense"]
+        # the coefficients int64 cannot sum stop associativity before a block
+        assert bool(blocks) != case.startswith(
+            ("coefficient-0.5", "coefficient-True", "coefficient-4294967296"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["su2", "z6", "f2", "su2xz3"]), st.data())
+    def test_mutated_product_matches_the_triple_loop(self, name, data):
+        base, window, pool = axiom_window(name)
+        pick = st.one_of(st.sampled_from(window), st.sampled_from(pool))
+        x, y = data.draw(pick), data.draw(pick)
+        product = base.product(x, y)
+        label = data.draw(st.sampled_from(sorted({*product, *pool}, key=repr)))
+        product[label] = product.get(label, 0) + data.draw(st.integers(1, 2))
+        ring = patched_ring(base, {(x, y): product})
+        expected = direct_associativity(ring, window)
+        for how in ACCUMULATORS:
+            with accumulator(how):
+                checks = {c.name: c for c in fk.verify_axioms(ring, window).checks}
+            assert checks["associativity"].counterexample == expected
+
+    @pytest.mark.parametrize("how", sorted(ACCUMULATORS))
+    @pytest.mark.parametrize("name,x,y", [("su2", 2, 1), ("su2", 3, 2),
+                                          ("z6", 1, 2), ("f2", "a", "b")])
+    def test_mutation_in_a_block_with_carried_rows(self, name, x, y, how):
+        ring, window = _mutated(name, x, y)
+        with accumulator(how):
+            checks = {c.name: c for c in fk.verify_axioms(ring, window).checks}
+        assert checks["associativity"].counterexample == \
+            direct_associativity(ring, window)
+
+    @pytest.mark.parametrize("how", sorted(ACCUMULATORS))
+    def test_first_row_across_zeta_chunks(self, how):
+        # 0*3 reads {3: 2}: the first failing triple has zeta = 3, and
+        # taken one zeta at a time, failing rows with a later eta and an
+        # earlier zeta, such as (0*2)*1, come first
+        ring, window = _mutated("su2", 0, 3)
+        with accumulator(how):
+            checks = {c.name: c for c in fk.verify_axioms(ring, window).checks}
+        assert checks["associativity"].counterexample == \
+            direct_associativity(ring, window) == "(0*0)*3 != 0*(0*3)"
+
+    @pytest.mark.parametrize("how", sorted(ACCUMULATORS))
+    def test_sums_beyond_float64_differ_by_one(self, how):
+        ring, window = _sum_beyond_float_ring()
+        assert float(2 ** 54 + 1) == float(2 ** 54)
+        with accumulator(how) as blocks:
+            checks = {c.name: c for c in fk.verify_axioms(ring, window).checks}
+        assert checks["associativity"].counterexample == \
+            direct_associativity(ring, window) == "(1*1)*2 != 1*(1*2)"
+        assert not blocks["dense"]  # no float64 sum is exact here
+
+    @pytest.mark.parametrize("name,radius,which", [("su2", 30, "dense"),
+                                                   ("f2", 3, "sorted")])
+    def test_default_choice(self, name, radius, which):
+        # SU(2) blocks have about one term per result cell, F2 blocks
+        # thousands of cells per term
+        ring = {"su2": fk.build_su2_ring, "f2": lambda: fk.free_group_ring(2)}[name]()
+        window = fk.build_window(ring, ring.generators, radius)
+        with accumulator("default") as blocks:
+            assert fk.verify_axioms(ring, window).passed
+        assert blocks == {which: len(window)}
+
+
 class TestElementBasics:
     def test_zero_coefficients_dropped(self, su2):
         x = fk.Element(su2, {0: 1, 1: 0, 2: 0.0})
@@ -649,6 +769,13 @@ class TestElementBasics:
     def test_invalid_label_rejected(self, su2):
         with pytest.raises(fk.InvalidLabel):
             fk.Element(su2, {-3: 1})
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_coefficient_refused(self, su2, flag):
+        # bool is a numbers.Number, but no coefficient
+        with pytest.raises(fk.InvalidParam, match="^coefficient must be a "
+                           "Number, not bool$"):
+            fk.Element(su2, {0: flag, 1: 2})
 
     def test_arithmetic(self, su2):
         x = fk.Element(su2, {1: 2})
@@ -1094,6 +1221,12 @@ class TestRingConstructor:
         with pytest.raises(fk.InvalidParam, match="^generators must be"):
             fk.FusionRing(0, **self.RULES, generators=generators)
 
+    @pytest.mark.parametrize("description", [5, None, b"ring", ["ring"]])
+    def test_description_must_be_text(self, description):
+        # a label error names the description, so it must read as text
+        with pytest.raises(fk.InvalidParam, match="^description must be a str"):
+            fk.FusionRing(0, **self.RULES, description=description)
+
     def test_generators_take_any_iterable(self):
         ring = fk.FusionRing(0, **self.RULES, generators=iter([1, -1]))
         assert ring.generators == (1, -1)
@@ -1135,7 +1268,8 @@ class TestPairArguments:
             kind(su2, value)
 
     @pytest.mark.parametrize("coeffs", [
-        ["ab"], {"a": "x"}, [("a", None)], {"a": [1]}, {"a": 1, "b": "1"}])
+        ["ab"], {"a": "x"}, [("a", None)], {"a": [1]}, {"a": 1, "b": "1"},
+        {"a": True}])
     def test_element_coefficient_must_be_a_number(self, f2, coeffs):
         with pytest.raises(fk.InvalidParam, match="coefficient must be a Number"):
             fk.Element(f2, coeffs)
@@ -1144,7 +1278,7 @@ class TestPairArguments:
         for coeffs in ([(1, 2), (0, 1)], [[1, 2], [0, 1]], iter([(1, 2), (0, 1)]),
                        {1: 2, 0: 1}, PairMapping([(1, 2), (0, 1)])):
             assert fk.Element(su2, coeffs).coeffs == {1: 2, 0: 1}
-        for coeffs in ({1: Fraction(1, 2), 2: 1.5}, {1: True}, {1: 2 + 0j}):
+        for coeffs in ({1: Fraction(1, 2), 2: 1.5}, {1: 2 + 0j}):
             assert fk.Element(su2, coeffs).coeffs == coeffs
         assert fk.ProbMeasure(su2, [[1, 0.5], (0, 0.5)]).weights == {1: 0.5, 0: 0.5}
 

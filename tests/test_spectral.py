@@ -778,11 +778,17 @@ class TestTopEigenvalue:
         assert out == "[]\n"
 
     def test_estimates_searches_and_cli_load_no_scipy(self, tmp_path):
-        # the estimate path runs on numpy CSR arrays; scipy.sparse loads
-        # for associativity and for CompressedOperator.matrix alone, and
+        # the estimate path and the axiom checks run on numpy arrays;
+        # scipy.sparse loads for CompressedOperator.matrix alone, and
         # that matrix holds the same bytes as the Fraction assembly
         su2_file = tmp_path / "su2.json"
         su2_file.write_text('{"type": "builtin", "name": "su2", "params": {}}')
+        table_file = tmp_path / "z2.json"
+        table_file.write_text(
+            '{"type": "table", "labels": ["e", "g"], "unit": "e", '
+            '"conjugate": {"e": "e", "g": "g"}, "dim": {"e": 1, "g": 1}, '
+            '"products": {"e|e": {"e": 1}, "e|g": {"g": 1}, '
+            '"g|e": {"g": 1}, "g|g": {"e": 1}}}')
         code = f"""
 import contextlib, io, sys
 from fractions import Fraction
@@ -809,6 +815,10 @@ with contextlib.redirect_stdout(io.StringIO()):
                         "--eps", "0.06"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 assert fk.verify_axioms(f2, fk.build_window(f2, f2.generators, 2)).passed
+assert fk.verify_axioms(su2, fk.build_window(su2, su2.generators, 30)).passed
+with contextlib.redirect_stdout(io.StringIO()):
+    assert fk.cli.main(["axioms", {str(su2_file)!r}, "--radius", "20"]) == 0
+assert fk.load_ring({str(table_file)!r}).description == "table ring"
 print("scipy.sparse" in sys.modules)
 sys.path.insert(0, {os.path.dirname(__file__)!r})
 from oracles import direct_compress
@@ -820,7 +830,30 @@ assert_bitwise_equal(op.matrix, direct_compress(
                    PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True).stdout
-        assert out == "[]\nTrue\n"
+        assert out == "[]\nFalse\n"
+
+    def test_matrix_without_scipy_names_the_extra(self):
+        # with scipy not installed, everything but the matrix property runs
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None  # import scipy raises ImportError\n"
+                "import fusionkit as fk\n"
+                "f2 = fk.free_group_ring(2)\n"
+                "window = fk.build_window(f2, f2.generators, 4)\n"
+                "mu = fk.ProbMeasure.uniform(f2, f2.generators)\n"
+                "op = fk.l_measure_operator(f2, mu, window)\n"
+                "print(op.nnz, fk.top_eigenvalue(op).method)\n"
+                "print(fk.verify_axioms(f2, fk.build_window(f2, f2.generators, 2)).passed)\n"
+                "try:\n"
+                "    op.matrix\n"
+                "except fk.InvalidParam as exc:\n"
+                "    print(exc)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == ("320 lanczos\nTrue\n"
+                       "CompressedOperator.matrix needs scipy: install "
+                       "fusionkit[scipy]\n")
 
     def test_nnz_loads_no_scipy(self):
         # nnz reads the operator's own arrays, not CompressedOperator.matrix
