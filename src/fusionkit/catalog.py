@@ -10,6 +10,7 @@ rings have exact integer dimensions.
 """
 from __future__ import annotations
 
+import operator
 import string
 from fractions import Fraction
 from typing import Mapping
@@ -73,8 +74,8 @@ def integer_lattice_ring(d: int) -> FusionRing:
         gens.append(tuple(-c for c in e_i))
     return FusionRing(
         unit=(0,) * d,
-        product_rule=lambda x, y: {tuple(a + b for a, b in zip(x, y)): 1},
-        conjugate_rule=lambda x: tuple(-c for c in x),
+        product_rule=lambda x, y: {tuple(map(operator.add, x, y)): 1},
+        conjugate_rule=lambda x: tuple(map(operator.neg, x)),
         dim_rule=lambda x: 1,
         description=f"group ring of Z^{d}",
         generators=tuple(gens),
@@ -110,6 +111,7 @@ def free_group_ring(rank: int) -> FusionRing:
     letters = string.ascii_lowercase[:rank]
     alphabet = letters + letters.upper()
     cancelling = tuple(ch + ch.swapcase() for ch in alphabet)
+    inverse = dict(zip(alphabet, alphabet.swapcase()))  # letter -> its inverse
 
     def is_label(w):
         # a reduced word: only alphabet letters (strip leaves nothing) and no
@@ -118,11 +120,11 @@ def free_group_ring(rank: int) -> FusionRing:
                 and not any(pair in w for pair in cancelling))
 
     def product(u, v):
-        if not (u and v and u[-1] == v[0].swapcase()):
+        if not (u and v and u[-1] == inverse[v[0]]):
             return {u + v: 1}  # nothing cancels
         i = len(u)
         j = 0
-        while i > 0 and j < len(v) and u[i - 1] == v[j].swapcase():
+        while i > 0 and j < len(v) and u[i - 1] == inverse[v[j]]:
             i -= 1
             j += 1
         return {u[:i] + v[j:]: 1}

@@ -591,7 +591,9 @@ _FLOAT_EXACT = 2 ** 53
 #: sparse products, else by sorting int64 keys
 _DENSE_CELLS_PER_TERM = 4
 
-#: float64 cells or int64 terms one chunk of an associativity block holds
+#: float64 cells or int64 terms one chunk of an associativity block holds,
+#: and the most row-group terms kept between blocks beyond those the next
+#: block uses
 _BLOCK_CHUNK = 2 ** 16
 
 
@@ -797,15 +799,63 @@ def _sorted_difference(block, R, P, L, n: int, G: int):
                          np.diff(P[2][j0 * n:j1 * n + 1]))
         keys.append(np.repeat(rows * G, counts) + L[1][at])
         values.append(np.repeat(-P[0][p0:p1], counts) * L[0][at])
-        keys, values = np.concatenate(keys), np.concatenate(values)
-        order = np.argsort(keys)
-        keys, values = keys[order], values[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        if starts.size:
+        del at, rows, counts  # before the sort, which holds three copies
+        keys = np.concatenate(keys)
+        values = np.concatenate(values)[np.argsort(keys)]
+        keys.sort()
+        if keys.size:
+            # the first term of each key
+            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
             differ = np.flatnonzero(np.add.reduceat(values, starts))
             if differ.size:
                 return int(keys[starts[differ[0]]] // G)
     return None
+
+
+def _stack(top, bottom):
+    """The rows of the CSR arrays ``top`` followed by those of ``bottom``."""
+    return (np.concatenate((top[0], bottom[0])), np.concatenate((top[1], bottom[1])),
+            np.concatenate((top[2], bottom[2][1:] + top[2][-1])))
+
+
+def _groups(csr, keep, n: int):
+    """The row groups of the CSR arrays ``csr``, group g being the n rows
+    from g * n, at which the boolean array ``keep`` is True, in order."""
+    data, indices, indptr = csr
+    counts = np.diff(indptr)
+    rows = np.repeat(keep, n)
+    terms = np.repeat(rows, counts)
+    return data[terms], indices[terms], np.concatenate(
+        (np.zeros(1, np.int32), np.cumsum(counts[rows], dtype=np.int32)))
+
+
+def _next_uses(betas, sizes: list, n: int):
+    """For each pair (i, beta) of ``betas``, which lists the betas of block
+    i in its next sizes[i] entries, the next block listing beta (n when
+    none does)."""
+    blocks = np.repeat(np.arange(n), sizes)
+    by_beta = np.argsort(betas, kind="stable")
+    later = np.full(len(betas), n)
+    same = betas[by_beta[:-1]] == betas[by_beta[1:]]
+    later[by_beta[:-1][same]] = blocks[by_beta[1:][same]]
+    return later
+
+
+def _used(indices, size: int):
+    """The values 0 <= v < ``size`` that occur in ``indices``, ascending."""
+    seen = np.zeros(size, dtype=bool)
+    seen[indices] = True
+    return np.flatnonzero(seen)
+
+
+def _compact(names, csr):
+    """``names``, the label of each column of the CSR arrays ``csr`` (an
+    object array), cut to the columns ``csr`` uses, and ``csr`` with its
+    columns numbered as in the cut array."""
+    live = _used(csr[1], len(names))
+    number = np.zeros(len(names), dtype=np.int32)
+    number[live] = np.arange(len(live), dtype=np.int32)
+    return names[live], (csr[0], number[csr[1]], csr[2])
 
 
 def _associativity_counterexample(ring, labels, table):
@@ -820,10 +870,17 @@ def _associativity_counterexample(ring, labels, table):
     P @ L_i are xi_i (eta_j zeta_k), where R_i[(beta, k), gamma] =
     N(beta, zeta_k -> gamma) for beta in B_i, the supports of the row block
     P_i, and L_i[beta, gamma] = N(xi_i, beta -> gamma).  The n rows of one
-    beta form its row group.  A block keeps the groups of the betas that
-    the next block needs, re-indexed to the next block's gamma, and reads
-    the other groups in one batch, in B order; nothing else outlives a
-    block.  All matrices are int64 CSR arrays (data, indices, indptr).
+    beta form its row group.  The blocks that use each beta are known from
+    P before the first block runs.  A pool holds the row groups read so
+    far that a later block uses: after each block it keeps every group the
+    next block uses and, beyond those, the groups with the nearest next use
+    while their terms fit in _BLOCK_CHUNK, evicting the farthest first.  A
+    block reads the groups of B_i not in the pool in one batch, in B order,
+    so a group is read at its first use and again only after an eviction.
+    All matrices are int64 CSR arrays (data, indices, indptr).  The pool
+    numbers its columns by ``names``, an object array of labels that is
+    cut to the labels of the kept rows after each block; a block numbers
+    its own gamma labels, those of R_i and L_i, from 0.
     A block's two sides are compared by _dense_difference when float64
     sums are exact (max|N|**2 * |B| < 2**53) and its n**2 * |gamma|
     result cells are fewer than _DENSE_CELLS_PER_TERM per term of its
@@ -842,43 +899,76 @@ def _associativity_counterexample(ring, labels, table):
                          dict(zip(b_labels, itertools.count())), width)
         p_max = _abs_max(P[0]) if P[0].size else 0
         p_terms = np.bincount(P[1], minlength=width)  # P's terms per beta
+        # B_i for each block i, betas ascending, at betas[at[i]:at[i + 1]],
+        # and for each (i, beta) the next block whose B contains beta (n
+        # when none does)
+        bounds = P[2][::n].tolist()
+        betas = [_used(P[1][lo:hi], width) for lo, hi in zip(bounds, bounds[1:])]
+        sizes = [*map(len, betas)]
+        at = [0, *itertools.accumulate(sizes)]
+        betas = np.concatenate(betas)
+        later = _next_uses(betas, sizes, n)
 
-        def support(i):
-            return np.unique(P[1][P[2][i * n]:P[2][(i + 1) * n]])
-
+        pool = (np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(1, np.int32))
+        names = np.zeros(0, dtype=object)  # the label of each pool column
+        owner = np.zeros(0, dtype=np.int64)  # the beta of each pool group
+        pooled = np.zeros(width, dtype=bool)  # beta -> its group is pooled
+        next_use = np.full(width, n)  # beta -> the next block using it
         group = np.zeros(width, dtype=np.int32)  # beta -> its row group in R
-        # the carried row groups: their betas, their rows, and the labels
-        # of the gamma columns those rows use
-        kept = np.zeros(0, dtype=np.int64)
-        carried = carried_gamma = None
-        used = support(0)
         for i, xi in enumerate(labels):
-            new = used[~np.isin(used, kept)]
+            used = betas[at[i]:at[i + 1]]
+            wanted = np.zeros(width, dtype=bool)
+            wanted[used] = True
+            hit = wanted[owner]  # the pool groups the block uses
+            new = used[~pooled[used]]
+            # R holds the block's groups, those from the pool first
+            group[np.concatenate((owner[hit], new))] = np.arange(
+                len(used), dtype=np.int32)
+            # gamma numbers the block's labels from 0: first those of its
+            # pool rows, one lookup per distinct label, then as read
+            R = _groups(pool, hit, n)
+            ids = _used(R[1], len(names))
             gamma: dict = {}
-            data, indices, indptr = _product_csr(
-                by_window, [b_labels[b] for b in new.tolist()], labels, gamma,
-                width)
-            if kept.size:
-                # one lookup per distinct carried gamma label
-                remap = np.zeros(max(carried_gamma, default=0) + 1, dtype=np.int32)
-                remap[list(carried_gamma)] = [gamma.setdefault(label, len(gamma))
-                                              for label in carried_gamma.values()]
-                data = np.concatenate((data, carried[0]))
-                indices = np.concatenate((indices, remap[carried[1]]))
-                indptr = np.concatenate((indptr, carried[2][1:] + indptr[-1]))
-                carried = carried_gamma = None  # R holds the rows now
+            column = np.zeros(len(names), dtype=np.int32)
+            column[ids] = [gamma.setdefault(label, len(gamma)) for label in names[ids]]
+            home = np.zeros(len(gamma), dtype=np.int32)  # their pool columns
+            home[column[ids]] = ids
+            fresh = _product_csr(by_window, [b_labels[b] for b in new.tolist()],
+                                 labels, gamma, width)
+            # the pool takes the fresh groups; a pool label keeps its
+            # column, and each label first read in this block takes a new one
+            read = np.fromiter(itertools.islice(gamma, len(home), None),
+                               dtype=object, count=len(gamma) - len(home))
+            home = np.concatenate((home, np.arange(
+                len(names), len(names) + len(read), dtype=np.int32)))
+            names = np.concatenate((names, read))
+            pool = _stack(pool, (fresh[0], home[fresh[1]], fresh[2]))
+            owner = np.concatenate((owner, new))
             L = _product_csr(by_b, (xi,), b_labels, gamma, width)
-            order = np.concatenate((new, kept))
-            group[order] = np.arange(len(order), dtype=np.int32)
-            R = (data, indices, indptr)
+            R = _stack((R[0], column[R[1]], R[2]), fresh)
+
+            # the pool keeps the groups the next block uses, then those with
+            # the nearest next use while their terms fit in _BLOCK_CHUNK
+            next_use[used] = later[at[i]:at[i + 1]]
+            ahead = next_use[owner]
+            keep = ahead == i + 1
+            spare = np.flatnonzero((ahead > i + 1) & (ahead < n))
+            spare = spare[np.argsort(ahead[spare], kind="stable")]
+            size = np.diff(pool[2][::n])
+            keep[spare[np.cumsum(size[spare]) <= _BLOCK_CHUNK]] = True
+            names, pool = _compact(names, _groups(pool, keep, n))
+            pooled[owner] = False
+            owner = owner[keep]
+            pooled[owner] = True
+
             lo, hi = P[2][i * n], P[2][(i + 1) * n]
             block = (P[0][lo:hi], group[P[1][lo:hi]],
                      P[2][i * n:(i + 1) * n + 1] - lo)
             # each term of the block meets its row group of R, and each
             # term of P its row of L
-            terms = (np.diff(indptr[::n])[block[1]].sum()
+            terms = (np.diff(R[2][::n])[block[1]].sum()
                      + np.diff(L[2]) @ p_terms)
-            bound = max([p_max] + [_abs_max(a) for a in (data, L[0]) if a.size])
+            bound = max([p_max] + [_abs_max(a) for a in (R[0], L[0]) if a.size])
             dense = (bound * bound * width < _FLOAT_EXACT
                      and n * n * len(gamma) < _DENSE_CELLS_PER_TERM * terms)
             row = (_dense_difference if dense else _sorted_difference)(
@@ -888,19 +978,6 @@ def _associativity_counterexample(ring, labels, table):
                 eta, zeta = labels[j], labels[k]
                 return (f"({fmt(xi)}*{fmt(eta)})*{fmt(zeta)} != "
                         f"{fmt(xi)}*({fmt(eta)}*{fmt(zeta)})")
-            if i + 1 < n:
-                used = support(i + 1)
-                keep = np.flatnonzero(np.isin(order, used))
-                kept = order[keep]
-                # the rows of the kept groups, each group n rows from g * n
-                starts = indptr[keep * n]
-                at = _ragged(starts, indptr[(keep + 1) * n] - starts)
-                counts = np.diff(indptr).reshape(-1, n)[keep].ravel()
-                carried = (data[at], indices[at], np.concatenate(
-                    (np.zeros(1, np.int32), np.cumsum(counts, dtype=np.int32))))
-                names = list(gamma)
-                carried_gamma = {g: names[g]
-                                 for g in np.unique(carried[1]).tolist()}
     except _Inexact as exc:
         x, y, label, c = exc.args
         entry = f"N({fmt(x)},{fmt(y)}->{fmt(label)}) = {c!r}"
@@ -931,21 +1008,25 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     integer matrix products per first factor xi, where B is the
     union of the supports of the window products, its window labels
     first, and B_xi that of the products xi * eta.  Block xi reads the
-    row of the |B| products
-    xi * beta, and the row of the n products beta * zeta of each beta in
-    B_xi that the block before it did not hold; it keeps the rows of the
-    betas the next block shares.  So a run of consecutive blocks whose
-    B_xi contain beta reads each beta * zeta once, and a beta that leaves
-    and comes back is read again.  A row takes its window products from
-    the table (a slice, since B lists window labels first) and the others
-    straight from the product rule, and besides the window products at
-    most one block's rows live at a time.  A block compares its n**2 rows
+    row of the |B| products xi * beta, and the row group of the n products
+    beta * zeta of each beta in B_xi that no earlier block kept.  The
+    blocks that use each beta are known from the window products before
+    the first block runs, so groups are kept by next use: after each block
+    every group the next block uses, and beyond those the groups with the
+    nearest next use while their terms fit in _BLOCK_CHUNK (2**16), the
+    farthest evicted first.  So a product beta * zeta is read at its first
+    use and again only after an eviction, never more often than when a
+    block kept only the groups the next block shares, and besides the
+    window products one block's rows and at most _BLOCK_CHUNK kept terms
+    live at a time.  A row takes its window products from the table (a
+    slice, since B lists window labels first) and the others straight
+    from the product rule.  A block compares its n**2 rows
     (xi eta) zeta and xi (eta zeta) in one of two ways, both on numpy
     arrays: as dense float64 matrix products, one chunk of zeta at a time,
     when its n**2 * |G| result cells (G the labels of its rows) are few
     against the terms of its sparse products; else by sorting the int64
     keys of those terms and summing each key's terms.  No check imports
-    scipy.
+    scipy or numpy.ma.
 
     Associativity is decided in exact integer arithmetic: int64, which is
     exact only when every coefficient it reads is an ``int`` (``bool``

@@ -85,6 +85,19 @@ class TestGroupRings:
         assert fk.product_basis(z2, (1, 0), (0, 1)) == {(1, 1): 1}
         assert z2.conj((2, -1)) == (-2, 1)
 
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_lattice_rule_is_vector_sum(self, d):
+        # the rule itself, uncached, on seeded pairs of integer vectors
+        ring = fk.integer_lattice_ring(d)
+        rng = random.Random(d)
+        for _ in range(2_000):
+            x = tuple(rng.randint(-50, 50) for _ in range(d))
+            y = tuple(rng.randint(-50, 50) for _ in range(d))
+            z = ring._product_rule(x, y)
+            assert z == {tuple(a + b for a, b in zip(x, y)): 1}
+            assert type(next(iter(z))) is tuple
+            assert ring._conjugate_rule(x) == tuple(-a for a in x)
+
     def test_invalid_rank(self):
         with pytest.raises(fk.InvalidParam):
             fk.integer_lattice_ring(0)

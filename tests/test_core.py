@@ -434,9 +434,49 @@ class TestVerifyAxioms:
         assert fk.verify_axioms(ring, window).passed
         assert max(calls.values()) == 1
 
-    @pytest.mark.parametrize("name,radius", [("su2", 30), ("f2", 3)])
+    @pytest.mark.parametrize("name,radius,distinct", [
+        ("f2", 3, 151_633), ("z2", 6, 45_985), ("su2xz3", 6, 1_045)])
+    def test_each_product_read_once(self, name, radius, distinct):
+        # row groups are kept by next use: none is evicted on these
+        # windows, so no block reads a product an earlier block read
+        base = {"f2": lambda: fk.free_group_ring(2),
+                "z2": lambda: fk.integer_lattice_ring(2),
+                "su2xz3": lambda: fk.tensor_product(fk.build_su2_ring(),
+                                                    fk.cyclic_ring(3))}[name]()
+        ring, calls = counting_ring(base)
+        window = fk.build_window(ring, base.generators, radius)
+        calls.clear()
+        assert fk.verify_axioms(ring, window).passed
+        reads = collections.Counter(calls)
+        assert max(reads.values()) == 1 and len(reads) == distinct
+
+    @pytest.mark.parametrize("how", ["library", "cli"])
+    def test_axioms_leave_numpy_ma_unloaded(self, how, tmp_path):
+        # associativity finds its supports and columns with boolean masks;
+        # np.unique would import numpy.ma
+        path = tmp_path / "free2.json"
+        fk.save_ring({"type": "builtin", "name": "free", "params": {"rank": 2}},
+                     path)
+        run = {"library": (
+            "for ring, radius in ((fk.build_su2_ring(), 30),\n"
+            "                     (fk.free_group_ring(2), 3)):\n"
+            "    window = fk.build_window(ring, ring.generators, radius)\n"
+            "    assert fk.verify_axioms(ring, window).passed\n"),
+            "cli": f"assert main(['axioms', {str(path)!r}, '--radius', '3']) == 0\n"}
+        code = ("import sys\n"
+                "import fusionkit as fk\n"
+                "from fusionkit.cli import main\n"
+                + run[how] + "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(fk.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("name,radius", [("su2", 30), ("f2", 3), ("z2", 6)])
     def test_peak_traced_memory(self, name, radius):
-        ring = {"su2": fk.build_su2_ring, "f2": lambda: fk.free_group_ring(2)}[name]()
+        ring = {"su2": fk.build_su2_ring, "f2": lambda: fk.free_group_ring(2),
+                "z2": lambda: fk.integer_lattice_ring(2)}[name]()
         window = fk.build_window(ring, ring.generators, radius)
         tracemalloc.start()
         try:
@@ -582,13 +622,14 @@ def axiom_window(name):
 class TestVerifyAxiomsRuleReads:
     def test_f2_radius_3_rule_evaluations(self):
         # window products and the second-stage products of the
-        # associativity blocks, each read straight from the rule (191,156
-        # when a public window cached the 68 products its search read)
+        # associativity blocks, each read straight from the rule and once:
+        # 151,633 distinct products (191,224 when a block kept only the
+        # row groups the next block shares, and re-read the others)
         ring, calls = counting_ring(fk.free_group_ring(2))
         window = fk.build_window(ring, ring.generators, 3)
         calls.clear()
         assert fk.verify_axioms(ring, window).passed
-        assert len(calls) == 191_224
+        assert len(calls) == 151_633
 
     def test_repeated_labels_read_their_products_once(self, su2):
         # 21 rule reads: the 9 window products and the 12 second-stage
@@ -759,6 +800,64 @@ class TestAssociativityAccumulators:
         with accumulator("default") as blocks:
             assert fk.verify_axioms(ring, window).passed
         assert blocks == {which: len(window)}
+
+
+@contextlib.contextmanager
+def retention(terms):
+    """Associativity keeping at most ``terms`` row-group terms between
+    blocks beyond the groups the next block uses; at 0 a block reads every
+    group that the block before it did not use."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fk.core, "_BLOCK_CHUNK", terms)
+        yield
+
+
+def associativity_reads(base, window, terms=None):
+    """The rule evaluations of ``verify_axioms`` on a cold copy of
+    ``base``, at retention ``terms`` (None: the default)."""
+    ring, calls = counting_ring(base)
+    with retention(terms) if terms is not None else contextlib.nullcontext():
+        fk.verify_axioms(ring, window)
+    return len(calls)
+
+
+class TestRowGroupEviction:
+    def test_f2_radius_3_re_reads_only_evicted_groups(self):
+        ring = fk.free_group_ring(2)
+        window = fk.build_window(ring, ring.generators, 3)
+        reads = {terms: associativity_reads(ring, window, terms)
+                 for terms in (0, 5_000)}
+        assert reads[0] == 191_224  # every group the next block drops
+        assert 151_633 < reads[5_000] < reads[0]
+
+    @pytest.mark.parametrize("terms", [7, 64])
+    @pytest.mark.parametrize("case", sorted(REPORT_CASES))
+    def test_same_report_and_no_more_reads(self, case, terms):
+        ring, window = REPORT_CASES[case]()
+        expected = fk.verify_axioms(ring, window)
+        with retention(terms):
+            assert fk.verify_axioms(ring, window) == expected
+        most = associativity_reads(ring, window, 0)
+        assert associativity_reads(ring, window, terms) <= most
+        assert associativity_reads(ring, window) <= most
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["su2", "z6", "f2", "su2xz3"]), st.data())
+    def test_mutated_product_matches_the_triple_loop(self, name, data):
+        base, window, pool = axiom_window(name)
+        pick = st.one_of(st.sampled_from(window), st.sampled_from(pool))
+        x, y = data.draw(pick), data.draw(pick)
+        product = base.product(x, y)
+        label = data.draw(st.sampled_from(sorted({*product, *pool}, key=repr)))
+        product[label] = product.get(label, 0) + data.draw(st.integers(1, 2))
+        ring = patched_ring(base, {(x, y): product})
+        expected = direct_associativity(ring, window)
+        most = associativity_reads(ring, window, 0)
+        for terms in (7, 64):
+            with retention(terms):
+                checks = {c.name: c for c in fk.verify_axioms(ring, window).checks}
+            assert checks["associativity"].counterexample == expected
+            assert associativity_reads(ring, window, terms) <= most
 
 
 class TestElementBasics:
