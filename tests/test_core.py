@@ -830,6 +830,20 @@ class TestRowGroupEviction:
         assert reads[0] == 191_224  # every group the next block drops
         assert 151_633 < reads[5_000] < reads[0]
 
+    @pytest.mark.parametrize("name, radius, terms, reads", [
+        ("f2", 3, 64, 190_535), ("f2", 3, 200, 189_157), ("f2", 3, 1_000, 181_207),
+        ("z2", 6, 200, 252_110), ("z2", 6, 1_000, 209_865), ("z2", 6, 5_000, 93_415)])
+    def test_spare_budget_goes_to_groups_read_from_the_rule(
+            self, name, radius, terms, reads):
+        # a window beta's group is read again from the window table, so the
+        # spares beyond the next block's groups are those of the other
+        # betas first; by next use alone these read 191,224, 191,224,
+        # 185,977, 262,480, 257,380 and 147,475 products
+        ring = {"f2": lambda: fk.free_group_ring(2),
+                "z2": lambda: fk.integer_lattice_ring(2)}[name]()
+        window = fk.build_window(ring, ring.generators, radius)
+        assert associativity_reads(ring, window, terms) == reads
+
     @pytest.mark.parametrize("terms", [7, 64])
     @pytest.mark.parametrize("case", sorted(REPORT_CASES))
     def test_same_report_and_no_more_reads(self, case, terms):

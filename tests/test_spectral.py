@@ -905,6 +905,51 @@ assert_bitwise_equal(op.matrix, direct_compress(
         assert info.value.residual >= 1e-18
 
 
+def dense_top(M):
+    """The top eigenvalue of the CSR arrays M, from a dense eigensolve."""
+    n = M.shape[0]
+    A = np.zeros((n, n))
+    A[M._rows, M.indices] = M.data
+    return float(np.linalg.eigvalsh(A)[-1])
+
+
+class TestLanczosSteps:
+    """Each step orthogonalizes by one Gram-Schmidt pass and repeats it
+    only when the pass cancelled."""
+
+    @pytest.mark.parametrize("name, radii, sizes, matvecs", [
+        ("su2", [103, 303, 603, 1003], [104, 304, 604, 1004], [64, 192, 400, 736]),
+        ("dsu2", [103, 303, 508, 509, 510, 511], [104, 304, 509, 510, 511, 512],
+         [64, 192, 336, 336, 336, 336]),
+        ("f2", range(1, 10), [2 * 3 ** r - 1 for r in range(1, 10)], range(2, 11))])
+    def test_benchmark_window_matvecs(self, name, radii, sizes, matvecs):
+        ring, S = oracle_ring(name)
+        report = fk.amenability_estimate(ring, fk.ProbMeasure.uniform(ring, S), radii)
+        assert [(e.window_size, e.iterations) for e in report.entries] == \
+            list(zip(sizes, matvecs))
+
+    @pytest.mark.parametrize("case", sorted(LARGE_WINDOWS) + ONE_PATH_WINDOWS,
+                             ids=str)
+    def test_ritz_pair_matches_dense(self, case):
+        op = (above_limit_operator(case) if case in LARGE_WINDOWS
+              else one_path_operator(*case))
+        theta, x, _ = fk.spectral._lanczos_top(op._csr, 1e-9)
+        assert theta == pytest.approx(dense_top(op._csr), abs=1e-12)
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+
+    def test_krylov_space_closing_after_three_steps(self):
+        # the uniform vector meets three eigenspaces of this diagonal, so
+        # the passes of the second and third steps cancel and are repeated,
+        # and the search stops on an invariant subspace (z30xz30 above
+        # repeats the pass of its one step: its uniform start is invariant)
+        M = fk.spectral._CSR(np.resize([0.7, 0.1, 0.4], 600), np.arange(600),
+                             np.arange(601))
+        theta, x, matvecs = fk.spectral._lanczos_top(M, 1e-9)
+        assert matvecs == 3
+        assert theta == pytest.approx(dense_top(M), abs=1e-12)
+        assert np.linalg.norm(M @ x - theta * x) < 1e-12
+
+
 class TestGnsOperator:
     def test_scaling(self, su2):
         window = fk.build_window(su2, {1}, 6)
