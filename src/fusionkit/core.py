@@ -514,64 +514,89 @@ def _finite(d) -> bool:
     return isinstance(d, (int, Fraction)) or math.isfinite(d)
 
 
-def _frobenius_counterexample(ring, labels, conj, probe):
+def _frobenius_counterexample(ring, labels, conj, P):
     """The first window triple (xi, eta, alpha) violating Frobenius
-    reciprocity, as a message, or None.
+    reciprocity, as a message, or None.  ``P`` holds the window products,
+    row i*n + j for xi_i * eta_j, the window labels in its first n columns.
 
-    Three maps keyed by (i*n + j)*n + k hold the nonzero entries of
-    N(xi_i, eta_j -> alpha_k), N(conj xi_i, alpha_k -> eta_j) and
-    N(alpha_k, conj eta_j -> xi_i); a triple fails where the second or the
-    third disagrees with the first.  The second map is dropped before the
-    third is built.
+    Each side holds the nonzero entries of one of N(xi_i, eta_j ->
+    alpha_k), N(conj xi_i, alpha_k -> eta_j) and N(alpha_k, conj eta_j ->
+    xi_i) as int64 keys (i*n + j)*n + k and their coefficients.  The first
+    reads the window columns of P, the others those of P's rows
+    (conj xi_i, alpha_k) and (alpha_k, conj eta_j), or of rows read from
+    the rule where the conjugate lies outside the window.  A triple fails
+    where the second or the third disagrees with the first.
     """
     n = len(labels)
     index = {label: i for i, label in enumerate(labels)}
+    bar = np.array([index.get(conj[x], -1) for x in labels], dtype=np.int64)
+    cross = [conj[x] for x, b in zip(labels, bar.tolist()) if b < 0]
+    out = np.cumsum(bar < 0) - 1  # the place of conj x in cross, if there
+    k = np.arange(n)
 
-    def first_mismatch(other):
-        return min((key for entries in (direct, other) for key in entries
-                    if direct.get(key, 0) != other.get(key, 0)), default=None)
+    def entries(csr, rows):
+        # (t, column, coefficient) of each entry of row rows[t] of csr in
+        # a window column
+        data, indices, indptr = csr
+        counts = indptr[rows + 1] - indptr[rows]
+        at = _ragged(indptr[rows], counts)
+        t, c = np.repeat(np.arange(len(rows)), counts), indices[at]
+        keep = c < n
+        return t[keep], c[keep], data[at[keep]]
 
-    direct: dict = {}
-    left: dict = {}
-    for i, xi in enumerate(labels):
-        xibar = conj[xi]
-        for j, eta in enumerate(labels):
-            base = (i * n + j) * n
-            for alpha, c in probe(xi, eta).items():
-                k = index.get(alpha)
-                if k is not None:
-                    direct[base + k] = c
-        for k, alpha in enumerate(labels):
-            for eta, c in probe(xibar, alpha).items():
-                j = index.get(eta)
-                if j is not None:
-                    left[(i * n + j) * n + k] = c
-    key_left = first_mismatch(left)
-    c_left = left.get(key_left, 0)
-    del left
-    right: dict = {}
-    for k, alpha in enumerate(labels):
-        for j, eta in enumerate(labels):
-            for xi, c in probe(alpha, conj[eta]).items():
-                i = index.get(xi)
-                if i is not None:
-                    right[(i * n + j) * n + k] = c
-    key_right = first_mismatch(right)
+    t, c, v = entries(P, np.arange(n * n))
+    direct = t * n + c, v
+    # t = i*n + k: row (conj xi_i, alpha_k), the read rows after P's
+    rows = _stack(P, _product_csr(ring, cross, labels, dict(index)))
+    t, c, v = entries(rows, np.where(bar[:, None] >= 0, bar[:, None] * n + k,
+                                     n * n + out[:, None] * n + k).ravel())
+    left = (t // n * n + c) * n + t % n, v
+    # t = k*n + j: row (alpha_k, conj eta_j), the read rows after P's
+    rows = _stack(P, _product_csr(ring, labels, cross, dict(index)))
+    t, c, v = entries(rows, np.where(bar >= 0, k[:, None] * n + bar,
+                                     n * n + k[:, None] * len(cross) + out).ravel())
+    right = (c * n + t % n) * n + t // n, v
 
-    if key_left is None and key_right is None:
+    found_left = _first_mismatch(direct, left)
+    found_right = _first_mismatch(direct, right)
+    if found_left is None and found_right is None:
         return None
-    use_left = key_right is None or key_left is not None and key_left <= key_right
-    key = key_left if use_left else key_right
-    ij, k = divmod(key, n)
-    i, j = divmod(ij, n)
+    use_left = found_right is None or (found_left is not None
+                                       and found_left[0] <= found_right[0])
+    key, value, other = found_left if use_left else found_right
     fmt = ring.format_label
-    xi, eta, alpha = labels[i], labels[j], labels[k]
-    c = direct.get(key, 0)
+    xi, eta, alpha = (fmt(labels[i]) for i in (key // n // n, key // n % n, key % n))
     if use_left:
-        return (f"N({fmt(xi)},{fmt(eta)}->{fmt(alpha)}) = {c} but "
-                f"N(conj {fmt(xi)},{fmt(alpha)}->{fmt(eta)}) = {c_left}")
-    return (f"N({fmt(xi)},{fmt(eta)}->{fmt(alpha)}) = {c} but "
-            f"N({fmt(alpha)},conj {fmt(eta)}->{fmt(xi)}) = {right.get(key, 0)}")
+        return (f"N({xi},{eta}->{alpha}) = {value} but "
+                f"N(conj {xi},{alpha}->{eta}) = {other}")
+    return (f"N({xi},{eta}->{alpha}) = {value} but "
+            f"N({alpha},conj {eta}->{xi}) = {other}")
+
+
+def _first_mismatch(one, other):
+    """(key, value in ``one``, value in ``other``) at the least key where
+    two sides, each a pair (distinct int64 keys, coefficients), differ, an
+    absent key reading 0; or None."""
+    keys = np.sort(np.concatenate((one[0], other[0])))
+    a, b = _values_at(keys, one), _values_at(keys, other)
+    differ = np.flatnonzero(a != b)
+    if not differ.size:
+        return None
+    at = differ[0]
+    return int(keys[at]), a[at:at + 1].tolist()[0], b[at:at + 1].tolist()[0]
+
+
+def _values_at(keys, side):
+    """The coefficients of ``side``, a pair (distinct int64 keys,
+    coefficients), at ``keys``, 0 where it has none."""
+    own, values = side
+    order = np.argsort(own)
+    at = np.searchsorted(own, keys, sorter=order)
+    found = at < len(own)
+    found[found] = own[order[at[found]]] == keys[found]
+    out = np.zeros(len(keys), dtype=values.dtype)
+    out[found] = values[order[at[found]]]
+    return out
 
 
 _chain = itertools.chain.from_iterable
@@ -613,33 +638,29 @@ def _int64_array(values: list):
         return None
 
 
-def _int64_values(values: list, width: int):
-    """``values`` as an int64 array when every one is an ``int`` (not a
-    subclass) with N**2 * width < 2**63, else None."""
-    array = _int64_array(values)
-    if array is not None and array.size:
-        bound = _abs_max(array)
-        if bound * bound * width >= _INT64_LIMIT:
-            return None
-    return array
-
-
 def _abs_max(array) -> int:
     """max |v| over a non-empty int64 array, as an int (no overflow at
     -2**63)."""
     return max(int(array.max()), -int(array.min()))
 
 
-def _inexact_entry(products, width):
-    """(row, label, N) of the first coefficient that int64 cannot sum
-    exactly over ``width`` terms (not an int, a bool, or N**2 * width >=
-    2**63), or None."""
-    for row, p in enumerate(products):
-        for label, c in p.items():
-            if not isinstance(c, int) or isinstance(c, bool) \
-                    or c * c * width >= _INT64_LIMIT:
-                return row, label, c
-    return None
+def _exact(csr, width: int, left, right, labels):
+    """``csr``, CSR arrays of the products x*y for (x, y) in
+    ``itertools.product(left, right)``, with int64 data.  Raises _Inexact
+    at its first coefficient that int64 cannot sum exactly over ``width``
+    terms (not an int, a bool, or N**2 * width >= 2**63), naming its label
+    from ``labels``, the label of each column in order."""
+    data = csr[0]
+    if data.dtype == np.int64 and (
+            not data.size or _abs_max(data) ** 2 * width < _INT64_LIMIT):
+        return csr
+    for at, c in enumerate(data.tolist()):
+        if not isinstance(c, int) or isinstance(c, bool) \
+                or c * c * width >= _INT64_LIMIT:
+            row = int(np.searchsorted(csr[2], at, side="right")) - 1
+            x, y = divmod(row, len(right))
+            raise _Inexact(left[x], right[y], [*labels][csr[1][at]], c)
+    return data.astype(np.int64), csr[1], csr[2]  # int subclasses
 
 
 def _plain(products: list) -> list:
@@ -678,63 +699,35 @@ def _row(ring: FusionRing, x, others, left: bool = True) -> list:
     return _plain([*map(ring._product_rule, *(pairs if left else pairs[::-1]))])
 
 
-def _row_reader(ring, table: dict, labels: list, right: list):
-    """``row(x)``, an iterator over the products x*y for y in ``right``.
-
-    ``table`` maps each window label x to its products with ``labels``,
-    in order.  ``right`` lists window labels first: for x in the window
-    the products with them are read from the table, and all others from
-    the product rule, uncached and not yet rid of zeros.
-    """
-    index = {label: j for j, label in enumerate(labels)}
-    at = [*map(index.get, itertools.takewhile(index.__contains__, right))]
-    rest = right[len(at):]
-    rule = ring._product_rule
-
-    def row(x):
-        own = table.get(x)
-        if own is None:
-            return map(rule, itertools.repeat(x), right)
-        return itertools.chain(map(own.__getitem__, at),
-                               map(rule, itertools.repeat(x), rest))
-
-    return row
-
-
-def _product_csr(row, left, right, columns: dict, width: int):
+def _product_csr(ring, left, right, columns: dict):
     """CSR arrays (data, indices, indptr) of the products x*y for (x, y) in
-    ``itertools.product(left, right)``, one row per pair, read as
-    ``row(x)`` (a ``_row_reader`` of ``right``) for x in ``left``.
+    ``itertools.product(left, right)``, one row per pair, read from the
+    product rule in chunks of _CHUNK; each chunk's labels and values are
+    collected once.
 
-    Each label goes to its column in ``columns``; a label not there yet
-    gets the next free one.  Raises _Inexact at the first coefficient that
-    int64 cannot sum exactly over ``width`` terms.  The products are read
-    in chunks of _CHUNK; each chunk's labels and values are collected once.
+    Each label goes to its column in ``columns``; the labels not there yet
+    get the next free ones in the order first read.  The data are int64
+    when int64 holds every coefficient, each an ``int`` (not a subclass),
+    else an object array of the coefficients the rule returned.
     """
-    read = _chain(map(row, left))
+    read = itertools.starmap(ring._product_rule, itertools.product(left, right))
     counts = [np.zeros(1, dtype=np.int32)]  # the leading 0 of indptr
     indices = [np.zeros(0, dtype=np.int32)]
     data = [np.zeros(0, dtype=np.int64)]
-    for start in itertools.count(0, _CHUNK):
+    while True:
         products, values = _plain_values(list(itertools.islice(read, _CHUNK)))
         if not products:
             break
-        exact = _int64_values(values, width)
-        if exact is None:
-            found = _inexact_entry(products, width)
-            if found is not None:
-                k, label, c = found
-                x, y = divmod(start + k, len(right))
-                raise _Inexact(left[x], right[y], label, c)
-            exact = np.array(values, dtype=np.int64)  # int subclasses
         keys = [*_chain(products)]
-        columns.update(zip(set(keys).difference(columns),
-                           itertools.count(len(columns))))
+        new = [label for label in dict.fromkeys(keys) if label not in columns]
+        columns.update(zip(new, itertools.count(len(columns))))
         counts.append(np.fromiter(map(len, products), dtype=np.int32,
                                   count=len(products)))
         indices.append(np.fromiter(map(columns.__getitem__, keys),
                                    dtype=np.int32, count=len(keys)))
-        data.append(exact)
+        exact = _int64_array(values)
+        data.append(np.fromiter(values, dtype=object, count=len(values))
+                    if exact is None else exact)
     return (np.concatenate(data), np.concatenate(indices),
             np.cumsum(np.concatenate(counts), dtype=np.int32))
 
@@ -876,27 +869,38 @@ def _compact(names, csr):
     return names[live], (csr[0], number[csr[1]], csr[2])
 
 
-def _associativity_counterexample(ring, labels, table):
-    """The first window triple with (xi*eta)*zeta != xi*(eta*zeta), as a
-    message, or None.  ``table`` maps each label to its products with
-    ``labels``, in order.
+def _renumber(csr, names, gamma: dict):
+    """The CSR arrays ``csr``, whose column c holds the label names[c],
+    with the columns numbered by ``gamma``; a label not in ``gamma`` yet
+    gets the next free number."""
+    ids = _used(csr[1], len(names))
+    column = np.zeros(len(names), dtype=np.int32)
+    column[ids] = [gamma.setdefault(label, len(gamma)) for label in names[ids]]
+    return csr[0], column[csr[1]], csr[2]
 
-    P holds the window products, one row per pair (xi_i, eta_j) at
-    i*n + j, one column per label of B, the window labels of B first.
+
+def _associativity_counterexample(ring, labels, P, names: list):
+    """The first window triple with (xi*eta)*zeta != xi*(eta*zeta), as a
+    message, or None.  ``P`` holds the window products, one row per pair
+    (xi_i, eta_j) at i*n + j, its column c the label names[c]: the window
+    labels, then the other labels of their supports B in first-seen order.
+
     For each xi_i in window order,
     rows (j, k) of kron(P_i, I_n) @ R_i are (xi_i eta_j) zeta_k and those of
     P @ L_i are xi_i (eta_j zeta_k), where R_i[(beta, k), gamma] =
     N(beta, zeta_k -> gamma) for beta in B_i, the supports of the row block
     P_i, and L_i[beta, gamma] = N(xi_i, beta -> gamma).  The n rows of one
-    beta form its row group.  The blocks that use each beta are known from
-    P before the first block runs.  A pool holds the row groups read so
-    far that a later block uses: after each block it keeps every group the
-    next block uses and, beyond those, the groups with the nearest next use
-    while their terms fit in _BLOCK_CHUNK, evicting the farthest first.  A
-    block reads the groups of B_i not in the pool in one batch, in B order,
-    so a group is read at its first use and again only after an eviction.
+    beta form its row group.  A window beta's row group and the window part
+    of L_i are rows of P.  The blocks that use each beta are known from
+    P before the first block runs.  A pool holds the row groups of betas
+    outside the window read so far that a later block uses: after each
+    block it keeps every group the next block uses and, beyond those, the
+    groups with the nearest next use while their terms fit in _BLOCK_CHUNK,
+    evicting the farthest first.  A block reads the groups of B_i outside
+    the window and not in the pool in one batch, in B order, so a group is
+    read at its first use and again only after an eviction.
     All matrices are int64 CSR arrays (data, indices, indptr).  The pool
-    numbers its columns by ``names``, an object array of labels that is
+    numbers its columns by ``held``, an object array of labels that is
     cut to the labels of the kept rows after each block; a block numbers
     its own gamma labels, those of R_i and L_i, from 0.
     A block's two sides are compared by _dense_difference when float64
@@ -906,85 +910,75 @@ def _associativity_counterexample(ring, labels, table):
     """
     n = len(labels)
     fmt = ring.format_label
-    found = [*dict.fromkeys(_chain(_chain(table.values())))]
-    b_labels = [b for b in found if b in table]  # the window betas first
-    windowed = len(b_labels)
-    b_labels += [b for b in found if b not in table]
-    width = len(b_labels)
-    by_window = _row_reader(ring, table, labels, labels)
-    by_b = _row_reader(ring, table, labels, b_labels)
+    columns = len(names)
+    outer = names[n:]
+    names = np.fromiter(names, dtype=object, count=columns)
+    width = len(_used(P[1], columns))  # |B|
     try:
-        P = _product_csr(by_window, labels, labels,
-                         dict(zip(b_labels, itertools.count())), width)
+        P = _exact(P, width, labels, labels, names)
         p_max = _abs_max(P[0]) if P[0].size else 0
-        p_terms = np.bincount(P[1], minlength=width)  # P's terms per beta
+        p_terms = np.bincount(P[1], minlength=columns)  # P's terms per beta
         # B_i for each block i, betas ascending, at betas[at[i]:at[i + 1]],
         # and for each (i, beta) the next block whose B contains beta (n
         # when none does)
         bounds = P[2][::n].tolist()
-        betas = [_used(P[1][lo:hi], width) for lo, hi in zip(bounds, bounds[1:])]
+        betas = [_used(P[1][lo:hi], columns) for lo, hi in zip(bounds, bounds[1:])]
         sizes = [*map(len, betas)]
         at = [0, *itertools.accumulate(sizes)]
         betas = np.concatenate(betas)
         later = _next_uses(betas, sizes, n)
 
         pool = (np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(1, np.int32))
-        names = np.zeros(0, dtype=object)  # the label of each pool column
+        held = np.zeros(0, dtype=object)  # the label of each pool column
         owner = np.zeros(0, dtype=np.int64)  # the beta of each pool group
-        pooled = np.zeros(width, dtype=bool)  # beta -> its group is pooled
-        next_use = np.full(width, n)  # beta -> the next block using it
-        group = np.zeros(width, dtype=np.int32)  # beta -> its row group in R
+        pooled = np.zeros(columns, dtype=bool)  # beta -> its group is pooled
+        next_use = np.full(columns, n)  # beta -> the next block using it
+        group = np.zeros(columns, dtype=np.int32)  # beta -> its row group in R
         for i, xi in enumerate(labels):
             used = betas[at[i]:at[i + 1]]
-            wanted = np.zeros(width, dtype=bool)
+            wanted = np.zeros(columns, dtype=bool)
             wanted[used] = True
             hit = wanted[owner]  # the pool groups the block uses
-            new = used[~pooled[used]]
-            # R holds the block's groups, those from the pool first
-            group[np.concatenate((owner[hit], new))] = np.arange(
+            new = used[(used >= n) & ~pooled[used]]
+            # R holds the block's groups: those of window betas (rows of
+            # P), those from the pool, then those read; gamma numbers the
+            # labels of R and L from 0, one lookup per distinct label
+            group[np.concatenate((used[used < n], owner[hit], new))] = np.arange(
                 len(used), dtype=np.int32)
-            # gamma numbers the block's labels from 0: first those of its
-            # pool rows, one lookup per distinct label, then as read
-            R = _groups(pool, hit, n)
-            ids = _used(R[1], len(names))
             gamma: dict = {}
-            column = np.zeros(len(names), dtype=np.int32)
-            column[ids] = [gamma.setdefault(label, len(gamma)) for label in names[ids]]
-            home = np.zeros(len(gamma), dtype=np.int32)  # their pool columns
-            home[column[ids]] = ids
-            fresh = _product_csr(by_window, [b_labels[b] for b in new.tolist()],
-                                 labels, gamma, width)
-            # the pool takes the fresh groups; a pool label keeps its
-            # column, and each label first read in this block takes a new one
-            read = np.fromiter(itertools.islice(gamma, len(home), None),
-                               dtype=object, count=len(gamma) - len(home))
-            home = np.concatenate((home, np.arange(
-                len(names), len(names) + len(read), dtype=np.int32)))
-            names = np.concatenate((names, read))
-            pool = _stack(pool, (fresh[0], home[fresh[1]], fresh[2]))
+            R = _stack(_renumber(_groups(P, wanted[:n], n), names, gamma),
+                       _renumber(_groups(pool, hit, n), held, gamma))
+            lo, hi = P[2][i * n], P[2][(i + 1) * n]
+            own = P[0][lo:hi], P[1][lo:hi], P[2][i * n:(i + 1) * n + 1] - lo
+            L = _renumber(own, names, gamma)  # its rows xi * beta for window betas
+            read = [names[b] for b in new.tolist()]
+            fresh = _exact(_product_csr(ring, read, labels, gamma),
+                           width, read, labels, gamma)
+            L = _stack(L, _exact(_product_csr(ring, (xi,), outer, gamma),
+                                 width, (xi,), outer, gamma))
+            R = _stack(R, fresh)
+            # the pool takes the fresh groups, with new columns for the
+            # labels of gamma
+            pool = _stack(pool, (fresh[0], fresh[1] + len(held), fresh[2]))
+            held = np.concatenate((held, np.fromiter(gamma, dtype=object,
+                                                     count=len(gamma))))
             owner = np.concatenate((owner, new))
-            L = _product_csr(by_b, (xi,), b_labels, gamma, width)
-            R = _stack((R[0], column[R[1]], R[2]), fresh)
 
             # the pool keeps the groups the next block uses, then, while
-            # their terms fit in _BLOCK_CHUNK, those of betas outside the
-            # window (read again only from the rule) before those of window
-            # betas (read again from the table), each by nearest next use
+            # their terms fit in _BLOCK_CHUNK, those with the nearest next use
             next_use[used] = later[at[i]:at[i + 1]]
             ahead = next_use[owner]
             keep = ahead == i + 1
             spare = np.flatnonzero((ahead > i + 1) & (ahead < n))
-            spare = spare[np.lexsort((ahead[spare], owner[spare] < windowed))]
+            spare = spare[np.argsort(ahead[spare], kind="stable")]
             size = np.diff(pool[2][::n])
             keep[spare[np.cumsum(size[spare]) <= _BLOCK_CHUNK]] = True
-            names, pool = _compact(names, _groups(pool, keep, n))
+            held, pool = _compact(held, _groups(pool, keep, n))
             pooled[owner] = False
             owner = owner[keep]
             pooled[owner] = True
 
-            lo, hi = P[2][i * n], P[2][(i + 1) * n]
-            block = (P[0][lo:hi], group[P[1][lo:hi]],
-                     P[2][i * n:(i + 1) * n + 1] - lo)
+            block = own[0], group[own[1]], own[2]
             # each term of the block meets its row group of R, and each
             # term of P its row of L
             terms = (np.diff(R[2][::n])[block[1]].sum()
@@ -1022,40 +1016,46 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     before any axiom reads it.
 
     Cost, for a window of n distinct labels whose products have at most s
-    terms: the n**2 window products are read once from the rule into a
-    table that every check reads; a repeated label adds no product.
-    Frobenius reciprocity runs over the nonzero entries of three product
-    tables, in O(n**2 * s).  Associativity takes one block of
-    integer matrix products per first factor xi, where B is the
-    union of the supports of the window products, its window labels
-    first, and B_xi that of the products xi * eta.  Block xi reads the
-    row of the |B| products xi * beta, and the row group of the n products
-    beta * zeta of each beta in B_xi that no earlier block kept.  The
-    blocks that use each beta are known from the window products before
-    the first block runs, so groups are kept by next use: after each block
-    every group the next block uses, and beyond those the groups with the
-    nearest next use while their terms fit in _BLOCK_CHUNK (2**16), the
-    farthest evicted first.  So a product beta * zeta is read at its first
-    use and again only after an eviction, never more often than when a
-    block kept only the groups the next block shares, and besides the
-    window products one block's rows and at most _BLOCK_CHUNK kept terms
-    live at a time.  A row takes its window products from the table (a
-    slice, since B lists window labels first) and the others straight
-    from the product rule.  A block compares its n**2 rows
-    (xi eta) zeta and xi (eta zeta) in one of two ways, both on numpy
-    arrays: as dense float64 matrix products, one chunk of zeta at a time,
-    when its n**2 * |G| result cells (G the labels of its rows) are few
-    against the terms of its sparse products; else by sorting the int64
-    keys of those terms and summing each key's terms.  No check imports
-    scipy or numpy.ma.
+    terms: the n**2 window products are read once from the rule into the
+    CSR arrays P, one row per pair, that every check reads; a repeated
+    label adds no product.  P's columns number the window labels first,
+    then the other labels of B, the union of the supports of the window
+    products, in first-seen order, and its coefficients are int64 where
+    int64 holds them, else the objects the rule returned.  Frobenius
+    reciprocity compares int64 keys of the nonzero window entries of P
+    with those of P's rows (conj xi, alpha) and (alpha, conj eta), in
+    O(n**2 * s); a conjugate outside the window reads its row from the
+    rule.  Associativity takes one block of integer matrix products per
+    first factor xi, where B_xi is the union of the supports of the
+    products xi * eta.  Block xi takes the row of the |B| products
+    xi * beta, and the row group of the n products beta * zeta of each
+    beta in B_xi; for a window beta both are rows of P.  The groups of
+    the other betas are pooled: the blocks that use each beta are known
+    from P before the first block runs, so groups are kept by next use:
+    after each block every group the next block uses, and beyond those
+    the groups with the nearest next use while their terms fit in
+    _BLOCK_CHUNK (2**16), the farthest evicted first.  So a product
+    beta * zeta is read from the rule at its first use and again only
+    after an eviction, never more often than when a block kept only the
+    groups the next block shares, and besides P one block's rows and at
+    most _BLOCK_CHUNK kept terms live at a time.  A block compares its
+    n**2 rows (xi eta) zeta and xi (eta zeta) in one of two ways, both on
+    numpy arrays: as dense float64 matrix products, one chunk of zeta at a
+    time, when its n**2 * |G| result cells (G the labels of its rows) are
+    few against the terms of its sparse products; else by sorting the
+    int64 keys of those terms and summing each key's terms.  No check
+    imports scipy or numpy.ma.
 
     Associativity is decided in exact integer arithmetic: int64, which is
     exact only when every coefficient it reads is an ``int`` (``bool``
     excluded) and max|N|**2 * |B| < 2**63, and dense float64 products
     only when max|N|**2 * |B| < 2**53, so that every partial sum is an
-    exact integer.  When the int64 guard fails the check fails and its
-    counterexample names the first coefficient that breaks the guard.  A
-    coefficient sum that cancels to zero counts as an absent term.
+    exact integer.  The int64 guard is checked on P and on each batch of
+    products a block reads, once the batch is read.  When it fails the
+    check fails and its counterexample names the first coefficient that
+    breaks the guard.  A coefficient sum that cancels to zero counts as an
+    absent term.  The other checks read P's coefficients as the rule gave
+    them.
 
     The window products are all read before any check compares them, and
     each associativity block reads all of its products before it compares
@@ -1079,19 +1079,24 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     conj = {l: ring._conjugate_rule(l) for l in distinct}
     dims = {l: ring._dim_rule(l) for l in distinct}
 
-    # the window table: the products x * y of distinct window labels, one
-    # row per x in window order, each read once from the rule
-    table = {x: _row(ring, x, distinct) for x in distinct}
-    index = {y: j for j, y in enumerate(distinct)}
+    # the window products: row i*n + j of P holds x_i * y_j for distinct
+    # window labels, each read once from the rule; column c holds the
+    # label names[c], the window labels first
+    n = len(distinct)
+    columns = {x: j for j, x in enumerate(distinct)}
+    P = _product_csr(ring, distinct, distinct, columns)
+    names = [*columns]
 
-    def probe(x, y):
-        row, j = table.get(x), index.get(y)
-        return _row(ring, x, (y,))[0] if row is None or j is None else row[j]
+    def product(row):
+        # the map x_i * y_j of row i*n + j of P
+        lo, hi = P[2][row], P[2][row + 1]
+        return dict(zip([names[c] for c in P[1][lo:hi].tolist()],
+                        P[0][lo:hi].tolist()))
 
-    def products():
-        # (x, y, x * y) over the window table, in window order
-        for x in distinct:
-            yield from zip(itertools.repeat(x), distinct, table[x])
+    def entry(at):
+        # (x, y, alpha) of the entry at of P, a term of x * y
+        i, j = divmod(int(np.searchsorted(P[2], at, side="right")) - 1, n)
+        return distinct[i], distinct[j], names[P[1][at]]
 
     def dim_of(label):
         # d of a label a rule returned, checked and read once
@@ -1108,12 +1113,13 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
 
     # unit law: e*xi = xi*e = {xi: 1}
     bad = None
-    for xi in distinct:
-        if probe(unit, xi) != {xi: 1}:
-            bad = f"e*{fmt(xi)} = {probe(unit, xi)}"
+    e = columns[unit]
+    for j, xi in enumerate(distinct):
+        if product(e * n + j) != {xi: 1}:
+            bad = f"e*{fmt(xi)} = {product(e * n + j)}"
             break
-        if probe(xi, unit) != {xi: 1}:
-            bad = f"{fmt(xi)}*e = {probe(xi, unit)}"
+        if product(j * n + e) != {xi: 1}:
+            bad = f"{fmt(xi)}*e = {product(j * n + e)}"
             break
     checks.append(AxiomCheck("unit_law", bad is None, bad))
 
@@ -1142,47 +1148,48 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
 
     # structure constants: non-negative integers
     bad = None
-    for x, y, p in products():
-        for alpha, n in p.items():
-            if not isinstance(n, int) or n < 0:
-                bad = f"N({fmt(x)},{fmt(y)}->{fmt(alpha)}) = {n!r}"
-                break
-        if bad:
+    values = P[0].tolist()
+    for at, c in enumerate(values):
+        if not isinstance(c, int) or c < 0:
+            x, y, alpha = entry(at)
+            bad = f"N({fmt(x)},{fmt(y)}->{fmt(alpha)}) = {c!r}"
             break
     checks.append(AxiomCheck("structure_constants", bad is None, bad))
 
     # Frobenius reciprocity on window triples:
     # N(xi,eta->alpha) = N(conj xi, alpha -> eta) = N(alpha, conj eta -> xi)
-    bad = _frobenius_counterexample(ring, distinct, conj, probe)
+    bad = _frobenius_counterexample(ring, distinct, conj, P)
     checks.append(AxiomCheck("frobenius_reciprocity", bad is None, bad))
 
     # dimension multiplicativity: sum_alpha N*d(alpha) = d(xi)*d(eta)
     bad = None
-    for x, y, p in products():
-        lhs = sum(n * dim_of(alpha) for alpha, n in p.items())
-        rhs = dims[x] * dims[y]
+    d = [*map(dim_of, names)]  # d of each column's label
+    bounds, cols = P[2].tolist(), P[1].tolist()
+    for row, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        lhs = sum(c * d[k] for k, c in zip(cols[lo:hi], values[lo:hi]))
+        rhs = d[row // n] * d[row % n]
         if isinstance(lhs, int) and isinstance(rhs, int):
             equal = lhs == rhs
         else:
             equal = math.isclose(lhs, rhs, rel_tol=FLOAT_TOL, abs_tol=FLOAT_TOL)
         if not equal:
+            x, y = distinct[row // n], distinct[row % n]
             bad = f"sum N*d for {fmt(x)}*{fmt(y)} is {lhs}, expected {rhs}"
             break
     checks.append(AxiomCheck("dimension_multiplicativity", bad is None, bad))
 
     # associativity: (xi eta) zeta = xi (eta zeta) as coefficient maps
-    bad = _associativity_counterexample(ring, distinct, table)
+    bad = _associativity_counterexample(ring, distinct, P, names)
     checks.append(AxiomCheck("associativity", bad is None, bad))
 
     # dimension bound: N(xi,eta->alpha) > 0 implies d(alpha)*d(eta) >= d(xi)
     bad = None
-    for x, y, p in products():
-        for alpha, n in p.items():
-            if n > 0 and dim_of(alpha) * dims[y] < dims[x]:
-                bad = (f"N({fmt(x)},{fmt(y)}->{fmt(alpha)}) = {n} but "
-                       f"d({fmt(alpha)})*d({fmt(y)}) < d({fmt(x)})")
-                break
-        if bad:
+    rows = np.repeat(np.arange(n * n), np.diff(P[2])).tolist()  # of each entry
+    for at, (row, k, c) in enumerate(zip(rows, cols, values)):
+        if c > 0 and d[k] * d[row % n] < d[row // n]:
+            x, y, alpha = entry(at)
+            bad = (f"N({fmt(x)},{fmt(y)}->{fmt(alpha)}) = {c} but "
+                   f"d({fmt(alpha)})*d({fmt(y)}) < d({fmt(x)})")
             break
     checks.append(AxiomCheck("dimension_bound", bad is None, bad))
 

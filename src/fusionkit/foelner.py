@@ -5,9 +5,11 @@ labels of F whose right products by S leak out of F together with the
 labels outside F whose right products by S leak in.  Both ``boundary`` and
 the set search keep it in one incremental cut (``_Cut``) that grows F a
 label at a time.  The outside part is found without ever scanning the
-(infinite) complement: by Frobenius reciprocity c lies in supp(alpha * xi)
-only if alpha lies in supp(c * conj(xi)), so adding c touches only that
-finite candidate set.
+(infinite) complement: by Frobenius reciprocity, N(alpha, xi -> c) =
+N(c, conj(xi) -> alpha), c lies in supp(alpha * xi) exactly when alpha lies
+in supp(c * conj(xi)), so adding c touches only that finite set, read off
+c's own products.  The cut relies on the rings it is given passing
+``verify_axioms``.
 
 The FC inequalities are evaluated exactly: sigma-weights of catalog rings
 are integers, epsilon is converted to an exact rational, and floats appear
@@ -78,8 +80,9 @@ class _Cut:
     that cross the cut: with beta outside F when alpha is in F (alpha is
     inner iff the count is positive), with beta in F when alpha is outside
     (alpha is outer iff the count is positive).  Adding c changes only the
-    counts of the labels alpha with c in supp(alpha * xi); they are found in
-    supp(c * conj(xi)) and confirmed.  ``order`` lists F in insertion order;
+    counts of the labels alpha with c in supp(alpha * xi); by Frobenius
+    reciprocity they are the labels of supp(c * conj(xi)).  ``order`` lists
+    F in insertion order;
     ``weight_F`` and ``weight_boundary`` are running sigma-weights.
     """
 
@@ -104,7 +107,7 @@ class _Cut:
             own += sum(1 for beta in ring._product_cached(c, xi)
                        if beta != c and beta not in F)
             for alpha in ring._product_cached(c, xibar):
-                if alpha != c and c in ring._product_cached(alpha, xi):
+                if alpha != c:
                     hits[alpha] = hits.get(alpha, 0) + 1
         dw = (sigma(c) if own else 0) - (sigma(c) if c in self.outer else 0)
         for alpha, k in hits.items():

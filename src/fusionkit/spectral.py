@@ -170,7 +170,7 @@ def _build_window(ring: FusionRing, S: set, radius: int, cap: int) -> Truncation
 
     order = []
     level_sizes = []
-    for new in itertools.islice(_bfs_levels(ring, S, cap, ring._product_rule), radius + 1):
+    for _, new in zip(range(radius + 1), _bfs_levels(ring, S, cap, ring._product_rule)):
         if not new:
             break
         order.extend(new)

@@ -191,6 +191,26 @@ class TestSpectrumCommand:
         assert code == 0
 
 
+#: a radius past sys.maxsize
+HUGE = str(2 ** 70)
+
+
+@pytest.mark.parametrize("argv", [
+    ["axioms", "--radius", HUGE],
+    ["spectrum", "--measure", "uniform-gens", "--radii", HUGE, "--cap", "50"],
+    ["check", "--condition", "fc3", "--set", f"ball:{HUGE}", "--support", "1",
+     "--eps", "0.5"]], ids=["axioms", "spectrum", "check-ball"])
+@pytest.mark.parametrize("name, code", [("cyclic", 0), ("su2", 3)])
+def test_radius_past_sys_maxsize(ring_file, capsys, argv, name, code):
+    # Z/6 gives its saturated window of 6 labels, SU(2) meets the cap
+    params = {"n": 6} if name == "cyclic" else {}
+    path = ring_file(f"{name}.json", {"type": "builtin", "name": name,
+                                      "params": params})
+    assert main([argv[0], path, *argv[1:]]) == code
+    if code == 3:
+        assert "budget exhausted" in capsys.readouterr().err
+
+
 class TestFoelnerCommand:
     def test_nan_eps_usage_error(self, su2_file, capsys):
         # with the other numbers the library refuses: a zero budget or cap

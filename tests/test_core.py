@@ -477,14 +477,14 @@ class TestVerifyAxioms:
     def test_peak_traced_memory(self, name, radius):
         ring = {"su2": fk.build_su2_ring, "f2": lambda: fk.free_group_ring(2),
                 "z2": lambda: fk.integer_lattice_ring(2)}[name]()
-        window = fk.build_window(ring, ring.generators, radius)
-        tracemalloc.start()
-        try:
-            assert fk.verify_axioms(ring, window).passed
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4_000_000
+        assert traced_peak(ring, fk.build_window(ring, ring.generators, radius)) \
+            < 4_000_000
+
+    def test_z2_radius_6_holds_its_products_as_arrays(self):
+        # 2.29 MB: the window products live in int64 arrays alone; one
+        # dict per product made 3.78 MB
+        ring = fk.integer_lattice_ring(2)
+        assert traced_peak(ring, fk.build_window(ring, ring.generators, 6)) < 3_000_000
 
     @pytest.mark.parametrize("coefficient,structure,associativity", [
         (0.5, "N(1,1->2) = 0.5",
@@ -508,7 +508,7 @@ class TestVerifyAxioms:
         assert (frobenius.passed, frobenius.counterexample) == (expected is None, expected)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(["su2", "z6", "f2", "su2xz3"]), st.data())
+    @given(st.sampled_from(["su2", "z6", "f2", "su2xz3", "z5", "z"]), st.data())
     def test_mutated_product_matches_triple_loops(self, name, data):
         base, window, pool = axiom_window(name)
         pick = st.one_of(st.sampled_from(window), st.sampled_from(pool))
@@ -548,6 +548,16 @@ class TestVerifyAxioms:
             return {b for eta in window for b in base.product(xi, eta)}
 
         assert x in support(window[failing - 1]) & support(window[failing])
+
+
+def traced_peak(ring, window) -> int:
+    """The peak traced memory of ``verify_axioms`` on a passing window."""
+    tracemalloc.start()
+    try:
+        assert fk.verify_axioms(ring, window).passed
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _z3_with(**rules):
@@ -592,7 +602,12 @@ REPORT_CASES = {
         lambda c: (patched_ring(fk.cyclic_ring(3), {(1, 1): {2: c}}), [0, 1, 2]), c)
        for c in (0.5, True, -1, 2 ** 32)},
     **{f"mutated-{name}-{x}-{y}": functools.partial(_mutated, name, x, y)
-       for name, x, y in (("su2", 2, 1), ("z6", 1, 2), ("f2", "a", "b"))},
+       for name, x, y in (("su2", 2, 1), ("z6", 1, 2), ("f2", "a", "b"),
+                          ("z5", 4, 1), ("z", 2, -1))},
+    # windows with conjugates outside them, intact and, above, mutated in
+    # a product that Frobenius reciprocity reads from the rule
+    **{f"outside-{name}": functools.partial(
+        lambda name: axiom_window(name)[:2], name) for name in ("z5", "z")},
 }
 
 
@@ -610,7 +625,11 @@ def patched_ring(base, overrides):
 
 @functools.cache
 def axiom_window(name):
-    """A ring, a window of it for the axiom checks, and a larger label pool."""
+    """A ring, a window of it for the axiom checks, and a larger label pool.
+    The windows of Z/5 and Z leave out the conjugates of some labels."""
+    if name in ("z5", "z"):
+        ring = fk.cyclic_ring(5) if name == "z5" else fk.integer_lattice_ring(1)
+        return ring, [0, 1, 2] if name == "z5" else [0, 1, 2, 3, 4], pool_for(ring, 5)
     ring, radius = {"su2": (fk.build_su2_ring(), 4),
                     "z6": (fk.cyclic_ring(6), 2),
                     "f2": (fk.free_group_ring(2), 2),

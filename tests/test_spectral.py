@@ -73,6 +73,18 @@ class TestBuildWindow:
         assert info.value.cap == 5
         assert info.value.achieved_radius == 4
 
+    def test_radius_past_sys_maxsize(self, z6, su2):
+        # a finite ring gives its saturated window, an infinite one meets
+        # the cap
+        huge = 2 ** 70
+        assert len(fk.build_window(z6, z6.generators, huge).labels) == 6
+        mu = fk.ProbMeasure.uniform(z6, z6.generators)
+        assert fk.amenability_estimate(z6, mu, [huge]).entries[0].window_size == 6
+        with pytest.raises(fk.BudgetExceeded):
+            fk.build_window(su2, {1}, huge, cap=50)
+        with pytest.raises(fk.BudgetExceeded):
+            fk.amenability_estimate(su2, fk.ProbMeasure.delta(su2, 1), [huge], cap=50)
+
     def test_finite_ring_saturates(self, z6):
         window = fk.build_window(z6, z6.generators, 50)
         assert sorted(window.labels) == list(range(6))
