@@ -198,9 +198,16 @@ class FoelnerReport:
         return len(self.set_F)
 
 
-def _exactly_less(lhs, rhs_scale, weight_F) -> bool:
-    # lhs < rhs_scale * weight_F decided in exact rational arithmetic
-    return Fraction(lhs) < Fraction(rhs_scale) * Fraction(weight_F)
+def _report(condition: str, eps, lhs, scale, weight_F, F, support,
+            extra: Mapping) -> FoelnerReport:
+    # the report of lhs < scale * w(F), decided exactly: scale is an exact
+    # rational and the floats are views that saturate past the float range
+    return FoelnerReport(
+        condition=condition, epsilon=eps, lhs=as_float(lhs),
+        rhs=as_float(scale) * as_float(weight_F),
+        satisfied=Fraction(lhs) < scale * Fraction(weight_F),
+        set_F=tuple(sorted(F)), weight_F=weight_F,
+        support=tuple(sorted(support)), extra=extra)
 
 
 def fc3_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> FoelnerReport:
@@ -213,18 +220,13 @@ def fc3_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> Foelner
     return _fc3_report(S, F, _boundary(ring, S, F), eps)
 
 
-def _fc3_report(S: set, F: set, b: BoundaryResult, eps: float) -> FoelnerReport:
+def _fc3_report(S: set, F: set, b: BoundaryResult, eps) -> FoelnerReport:
     # the FC3 report of F, whose boundary relative to S is b
     lhs = b.weight
-    return FoelnerReport(
-        condition="FC3", epsilon=eps, lhs=as_float(lhs),
-        rhs=float(eps) * as_float(b.weight_F),
-        satisfied=_exactly_less(lhs, eps, b.weight_F),
-        set_F=tuple(sorted(F)), weight_F=b.weight_F,
-        support=tuple(sorted(S)),
-        extra={"boundary_inner": b.inner, "boundary_outer": b.outer,
-               "weight_boundary": lhs,
-               "ratio": float(Fraction(lhs) / Fraction(b.weight_F))})
+    return _report("FC3", eps, lhs, Fraction(eps), b.weight_F, F, S,
+                   {"boundary_inner": b.inner, "boundary_outer": b.outer,
+                    "weight_boundary": lhs,
+                    "ratio": as_float(Fraction(lhs) / Fraction(b.weight_F))})
 
 
 def fc1_check(ring: FusionRing, mu: ProbMeasure, F: Iterable, eps: float) -> FoelnerReport:
@@ -233,8 +235,11 @@ def fc1_check(ring: FusionRing, mu: ProbMeasure, F: Iterable, eps: float) -> Foe
         sum_{xi in supp(chi_F * mu)} d(xi)^2  <  (1 + eps) * sum_{xi in F} d(xi)^2.
 
     Requires mu symmetric with the unit in its support.  The report also
-    carries the cross-check that supp(chi_F * mu) = F union boundary_S(F)
-    for S = supp(mu).
+    carries the identity supp(chi_F * mu) = F union boundary_S(F) for
+    S = supp(mu), checked by the definition of the outer boundary: each
+    support label alpha outside F has a product alpha * xi (xi in S) that
+    meets F.  The converse inclusion is Frobenius reciprocity, which
+    ``verify_axioms`` checks.  Each product is read once, from the rule.
     """
     eps = positive(eps, "epsilon")
     if not _over(ring, mu, ProbMeasure, "mu").symmetric:
@@ -246,24 +251,17 @@ def fc1_check(ring: FusionRing, mu: ProbMeasure, F: Iterable, eps: float) -> Foe
         raise EmptySet("FC1 needs a non-empty F")
 
     # exact support: coefficients are non-negative, so no cancellation
+    S = mu.support
     support = set(F)
     for alpha in F:
-        for beta in mu.support:
-            support.update(ring._product_cached(alpha, beta))
+        for p in _row(ring, alpha, S):
+            support.update(p)
     lhs = _weight(ring, support)
-    weight_F = _weight(ring, F)
-    satisfied = _exactly_less(lhs, 1 + Fraction(eps), weight_F)
-
-    b = _boundary(ring, set(mu.support), F)
-    identity_holds = support == (F | b.labels)
-    return FoelnerReport(
-        condition="FC1", epsilon=eps, lhs=as_float(lhs),
-        rhs=(1.0 + float(eps)) * as_float(weight_F), satisfied=satisfied,
-        set_F=tuple(sorted(F)), weight_F=weight_F,
-        support=tuple(sorted(mu.support)),
-        extra={"support_size": len(support),
-               "support_weight": lhs,
-               "support_identity_holds": identity_holds})
+    identity_holds = all(any(map(F.intersection, _row(ring, alpha, S)))
+                         for alpha in support - F)
+    return _report("FC1", eps, lhs, 1 + Fraction(eps), _weight(ring, F), F, S,
+                   {"support_size": len(support), "support_weight": lhs,
+                    "support_identity_holds": identity_holds})
 
 
 def fc2_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> FoelnerReport:
@@ -294,14 +292,9 @@ def fc2_check(ring: FusionRing, S: Iterable, F: Iterable, eps: float) -> Foelner
               for xi in S]
 
     worst = max(values)  # below eps * weight_F iff every value is
-    return FoelnerReport(
-        condition="FC2", epsilon=eps, lhs=as_float(worst),
-        rhs=float(eps) * as_float(weight_F),
-        satisfied=worst < Fraction(eps) * weight_F,
-        set_F=tuple(sorted(F)), weight_F=weight_F,
-        support=tuple(S),
-        extra={"per_label": {ring.format_label(xi): as_float(v)
-                             for xi, v in zip(S, values)}})
+    return _report("FC2", eps, worst, Fraction(eps), weight_F, F, S,
+                   {"per_label": {ring.format_label(xi): as_float(v)
+                                  for xi, v in zip(S, values)}})
 
 
 def transition_kernel(ring: FusionRing, mu: ProbMeasure, xi, eta) -> float:
@@ -340,19 +333,18 @@ def dirichlet_norm(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> flo
     """
     r = count(r, "r", 1)
     _over(ring, mu, ProbMeasure, "mu")
-    _over(ring, f, Element, "f")
-    conj, dim, exact = ring._conjugate_rule, ring._dim_rule, _exact_measure(mu)
+    values = _exact_values(_over(ring, f, Element, "f"), "f")
+    conj, exact = ring._conjugate_rule, _exact_measure(mu)
     sources = dict.fromkeys(f.support)
     for eta in f.support:
         for p in _row(ring, eta, map(conj, mu.support)):
             sources.update(dict.fromkeys(p))
     energy = Fraction(0)
     for xi in sources:
-        d = dim(xi)
-        sigma, value = Fraction(d * d), Fraction(f[xi])
+        sigma, value = Fraction(ring._sigma(xi)), values.get(xi, 0)
         row = convolve(Element._trusted(ring, {xi: 1}), exact)
         for eta, p in row.coeffs.items():
-            diff = value - Fraction(f[eta])
+            diff = value - values.get(eta, 0)
             if diff and p:
                 energy += sigma * p * abs(diff) ** r
     return _root(energy / 2, r)
@@ -363,20 +355,35 @@ def lp_sigma_norm(f: Element, r: int) -> float:
     r = count(r, "r", 1)
     ring = _kind(f, Element, "f").ring
     total = Fraction(0)
-    for label, value in f.coeffs.items():
-        total += Fraction(ring._sigma(label)) * abs(Fraction(value)) ** r
+    for label, value in _exact_values(f, "f").items():
+        total += Fraction(ring._sigma(label)) * abs(value) ** r
     return _root(total, r)
+
+
+def _exact_values(f: Element, what: str) -> dict:
+    # the coefficients of f as Fractions; InvalidParam at the first one
+    # that is no finite real number (a complex, a NaN or an infinity)
+    out = {}
+    for label, value in f.coeffs.items():
+        try:
+            out[label] = Fraction(value)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidParam(f"{what} must have finite real coefficients, got "
+                               f"{value!r} at {f.ring.format_label(label)}") from None
+    return out
 
 
 def inner_sigma(f: Element, g: Element) -> float:
     """The real inner product on l2(sigma); saturates like ``as_float``."""
     ring = _kind(f, Element, "f").ring
     _over(ring, g, Element, "g")
+    _exact_values(f, "f")  # refuses coefficients that are no finite reals
+    _exact_values(g, "g")
     small, large = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
     terms = [(ring._sigma(l), v, large[l]) for l, v in small.coeffs.items()]
     try:
         return float(sum(map(math.prod, terms)))
-    except OverflowError:  # a sigma or the sum past the float range
+    except (OverflowError, TypeError):  # past floats, or Decimal * float
         return as_float(sum(math.prod(map(Fraction, t)) for t in terms))
 
 

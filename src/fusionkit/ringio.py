@@ -240,12 +240,12 @@ def export_table(ring: FusionRing, labels) -> dict:
             raise InvalidParam(
                 f"window is not closed under conjugation at {fmt(label)}")
     text = {label: fmt(label) for label in labels}
-    if len(set(text.values())) != len(labels):
-        raise InvalidParam("label rendering is not injective on the window")
     for rendered in text.values():
-        if PAIR_SEPARATOR in rendered or not rendered:
+        if not isinstance(rendered, str) or PAIR_SEPARATOR in rendered or not rendered:
             raise InvalidParam(
                 f"rendered label {rendered!r} conflicts with the table format")
+    if len(set(text.values())) != len(labels):
+        raise InvalidParam("label rendering is not injective on the window")
 
     products = {}
     for a in labels:
@@ -270,7 +270,19 @@ def export_table(ring: FusionRing, labels) -> dict:
 
 
 def save_ring(doc: Mapping, path) -> None:
-    """Write a ring document as UTF-8 JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+    """Write a ring document as UTF-8 JSON.
+
+    The document is encoded before the file is opened, so one that JSON
+    cannot encode (a set, a cycle) raises InvalidParam and leaves the file
+    as it was; a path that cannot be written raises InvalidParam too.
+    """
+    try:
+        text = json.dumps(doc, indent=2) + "\n"
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise InvalidParam(f"cannot encode the ring document as JSON: {exc}") from None
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidParam(
+            f"cannot write ring file {os.fspath(path)!r}: {exc.strerror}") from None

@@ -614,12 +614,18 @@ def top_eigenvalue(op: CompressedOperator, tol: float = 1e-9) -> SpectralEstimat
     The recomputed residual cannot fall below rounding, about
     1e-15 ||M||, so a tol under that ends in NoConvergence after up to
     10 n matvecs (SU(2) delta_1 on 100 labels stops at residual 1.0e-15,
-    so tol=1e-15 fails there); such a tol is not refused up front.
+    so tol=1e-15 fails there); such a tol is not refused up front.  A tol
+    past the float range (10**400, say) is read as the largest float.
     """
     if not _kind(op, CompressedOperator, "op").selfadjoint:
         raise NotSelfAdjoint("top_eigenvalue requires a self-adjoint operator")
-    positive(tol, "tol")
-    return _accepted_top(op._csr, tol)
+    return _accepted_top(op._csr, _float_tol(tol))
+
+
+def _float_tol(tol) -> float:
+    # a checked tol as a float, capped at the float range: ``positive``
+    # keeps exact values such as 10**400, which float() cannot hold
+    return float(min(positive(tol, "tol"), sys.float_info.max))
 
 
 def _accepted_top(M: _CSR, tol: float) -> SpectralEstimate:
@@ -774,9 +780,10 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
     times GAP_THRESHOLD; otherwise INCONCLUSIVE.
 
     Each radius must be an int >= 0, ``cap`` an int >= 1 and ``tol``
-    finite and positive; anything else raises InvalidParam before a window
-    is built.  The window search reads its products w * t, and the
-    assembly its products xi * eta, straight from the rule, once each
+    finite and positive (read as ``top_eigenvalue`` reads it); anything
+    else raises InvalidParam before a window is built.  The window search
+    reads its products w * t, and the assembly its products xi * eta,
+    straight from the rule, once each
     (F2, uniform on its generators, at radii 1..9: 131,214 rule
     evaluations): only the Foelner layer caches products.
     """
@@ -789,7 +796,7 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
         raise InvalidParam(f"radii must be an iterable, got {radii!r}") from None
     if not radii:
         raise InvalidParam("need at least one radius")
-    positive(tol, "tol")
+    tol = _float_tol(tol)
     support = tuple(sorted(mu.support))
     window = _build_window(ring, set(support), radii[-1], cap)
     op = l_measure_operator(ring, mu, window)

@@ -80,6 +80,18 @@ def counting_ring(base):
     return ring, calls
 
 
+def patched_ring(base, overrides):
+    """``base`` with the products of the pairs in ``overrides`` replaced."""
+    def rule(x, y):
+        p = overrides.get((x, y))
+        return dict(p) if p is not None else base.product(x, y)
+
+    return fk.FusionRing(unit=base.unit, product_rule=rule,
+                         conjugate_rule=base.conj, dim_rule=base.dim,
+                         description=f"patched {base.description}",
+                         is_label=base.contains, format_label=base.format_label)
+
+
 def reshape(product, shape, zeros):
     """``product`` as a Counter, a read-only proxy, or a dict with an
     explicit zero (False, then 0.0) at each label of ``zeros`` that it does

@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
 from conftest import (counting_ring, fibonacci_ring, label_counting_ring,
-                      pool_for, random_integer_function, random_real_function,
-                      reshape, reshaped_ring)
+                      patched_ring, pool_for, random_integer_function,
+                      random_real_function, reshape, reshaped_ring)
 
 from oracles import direct_associativity, direct_frobenius, su2_product_oracle
 
@@ -609,18 +609,6 @@ REPORT_CASES = {
     **{f"outside-{name}": functools.partial(
         lambda name: axiom_window(name)[:2], name) for name in ("z5", "z")},
 }
-
-
-def patched_ring(base, overrides):
-    """``base`` with the products of the pairs in ``overrides`` replaced."""
-    def rule(x, y):
-        p = overrides.get((x, y))
-        return dict(p) if p is not None else base.product(x, y)
-
-    return fk.FusionRing(unit=base.unit, product_rule=rule,
-                         conjugate_rule=base.conj, dim_rule=base.dim,
-                         description=f"patched {base.description}",
-                         is_label=base.contains, format_label=base.format_label)
 
 
 @functools.cache

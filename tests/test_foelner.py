@@ -2,14 +2,18 @@ import dataclasses
 import functools
 import math
 import random
+import re
+import warnings
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
 from conftest import (counting_ring, fibonacci_ring, label_counting_ring,
-                      pool_for, random_symmetric_measure)
+                      patched_ring, pool_for, random_symmetric_measure)
 from fusionkit.foelner import _Cut
 
 from oracles import (brute_boundary, direct_boundary, direct_dirichlet,
@@ -143,6 +147,22 @@ def test_non_finite_or_non_positive_epsilon_rejected(su2, eps):
         fk.foelner_search(su2, {1}, eps)
 
 
+@pytest.mark.parametrize("eps", [10 ** 400, Fraction(10 ** 400, 3)],
+                         ids=["10**400", "10**400/3"])
+def test_epsilon_past_the_float_range(su2, eps):
+    # the exact rhs exceeds every float: its view saturates to inf
+    mu = fk.ProbMeasure.uniform(su2, [0, 1])
+    reports = [fk.fc1_check(su2, mu, {0, 1}, eps),
+               fk.fc2_check(su2, {1}, {0, 1}, eps),
+               fk.fc3_check(su2, {1}, {0, 1}, eps)]
+    for strategy in ("balls", "greedy"):
+        result = fk.foelner_search(su2, {1}, eps, strategy=strategy, budget=10)
+        assert result.found
+        reports.append(result.report)
+    for rep in reports:
+        assert rep.satisfied and rep.rhs == math.inf and rep.epsilon == eps
+
+
 def test_fc1_and_fc2_read_epsilon_exactly(z1):
     # F = [0, 19] on Z: FC2 compares 2 < eps * 20 and FC1 22 < (1 + eps) * 20,
     # both equalities at eps = 1/10; the float 0.1 lies just above 1/10
@@ -186,6 +206,16 @@ class TestFC1:
         mu = fk.ProbMeasure(z1, {0: 0.5, 1: 0.5})
         with pytest.raises(fk.NonSymmetricMeasure):
             fk.fc1_check(z1, mu, {0}, 0.5)
+
+    def test_reads_each_product_once_from_the_rule(self):
+        # the 802 rows alpha * beta (alpha in F, beta in {0, 1}) and the
+        # 4 rows of the support labels 1 and 403 outside F
+        ring, calls = counting_ring(fk.build_su2_ring())
+        mu = fk.measure_from_decomposition(ring, {0: 1, 1: 1})
+        rep = fk.fc1_check(ring, mu, range(2, 403), 0.05)
+        assert rep.extra["support_identity_holds"]
+        assert len(calls) == len(set(calls)) == 806
+        assert ring._cache == {}
 
 
 class TestFC2:
@@ -426,6 +456,54 @@ class TestNWRatio:
             fk.nw_ratio(su2, mu, fk.Element(su2, {}), 1)
 
 
+#: the sigma-functions, each the call on (ring, f) of a counting SU(2)
+SIGMA_FUNCTIONS = {
+    "lp_sigma_norm": lambda ring, f: fk.lp_sigma_norm(f, 2),
+    "dirichlet_norm": lambda ring, f: fk.dirichlet_norm(
+        ring, fk.ProbMeasure.delta(ring, 1), f, 2),
+    "nw_ratio": lambda ring, f: fk.nw_ratio(ring, fk.ProbMeasure.delta(ring, 1),
+                                            f, 2),
+    "inner_sigma f": lambda ring, f: fk.inner_sigma(f, fk.indicator(ring, [3])),
+    "inner_sigma g": lambda ring, f: fk.inner_sigma(fk.indicator(ring, [3]), f),
+}
+
+
+class TestSigmaFunctionsRefuseNonReals:
+    """An Element may hold complex coefficients; the sigma-functions take
+    finite reals only, and refuse the rest before any product is read."""
+
+    @pytest.mark.parametrize("name", sorted(SIGMA_FUNCTIONS))
+    @pytest.mark.parametrize("value", [1 + 2j, 2 + 0j, np.complex128(1),
+                                       math.nan, np.float64("nan"), math.inf,
+                                       -math.inf, Decimal("NaN"),
+                                       Decimal("Infinity")],
+                             ids=["complex", "complex-real", "np-complex", "nan",
+                                  "np-nan", "inf", "-inf", "decimal-nan",
+                                  "decimal-inf"])
+    def test_refused_naming_label_and_value(self, name, value):
+        ring, calls = counting_ring(fk.build_su2_ring())
+        f = fk.Element(ring, {0: 1, 3: value})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fk.InvalidParam, match=rf"{re.escape(repr(value))} at 3"):
+                SIGMA_FUNCTIONS[name](ring, f)
+        assert calls == []
+
+    def test_decimal_coefficients_read_exactly(self, su2):
+        mu = fk.ProbMeasure.delta(su2, 1)
+        f = fk.Element(su2, {0: Decimal("1.5"), 3: Decimal(2)})
+        g = fk.Element(su2, {0: Fraction(3, 2), 3: 2})
+        assert fk.lp_sigma_norm(f, 2) == fk.lp_sigma_norm(g, 2)
+        assert fk.dirichlet_norm(su2, mu, f, 2) == fk.dirichlet_norm(su2, mu, g, 2)
+        assert fk.nw_ratio(su2, mu, f, 2) == fk.nw_ratio(su2, mu, g, 2)
+        assert fk.inner_sigma(f, f) == 66.25
+        # a Decimal beside a float coefficient or a float dimension
+        assert fk.inner_sigma(f, fk.Element(su2, {3: 0.5})) == 16.0
+        fib = fibonacci_ring()
+        assert fk.inner_sigma(fk.Element(fib, {"t": Decimal(2)}),
+                              fk.indicator(fib, ["t"])) == 2 * fib.sigma("t")
+
+
 class TestFoelnerSearch:
     def test_su2_balls(self, su2):
         result = fk.foelner_search(su2, {1}, 0.1, strategy="balls", budget=200)
@@ -663,6 +741,38 @@ class TestSupportIdentity:
                 conv = fk.convolve(chi, mu.as_element())
                 b = fk.boundary(ring, set(mu.support), F)
                 assert set(conv.support) == F | b.labels
+
+    def test_broken_frobenius_next_to_F(self, su2):
+        # 3 * 1 patched to reach 7, whose products by S = {0, 1} stay
+        # outside F = [0, 3]: 7 is in supp(chi_F * mu) but not in the
+        # outer boundary, which holds only the labels whose rows meet F
+        for ring, size, holds in ((su2, 5, True),
+                                  (patched_ring(su2, {(3, 1): {2: 1, 4: 1, 7: 1}}),
+                                   6, False)):
+            mu = fk.ProbMeasure.uniform(ring, [0, 1])
+            rep = fk.fc1_check(ring, mu, range(4), 0.5)
+            assert rep.extra["support_size"] == size
+            assert rep.extra["support_identity_holds"] is holds
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 6), st.integers(1, 6), st.sampled_from([1, 2]),
+           st.integers(0, 20), st.data())
+    def test_identity_matches_the_definition_on_broken_rings(
+            self, lo, size, xi, extra, data):
+        # one product alpha * xi (alpha in F) gains the label ``extra``;
+        # the identity holds iff every support label outside F has a
+        # product by S that meets F (brute scan of the definition)
+        F = set(range(lo, lo + size))
+        alpha = data.draw(st.sampled_from(sorted(F)))
+        base = fk.build_su2_ring()
+        ring = patched_ring(base, {(alpha, xi): {**base.product(alpha, xi),
+                                                 extra: 1}})
+        S = {0, xi}
+        rep = fk.fc1_check(ring, fk.ProbMeasure.uniform(ring, S), F, 0.5)
+        support = F.union(*(ring.product(a, t) for a in F for t in S))
+        _, outer = brute_boundary(ring, S, F, support)
+        assert rep.extra["support_size"] == len(support)
+        assert rep.extra["support_identity_holds"] == (support - F <= outer)
 
 
 class TestFCChain:

@@ -177,6 +177,36 @@ class TestExportRoundTrip:
         ring = fk.load_ring(path)
         assert fk.product_basis(ring, "1", "5") == {"0": 1}
 
+    @pytest.mark.parametrize("rendering", ["", "a|b", 5, ["x"], None],
+                             ids=repr)
+    def test_rendering_the_table_cannot_hold_refused(self, rendering):
+        base = fk.cyclic_ring(2)
+        ring = fk.FusionRing(unit=0, product_rule=base._product_rule,
+                             conjugate_rule=base._conjugate_rule,
+                             dim_rule=base._dim_rule, is_label=base._is_label,
+                             format_label=lambda x: rendering if x else "e")
+        with pytest.raises(fk.InvalidParam, match="conflicts with the table"):
+            fk.export_table(ring, [0, 1])
+
+    @pytest.mark.parametrize("bad", [{1, 2}, object(), "cycle"],
+                             ids=["set", "object", "cycle"])
+    def test_failed_save_leaves_the_old_file(self, tmp_path, bad):
+        path = tmp_path / "z2.json"
+        fk.save_ring(z2_table_doc(), path)
+        before = path.read_bytes()
+        doc = z2_table_doc()
+        doc["extra"] = doc if bad == "cycle" else bad
+        with pytest.raises(fk.InvalidParam, match="cannot encode"):
+            fk.save_ring(doc, path)
+        assert path.read_bytes() == before
+        assert fk.load_ring(path).unit == "e"
+
+    def test_unwritable_path_refused(self, tmp_path):
+        with pytest.raises(fk.InvalidParam, match="cannot write"):
+            fk.save_ring(z2_table_doc(), tmp_path)
+        with pytest.raises(fk.InvalidParam, match="cannot write"):
+            fk.save_ring(z2_table_doc(), tmp_path / "missing" / "z2.json")
+
     def test_load_from_json_text(self):
         ring = fk.load_ring(json.dumps(z2_table_doc()))
         assert ring.unit == "e"

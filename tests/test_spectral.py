@@ -889,6 +889,13 @@ assert_bitwise_equal(op.matrix, direct_compress(
         with pytest.raises(fk.InvalidParam):
             fk.top_eigenvalue(op, tol=tol)
 
+    @pytest.mark.parametrize("tol", [10 ** 400, Fraction(10 ** 400, 3)],
+                             ids=["10**400", "10**400/3"])
+    def test_tol_past_the_float_range_reads_as_the_largest_float(self, su2, tol):
+        op = fk.l_operator(su2, 1, fk.build_window(su2, {1}, 3))
+        assert fk.top_eigenvalue(op, tol=tol) == \
+            fk.top_eigenvalue(op, tol=sys.float_info.max)
+
     def test_not_selfadjoint_rejected(self, z1):
         window = fk.build_window(z1, {1, -1}, 3)
         op = fk.l_measure_operator(z1, fk.ProbMeasure.delta(z1, 1), window)
@@ -1205,6 +1212,13 @@ class TestAmenabilityEstimate:
         with pytest.raises(fk.InvalidParam):
             fk.amenability_estimate(ring, mu, **{"radii": [1, 2], **bad})
         assert calls == [] and not ring._cache
+
+    @pytest.mark.parametrize("tol", [10 ** 400, Fraction(10 ** 400, 3)],
+                             ids=["10**400", "10**400/3"])
+    def test_tol_past_the_float_range_reads_as_the_largest_float(self, f2, tol):
+        mu = fk.ProbMeasure.uniform(f2, f2.generators)
+        assert fk.amenability_estimate(f2, mu, [1, 2], tol=tol) == \
+            fk.amenability_estimate(f2, mu, [1, 2], tol=sys.float_info.max)
 
     def test_integer_like_radii_and_cap(self, f2):
         mu = fk.ProbMeasure.uniform(f2, f2.generators)

@@ -63,3 +63,14 @@ def test_only_the_foelner_layer_counts_as_cache_traffic():
         ring, ring.generators, 0.5, strategy="balls", budget=100))
     assert report["core.product_lookups"] > report["core.product_misses"]
     assert report["core.rule_evaluations"] == report["core.product_misses"] > 0
+
+
+def test_fc1_reads_the_rule():
+    # FC1 reads each product once, from the rule: the tracer times it and
+    # counts its rule evaluations, and there is no cache traffic to count
+    report = traced_report(lambda ring: fk.fc1_check(
+        ring, fk.measure_from_decomposition(ring, {0: 1, 1: 1}),
+        range(2, 403), 0.05))
+    assert report["foelner.fc1_s"] > 0
+    assert report["core.rule_evaluations"] == 806
+    assert report["core.product_lookups"] == report["core.cache_entries"] == 0
