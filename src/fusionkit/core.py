@@ -41,9 +41,11 @@ class FusionRing:
     anything else raises InvalidParam.
 
     The ring is immutable after construction except for its product
-    cache, which only the Foelner layer fills.  The rules are given only
-    labels checked where they entered the public API (``check_label``,
-    ``check_labels``) and labels read off their products.
+    cache, which only the greedy Foelner search's cut fills, through
+    ``_product_cached``; every other reader reads the rule through
+    ``_row``.  The rules are given only labels checked where they entered
+    the public API (``check_label``, ``check_labels``) and labels read
+    off their products.
     """
 
     __slots__ = ("unit", "description", "generators", "parse_label",
@@ -115,8 +117,8 @@ class FusionRing:
         return dict(_row(self, xi, (eta,))[0])
 
     def _product_cached(self, xi, eta) -> dict:
-        # Internal read-only view of the memoized product, for the readers
-        # beside a Foelner cut alone, since only they read products again.
+        # Internal read-only view of the memoized product, for the greedy
+        # search's cut alone, since only it reads products again.
         # Callers must not mutate it, and pass labels checked at the public
         # API or read off products of such labels.
         key = (xi, eta)
@@ -694,7 +696,7 @@ def _rebuilt(products: list) -> list:
 
 def _row(ring: FusionRing, x, others, left: bool = True) -> list:
     """x * y (y * x unless ``left``) for y in ``others``, read from the rule
-    as every reader outside the Foelner layer reads.  Do not mutate."""
+    as every reader but the greedy search's cut reads.  Do not mutate."""
     pairs = (itertools.repeat(x), others)
     return _plain([*map(ring._product_rule, *(pairs if left else pairs[::-1]))])
 

@@ -2,13 +2,15 @@
 
 The boundary of a finite set F relative to a finite set S collects the
 labels of F whose right products by S leak out of F together with the
-labels outside F whose right products by S leak in.  Both ``boundary`` and
-the set search keep it in one incremental cut (``_Cut``) that grows F a
-label at a time.  The outside part is found without ever scanning the
-(infinite) complement: by Frobenius reciprocity, N(alpha, xi -> c) =
-N(c, conj(xi) -> alpha), c lies in supp(alpha * xi) exactly when alpha lies
-in supp(c * conj(xi)), so adding c touches only that finite set, read off
-c's own products.  The cut relies on the rings it is given passing
+labels outside F whose right products by S leak in.  The outside part is
+found without ever scanning the (infinite) complement: by Frobenius
+reciprocity, N(alpha, xi -> c) = N(c, conj(xi) -> alpha), c lies in
+supp(alpha * xi) exactly when alpha lies in supp(c * conj(xi)), so the
+outer labels are read off the products of F by conj(S).  ``boundary``,
+the FC checks and the ``balls`` search read each product once, from the
+rule; only the ``greedy`` search keeps an incremental cut (``_Cut``) and
+reads through the ring's product cache, since it scores each candidate
+label by its marginal cost.  Both rely on the rings they are given passing
 ``verify_axioms``.
 
 The FC inequalities are evaluated exactly: sigma-weights of catalog rings
@@ -17,17 +19,18 @@ only in reports.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import (Element, FusionRing, ProbMeasure, _exact_dim, _kind,
-                   _over, _row, _weight, check_labels, convolve)
+from .core import (Element, FusionRing, ProbMeasure, _chain, _exact_dim,
+                   _kind, _over, _row, _weight, check_labels, convolve)
 from .errors import (BudgetExceeded, EmptySet, InvalidParam,
                      MeasureMissingUnit, NonSymmetricMeasure, ZeroFunction,
                      count, positive)
-from .spectral import _bfs_levels
+from .spectral import _next_level, _steps
 
 
 def as_float(value) -> float:
@@ -74,7 +77,8 @@ class BoundaryResult:
 
 
 class _Cut:
-    """A finite set F, grown one label at a time, and its boundary relative to S.
+    """The ``greedy`` search's set F, grown one label at a time, and its
+    boundary relative to S, with the marginal cost ``delta`` of a label.
 
     ``count[alpha]`` counts the pairs (xi in S, beta in supp(alpha * xi))
     that cross the cut: with beta outside F when alpha is in F (alpha is
@@ -84,6 +88,8 @@ class _Cut:
     reciprocity they are the labels of supp(c * conj(xi)).  ``order`` lists
     F in insertion order;
     ``weight_F`` and ``weight_boundary`` are running sigma-weights.
+    ``delta`` reads the products of each candidate again, so the cut reads
+    through the ring's product cache.
     """
 
     def __init__(self, ring: FusionRing, S: Iterable):
@@ -159,11 +165,31 @@ def _label_sets(ring: FusionRing, S: Iterable, F: Iterable, what: str) -> tuple:
 
 
 def _boundary(ring: FusionRing, S: set, F: set) -> BoundaryResult:
-    # the boundary of F relative to S, both sets of checked labels
-    cut = _Cut(ring, S)
-    for label in F:
-        cut.add(label)
-    return _boundary_result(ring, cut.inner, cut.outer, F)
+    # the boundary of F relative to S, both sets of checked labels, from
+    # the rows of all of F, each product read once from the rule
+    steps = _steps(ring, S)
+    rows = ((c, _row(ring, c, steps)) for c in F)
+    return _boundary_result(ring, *_cut_sets(ring, S, steps, F, rows), F)
+
+
+def _cut_sets(ring: FusionRing, S: set, steps: list, F: set, rows) -> tuple:
+    """(inner, outer) of F relative to S, from ``rows``: pairs of a label
+    c of F and its products c * t by the ``_steps`` t of S, in order.  c is
+    inner when one of its rows by S leaves F; the outer labels are the
+    labels outside F in the rows by conj(S) (Frobenius reciprocity).  So
+    ``rows`` must cover every label of F with a row leaving F.
+    """
+    conj = {ring._conjugate_rule(xi) for xi in S}
+    by_S = [t in S for t in steps]
+    by_conj = [t in conj for t in steps]
+    inner, outer = set(), set()
+    for c, row in rows:
+        for p, forward, backward in zip(row, by_S, by_conj):
+            if forward and c not in inner and not F.issuperset(p):
+                inner.add(c)
+            if backward:
+                outer.update(alpha for alpha in p if alpha not in F)
+    return inner, outer
 
 
 def _boundary_result(ring: FusionRing, inner, outer, F) -> BoundaryResult:
@@ -431,14 +457,20 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
     exhausted the best F seen is returned with ``found`` false; the curve
     always records every step.
 
-    Both strategies cache the products their cut reads.  When the window
-    search of ``balls`` expands w, the cut has cached w * xi and
-    w * conj(xi) already, and these are all the search reads: all hits.
+    ``balls`` reads each product once, from the rule: the rows c * t of
+    the labels c of radius r give both the boundary of the ball of radius
+    r, whose inner labels all lie at radius r and whose outer labels all
+    lie in those rows, and the labels of radius r + 1.  ``greedy`` keeps an
+    incremental cut, which scores each candidate by its marginal cost and
+    so reads through the ring's product cache.
 
     The report equals ``fc3_check(ring, S, labels, eps)`` field for field.
-    It is built from the boundary the cut had when the best ratio was
-    recorded: F only grows and a satisfying F beats every earlier one, so
-    the returned set is the prefix of cut.order that had the best ratio.
+    It is built from the boundary recorded with the best ratio: F only
+    grows and a satisfying F beats every earlier one, so the returned set
+    is the prefix of the labels added that had the best ratio.  A curve
+    point's ``weight_F`` is a running sum; on ``balls`` its
+    ``weight_boundary`` is the subset sum ``fc3_check`` reports for the
+    ball.
     """
     S = set(check_labels(ring, S))
     if not S:
@@ -449,42 +481,51 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
     budget = count(budget, "budget", 1)
     eps_exact = Fraction(eps)
 
-    cut = _Cut(ring, S)
     curve: list = []
-    best = None  # (ratio, prefix length of cut.order, inner, outer)
+    best = None  # (ratio, prefix length of order, inner, outer)
 
-    def record(step) -> bool:
-        # the FC3 ratio of the current F; true when it is below eps
+    def record(step, order, weight_F, weight_boundary, inner, outer) -> bool:
+        # the FC3 ratio of F, the labels of order; true when it is below eps
         nonlocal best
-        ratio = Fraction(cut.weight_boundary) / Fraction(cut.weight_F)
-        curve.append(CurvePoint(step=step, set_size=len(cut.order),
-                                weight_F=cut.weight_F,
-                                weight_boundary=cut.weight_boundary,
+        ratio = Fraction(weight_boundary) / Fraction(weight_F)
+        curve.append(CurvePoint(step=step, set_size=len(order),
+                                weight_F=weight_F,
+                                weight_boundary=weight_boundary,
                                 ratio=float(ratio)))
         if best is None or ratio < best[0]:
-            best = (ratio, len(cut.order), frozenset(cut.inner),
-                    frozenset(cut.outer))
+            best = (ratio, len(order), frozenset(inner), frozenset(outer))
         return ratio < eps_exact
 
     found = False
     if strategy == "balls":
+        steps = _steps(ring, S)
+        F = {ring.unit}
+        order = [ring.unit]
+        weight_F = ring._sigma(ring.unit)
+        rows = [_row(ring, ring.unit, steps)]
         try:
-            levels = _bfs_levels(ring, S, budget, ring._product_cached)
-            for radius, new in enumerate(levels):
+            for radius in itertools.count(1):
+                new = _next_level(ring, _chain(rows), F, budget, radius)
+                order += new
                 for label in new:
-                    cut.add(label)
-                if radius == 0:
-                    continue  # the unit alone is not a step
-                found = record(radius)
+                    weight_F += ring._sigma(label)
+                rows = [_row(ring, c, steps) for c in new]
+                inner, outer = _cut_sets(ring, S, steps, F, zip(new, rows))
+                found = record(radius, order, weight_F,
+                               _weight(ring, inner) + _weight(ring, outer),
+                               inner, outer)
                 if found or not new:
                     break  # an empty level: the ring is exhausted
         except BudgetExceeded:
             if not curve:
                 raise  # not even radius 1 fits the budget
     else:
+        cut = _Cut(ring, S)
+        order = cut.order
         cut.add(ring.unit)
-        while not (found := record(len(cut.order))):
-            if len(cut.order) >= budget or not cut.outer:
+        while not (found := record(len(order), order, cut.weight_F,
+                                   cut.weight_boundary, cut.inner, cut.outer)):
+            if len(order) >= budget or not cut.outer:
                 break
             w_b, w_F = cut.weight_boundary, cut.weight_F
             best_cand = best_ratio = None
@@ -496,7 +537,7 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
             cut.add(best_cand)
 
     _, size, inner, outer = best
-    labels = tuple(cut.order[:size])
+    labels = tuple(order[:size])
     F = set(labels)
     return SearchResult(found, labels,
                         _fc3_report(S, F, _boundary_result(ring, inner, outer, F), eps),

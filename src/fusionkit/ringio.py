@@ -227,7 +227,7 @@ def export_table(ring: FusionRing, labels) -> dict:
     the exported table could not be complete; a non-closed window raises
     InvalidParam.  Reloading the document yields identical product, dim and
     conjugation maps on the window.  Each product is read once, straight
-    from the rule: only the Foelner layer caches products.
+    from the rule: only the greedy Foelner search caches products.
     """
     labels = check_labels(ring, labels)
     if not labels:

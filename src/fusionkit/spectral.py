@@ -155,7 +155,7 @@ def build_window(ring: FusionRing, S: Iterable, radius: int,
     last fully expanded radius.
 
     The products w * t the search reads come straight from the rule:
-    only the Foelner layer caches products.
+    only the greedy Foelner search caches products.
     """
     S = set(check_labels(ring, S))
     if not S:
@@ -170,7 +170,7 @@ def _build_window(ring: FusionRing, S: set, radius: int, cap: int) -> Truncation
 
     order = []
     level_sizes = []
-    for _, new in zip(range(radius + 1), _bfs_levels(ring, S, cap, ring._product_rule)):
+    for _, new in zip(range(radius + 1), _bfs_levels(ring, S, cap)):
         if not new:
             break
         order.extend(new)
@@ -178,51 +178,66 @@ def _build_window(ring: FusionRing, S: set, radius: int, cap: int) -> Truncation
     return TruncationWindow._trusted(ring, tuple(order), radius, S, level_sizes)
 
 
-def _bfs_levels(ring: FusionRing, S: set, cap: int, read):
+def _bfs_levels(ring: FusionRing, S: set, cap: int):
     """Yield the labels first reached at breadth-first level 0, 1, 2, ...
 
-    Level 0 is the unit; level k adds the products of level k - 1 by S
-    and conj(S), but for the unit, with their conjugates, in label order
-    (w * e adds no label, by the unit law ``verify_axioms`` checks).
-    After the first empty level the ring is exhausted and the generator
-    ends.
-    Raises BudgetExceeded as soon as the label count would exceed ``cap``,
-    in the middle of a level.  S must be checked labels; every other label
-    is a product of checked labels, so none is checked again.
-
-    The products w * t are read with ``read(w, t)``: the rule for a
-    window, ring._product_cached for the balls search, whose cut cached
-    them already.  A label whose coefficient is 0 is skipped, so ``read``
-    may return any Mapping, explicit zeros included.
+    Level 0 is the unit; level k is ``_next_level`` of the products of
+    level k - 1 by the ``_steps`` of S, read lazily from the rule in
+    order, so the cap stops the reads where it is reached.  After the
+    first empty level the ring is exhausted and the generator ends.
+    S must be checked labels; every other label is a product of checked
+    labels, so none is checked again.
     """
-    conj = ring._conjugate_rule
-    steps = sorted((S | {conj(xi) for xi in S}) - {ring.unit})
+    steps = _steps(ring, S)
     seen = {ring.unit}
     frontier = [ring.unit]
     yield frontier
     level = 0
     while frontier:
         level += 1
-        new = []
-        for w in frontier:
-            for t in steps:
-                p = read(w, t)
-                for alpha in sorted(p):
-                    # a seen label's conjugate entered together with it
-                    if alpha in seen or not p[alpha]:
-                        continue
-                    for cand in (alpha, conj(alpha)):
-                        if cand not in seen:
-                            if len(seen) + 1 > cap:
-                                raise BudgetExceeded(
-                                    f"window would exceed cap {cap} while "
-                                    f"expanding radius {level} "
-                                    f"(completed radius {level - 1})",
-                                    cap=cap, achieved_radius=level - 1)
-                            seen.add(cand)
-                            new.append(cand)
-        yield new
-        frontier = new
+        frontier = _next_level(ring, itertools.starmap(
+            ring._product_rule, itertools.product(frontier, steps)),
+            seen, cap, level)
+        yield frontier
+
+
+def _steps(ring: FusionRing, S: set) -> list:
+    # the steps t of a breadth-first search by S: S and conj(S) but for the
+    # unit, in label order (w * e adds no label, by the unit law
+    # ``verify_axioms`` checks)
+    conj = ring._conjugate_rule
+    return sorted((S | {conj(xi) for xi in S}) - {ring.unit})
+
+
+def _next_level(ring: FusionRing, products, seen: set, cap: int,
+                level: int) -> list:
+    """The labels first reached at breadth-first level ``level``, from
+    ``products``, the maps w * t of level - 1 by the steps, in order: the
+    labels of each map not in ``seen``, in label order, each with its
+    conjugate.  Each is added to ``seen``.  A label whose coefficient is
+    0 is skipped, so a map may be any Mapping, explicit zeros included.
+
+    Raises BudgetExceeded as soon as the label count would exceed ``cap``,
+    in the middle of the level.
+    """
+    conj = ring._conjugate_rule
+    new = []
+    for p in products:
+        for alpha in sorted(p):
+            # a seen label's conjugate entered together with it
+            if alpha in seen or not p[alpha]:
+                continue
+            for cand in (alpha, conj(alpha)):
+                if cand not in seen:
+                    if len(seen) + 1 > cap:
+                        raise BudgetExceeded(
+                            f"window would exceed cap {cap} while "
+                            f"expanding radius {level} "
+                            f"(completed radius {level - 1})",
+                            cap=cap, achieved_radius=level - 1)
+                    seen.add(cand)
+                    new.append(cand)
+    return new
 
 
 class _CSR:
@@ -394,7 +409,8 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
     division is float64 when the numerators are int64 and D and every
     |sum| are below 2**53: both are then exact floats, and IEEE division
     rounds their quotient correctly, as int / int does.  Otherwise each
-    entry is divided as int / int.
+    entry is divided as int / int, and an entry past the float range
+    raises InvalidParam naming it.
 
     Each product is read once, straight from the rule; each chunk of
     products is tested once by ``core._plain_values``, which also flattens
@@ -481,10 +497,34 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
             and (not sums.size or _abs_max(sums) < _FLOAT_EXACT)):
         data = sums / D
     else:
-        data = np.fromiter((s / D for s in sums.tolist()), dtype=np.float64,
-                           count=len(sums))
+        sums = sums.tolist()
+        try:
+            data = np.fromiter((s / D for s in sums), dtype=np.float64,
+                               count=len(sums))
+        except OverflowError:
+            raise InvalidParam(_past_floats(ring, window, sums, D, keys,
+                                            indptr)) from None
     return CompressedOperator._trusted(window, _CSR(data, keys, indptr),
                                        selfadjoint)
+
+
+def _past_floats(ring: FusionRing, window: TruncationWindow, sums: list,
+                 D: int, columns, indptr) -> str:
+    # the message naming the first entry sums[at] / D past the float range
+    def overflows(s):
+        try:
+            s / D
+        except OverflowError:
+            return True
+        return False
+
+    at = next(k for k, s in enumerate(sums) if overflows(s))
+    row = int(np.searchsorted(indptr, at, side="right")) - 1
+    alpha, eta = window.labels[row], window.labels[columns[at]]
+    size = math.log2(abs(sums[at])) - math.log2(D)
+    return (f"operator entry ({ring.format_label(alpha)}, "
+            f"{ring.format_label(eta)}) is {'-' if sums[at] < 0 else ''}"
+            f"2**{size:.1f}, past the float range")
 
 
 def l_operator(ring: FusionRing, xi, window: TruncationWindow) -> CompressedOperator:
@@ -785,7 +825,7 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
     reads its products w * t, and the assembly its products xi * eta,
     straight from the rule, once each
     (F2, uniform on its generators, at radii 1..9: 131,214 rule
-    evaluations): only the Foelner layer caches products.
+    evaluations): only the greedy Foelner search caches products.
     """
     if not _over(ring, mu, ProbMeasure, "mu").symmetric:
         raise NonSymmetricMeasure(

@@ -271,8 +271,8 @@ class TestVerifyAxioms:
     def test_leaves_the_product_cache_as_it_found_it(self, su2):
         ring, calls = counting_ring(su2)
         window = fk.build_window(ring, (1,), 10)
-        # a public window caches nothing, so a Foelner call warms the cache
-        fk.boundary(ring, (1,), window)
+        # a public window caches nothing, so a greedy search warms the cache
+        fk.foelner_search(ring, (1,), 0.5, strategy="greedy", budget=10)
         cached = dict(ring._cache)
         assert cached
         assert fk.verify_axioms(ring, window).passed

@@ -586,18 +586,42 @@ class TestSearchPins:
                                       if abs(x) + abs(y) <= 40}
 
     def test_z2_balls_products(self):
-        # the cut caches c * xi and c * conj(xi) for every label c it adds,
-        # which are all the products the window search reads: it has no
-        # unit step, so it probes no product the cut did not cache; it
-        # reads no alpha * xi to confirm a candidate alpha of
-        # supp(c * conj(xi)), which made 13,448 reads
+        # the rows c * t of the 3,281 labels of the radius-40 ball by the 4
+        # steps, each read once from the rule: the rows of radius r give
+        # both the boundary of B_r and the labels of radius r + 1
         ring, calls = counting_ring(fk.integer_lattice_ring(2))
         result = fk.foelner_search(ring, ring.generators, 0.1, strategy="balls",
                                    budget=4000)
         assert (result.found, len(result.labels)) == (True, 3281)
-        assert len(calls) == 13_124
-        assert len(ring._cache) == 13_124
-        assert len(calls) - len(ring._cache) == 0
+        assert len(calls) == len(set(calls)) == 13_124
+        assert ring._cache == {}
+
+    def test_deformed_balls_products(self):
+        # the rows k * 1 of the 600 labels 0..599: the budget stops the
+        # search while it expands radius 600
+        ring, calls = counting_ring(fk.build_deformed_su2_ring(3))
+        result = fk.foelner_search(ring, {1}, 0.5, strategy="balls", budget=600)
+        assert not result.found
+        assert len(calls) == len(set(calls)) == 600
+        assert ring._cache == {}
+
+    def test_fc3_on_a_ball_products(self, z2):
+        # the rows of the 1,861 labels of the radius-30 ball by 4 steps
+        ball = fk.build_window(z2, z2.generators, 30).labels
+        ring, calls = counting_ring(z2)
+        report = fk.fc3_check(ring, ring.generators, ball, 0.5)
+        assert (report.satisfied, report.extra["weight_boundary"]) == (True, 244)
+        assert len(calls) == len(set(calls)) == 7_444
+        assert ring._cache == {}
+
+    def test_z2_greedy_products(self):
+        # the greedy cut reads products again, so it reads through the
+        # cache: every rule evaluation is a miss the cache kept
+        ring, calls = counting_ring(fk.integer_lattice_ring(2))
+        fk.foelner_search(ring, ring.generators, 0.05, strategy="greedy",
+                          budget=80)
+        assert len(calls) == len(ring._cache) == 648
+        assert set(calls) == ring._cache.keys()
 
     def test_deformed_balls_curve(self, dsu2):
         # balls are the intervals [0, r] with boundary {r, r + 1}; the
@@ -708,6 +732,20 @@ class TestSearchReport:
             return  # the radius-1 ball does not fit the budget
         assert_report_equal(result.report,
                             fk.fc3_check(ring, S, set(result.labels), eps))
+
+    @pytest.mark.parametrize("name", ["z2", "su2", "f2", "dsu2", "fibz", "su2xz"])
+    def test_balls_curve_points_are_fc3_of_their_balls(self, name):
+        # each point's boundary weight is the subset sum fc3_check reports
+        # for the ball of its step, to the bit on float dimensions too
+        ring, S = search_ring(name)
+        result = fk.foelner_search(ring, S, 0.01, strategy="balls", budget=400)
+        for p in result.curve:
+            ball = fk.build_window(ring, S, p.step).labels
+            rep = fk.fc3_check(ring, S, ball, 0.01)
+            assert p.set_size == len(ball)
+            assert bits(p.weight_boundary) == bits(rep.extra["weight_boundary"])
+            assert bits(p.ratio) == bits(float(
+                Fraction(p.weight_boundary) / Fraction(p.weight_F)))
 
     def test_best_prefix_shorter_than_final_set(self):
         ring, S = search_ring("su2xz")

@@ -406,6 +406,29 @@ class TestCompressOracle:
         assert_bitwise_equal(op.matrix, direct_compress(
             ring, sorted(x.coeffs.items()), window))
 
+    @pytest.mark.parametrize("coeffs", [
+        {1: 2 ** 1023}, {1: -2 ** 1023}, {0: 2 ** 1022, 2: 2 ** 1022}])
+    def test_entries_just_inside_the_float_range(self, coeffs):
+        ring, S = oracle_ring("su2")
+        window = fk.build_window(ring, S, 5)
+        x = fk.Element(ring, coeffs)
+        op = fk.gns_operator(ring, x, window)
+        assert np.isfinite(op._csr.data).all()
+        assert_bitwise_equal(op.matrix, direct_compress(
+            ring, sorted(x.coeffs.items()), window))
+
+    @pytest.mark.parametrize("coeffs, entry", [
+        ({1: 2 ** 1024}, r"\(0, 1\) is 2\*\*1024\.0"),
+        ({1: -2 ** 1024}, r"\(0, 1\) is -2\*\*1024\.0"),
+        ({0: 2 ** 1023, 2: 2 ** 1023}, r"\(1, 1\) is 2\*\*1024\.0")])
+    def test_entries_past_the_float_range_refused(self, coeffs, entry):
+        # the int / int division of an entry past the float range: the
+        # last case passes it only in the sum N(0,1->1) + N(2,1->1)
+        ring, S = oracle_ring("su2")
+        window = fk.build_window(ring, S, 5)
+        with pytest.raises(fk.InvalidParam, match=entry + ", past the float"):
+            fk.gns_operator(ring, fk.Element(ring, coeffs), window)
+
     @pytest.mark.parametrize("name, weights", [
         ("z6", {0: 1 / 3, 1: 1 / 3, 5: 1 / 3}),
         ("su2", {0: 1 / 3, 1: 1 / 3, 2: 1 / 3}),
@@ -1097,7 +1120,7 @@ class TestAmenabilityEstimate:
         # the window search and the assembly read w * t and xi * eta
         # straight from the rule, since nothing reads them again; a tensor
         # ring reads the rules of its factors, so their caches stay as they
-        # were too; the warm cache is a Foelner cut's
+        # were too; the warm cache is a greedy search's
         factors = ()
         base = oracle_ring(name)[0]
         if name == "su2xz3":  # fresh factors, not the shared oracle's
@@ -1107,8 +1130,8 @@ class TestAmenabilityEstimate:
         rings = (ring, *factors)
         mu = fk.ProbMeasure.uniform(ring, ring.generators)
         if prefilled:
-            fk.boundary(ring, ring.generators,
-                        fk.build_window(ring, ring.generators, 2))
+            fk.foelner_search(ring, ring.generators, 0.01, strategy="greedy",
+                              budget=10)
         before = [dict(r._cache) for r in rings]
         assert bool(before[0]) == prefilled
         assert not any(before[1:])
@@ -1120,13 +1143,13 @@ class TestAmenabilityEstimate:
         # radii 1..9: the window search reads the 4 steps of each of the
         # 13,121 labels up to radius 8 (52,484) and the assembly A*eta and
         # B*eta for the 39,365 window labels (78,730), each once and
-        # straight from the rule, so a cache a Foelner cut warmed saves
+        # straight from the rule, so a cache a greedy search warmed saves
         # none of them
         ring, calls = counting_ring(fk.free_group_ring(2))
         mu = fk.ProbMeasure.uniform(ring, ring.generators)
         if prefilled:
-            fk.boundary(ring, ring.generators,
-                        fk.build_window(ring, ring.generators, 4))
+            fk.foelner_search(ring, ring.generators, 0.01, strategy="greedy",
+                              budget=30)
         before = dict(ring._cache)
         assert bool(before) == prefilled
         del calls[:]
