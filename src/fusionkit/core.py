@@ -293,6 +293,10 @@ def _over(ring: FusionRing, value, kind: type, what: str):
     belongs to another ring.  The one check of every ring-bound argument."""
     _kind(value, kind, what)
     if _kind(ring, FusionRing, "ring") is not value.ring:
+        if value.ring.description == ring.description:
+            # rings are compared by identity, not by description
+            raise RingMismatch(f"{what} belongs to another ring object with "
+                               f"the same description {ring.description!r}")
         raise RingMismatch(f"{what} belongs to {value.ring.description!r}, "
                            f"not to {ring.description!r}")
     return value
@@ -526,8 +530,9 @@ def _frobenius_counterexample(ring, labels, conj, P):
     xi_i) as int64 keys (i*n + j)*n + k and their coefficients.  The first
     reads the window columns of P, the others those of P's rows
     (conj xi_i, alpha_k) and (alpha_k, conj eta_j), or of rows read from
-    the rule where the conjugate lies outside the window.  A triple fails
-    where the second or the third disagrees with the first.
+    the rule, window terms only, where the conjugate lies outside the
+    window.  A triple fails where the second or the third disagrees with
+    the first.
     """
     n = len(labels)
     index = {label: i for i, label in enumerate(labels)}
@@ -549,12 +554,12 @@ def _frobenius_counterexample(ring, labels, conj, P):
     t, c, v = entries(P, np.arange(n * n))
     direct = t * n + c, v
     # t = i*n + k: row (conj xi_i, alpha_k), the read rows after P's
-    rows = _stack(P, _product_csr(ring, cross, labels, dict(index)))
+    rows = _stack(P, _product_csr(ring, cross, labels, index, grow=False))
     t, c, v = entries(rows, np.where(bar[:, None] >= 0, bar[:, None] * n + k,
                                      n * n + out[:, None] * n + k).ravel())
     left = (t // n * n + c) * n + t % n, v
     # t = k*n + j: row (alpha_k, conj eta_j), the read rows after P's
-    rows = _stack(P, _product_csr(ring, labels, cross, dict(index)))
+    rows = _stack(P, _product_csr(ring, labels, cross, index, grow=False))
     t, c, v = entries(rows, np.where(bar >= 0, k[:, None] * n + bar,
                                      n * n + k[:, None] * len(cross) + out).ravel())
     right = (c * n + t % n) * n + t // n, v
@@ -603,8 +608,8 @@ def _values_at(keys, side):
 
 _chain = itertools.chain.from_iterable
 
-#: product maps _product_csr holds at once; a block of a large window has
-#: n * |B_xi| rows, and only their CSR arrays are kept
+#: product maps _product_csr holds at once; only their CSR arrays outlive
+#: a chunk, however many products a caller reads
 _CHUNK = 4096
 
 #: int64 sums of products of structure constants are exact below this bound
@@ -627,17 +632,6 @@ _BLOCK_CHUNK = 2 ** 16
 class _Inexact(Exception):
     """args (x, y, label, N): int64 cannot sum the coefficient N of x*y at
     label exactly."""
-
-
-def _int64_array(values: list):
-    """``values`` as an int64 array when every one is an ``int`` (not a
-    subclass) that int64 holds, else None."""
-    if not {*map(type, values)} <= {int}:
-        return None
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return None
 
 
 def _abs_max(array) -> int:
@@ -674,19 +668,6 @@ def _plain(products: list) -> list:
     return _rebuilt(products)
 
 
-def _plain_values(products: list) -> tuple:
-    """(``_plain(products)``, the coefficients of its maps in order, as one
-    list).  A chunk is tested once: one type test, then ``all`` over the
-    values it flattens anyway; only a chunk that fails either test is
-    rebuilt and flattened again."""
-    if {*map(type, products)} == {dict}:
-        values = [*_chain(map(dict.values, products))]
-        if all(values):
-            return products, values
-    products = _rebuilt(products)
-    return products, [*_chain(map(dict.values, products))]
-
-
 def _rebuilt(products: list) -> list:
     # a copy of products in which every map that is not a plain dict
     # without zero coefficients is rebuilt as one
@@ -701,33 +682,51 @@ def _row(ring: FusionRing, x, others, left: bool = True) -> list:
     return _plain([*map(ring._product_rule, *(pairs if left else pairs[::-1]))])
 
 
-def _product_csr(ring, left, right, columns: dict):
+def _product_csr(ring, left, right, columns: dict, *, grow: bool):
     """CSR arrays (data, indices, indptr) of the products x*y for (x, y) in
     ``itertools.product(left, right)``, one row per pair, read from the
-    product rule in chunks of _CHUNK; each chunk's labels and values are
-    collected once.
+    rule in chunks of _CHUNK, each tested once for plain dicts without
+    zeros (one type test, one ``all`` over its coefficients) and rebuilt
+    only when it fails.
 
-    Each label goes to its column in ``columns``; the labels not there yet
-    get the next free ones in the order first read.  The data are int64
-    when int64 holds every coefficient, each an ``int`` (not a subclass),
-    else an object array of the coefficients the rule returned.
+    Each label goes to its column in ``columns``.  A label not there gets
+    the next free column, in the order first read, when ``grow`` is set;
+    else its term is dropped unread and ``columns`` is left as it is.  The
+    data are int64 when int64 holds every kept coefficient, each an
+    ``int`` (not a subclass), else an object array of the coefficients the
+    rule returned.
     """
     read = itertools.starmap(ring._product_rule, itertools.product(left, right))
     counts = [np.zeros(1, dtype=np.int32)]  # the leading 0 of indptr
     indices = [np.zeros(0, dtype=np.int32)]
     data = [np.zeros(0, dtype=np.int64)]
-    while True:
-        products, values = _plain_values(list(itertools.islice(read, _CHUNK)))
-        if not products:
-            break
-        keys = [*_chain(products)]
-        new = [label for label in dict.fromkeys(keys) if label not in columns]
-        columns.update(zip(new, itertools.count(len(columns))))
-        counts.append(np.fromiter(map(len, products), dtype=np.int32,
-                                  count=len(products)))
-        indices.append(np.fromiter(map(columns.__getitem__, keys),
-                                   dtype=np.int32, count=len(keys)))
-        exact = _int64_array(values)
+    while products := list(itertools.islice(read, _CHUNK)):
+        values = ({*map(type, products)} == {dict}
+                  and [*_chain(map(dict.values, products))])
+        if not (values and all(values)):
+            products = _rebuilt(products)
+            values = [*_chain(map(dict.values, products))]
+        if grow:
+            new = [label for label in dict.fromkeys(_chain(products))
+                   if label not in columns]
+            columns.update(zip(new, itertools.count(len(columns))))
+        column = np.fromiter(map(columns.get, _chain(products), itertools.repeat(-1)),
+                             dtype=np.int32, count=len(values))
+        sizes = np.fromiter(map(len, products), dtype=np.int32, count=len(products))
+        kept = column >= 0
+        if not kept.all():  # the terms of labels outside columns
+            column = column[kept]
+            values = [*itertools.compress(values, kept.tolist())]
+            sizes = np.bincount(np.repeat(np.arange(len(products)), sizes)[kept],
+                                minlength=len(products))
+        counts.append(sizes)
+        indices.append(column)
+        exact = None
+        if {*map(type, values)} <= {int}:  # no subclass of int
+            try:
+                exact = np.array(values, dtype=np.int64)
+            except OverflowError:  # an int past int64
+                pass
         data.append(np.fromiter(values, dtype=object, count=len(values))
                     if exact is None else exact)
     return (np.concatenate(data), np.concatenate(indices),
@@ -954,10 +953,11 @@ def _associativity_counterexample(ring, labels, P, names: list):
             own = P[0][lo:hi], P[1][lo:hi], P[2][i * n:(i + 1) * n + 1] - lo
             L = _renumber(own, names, gamma)  # its rows xi * beta for window betas
             read = [names[b] for b in new.tolist()]
-            fresh = _exact(_product_csr(ring, read, labels, gamma),
+            fresh = _exact(_product_csr(ring, read, labels, gamma, grow=True),
                            width, read, labels, gamma)
-            L = _stack(L, _exact(_product_csr(ring, (xi,), outer, gamma),
-                                 width, (xi,), outer, gamma))
+            L = _stack(L, _exact(
+                _product_csr(ring, (xi,), outer, gamma, grow=True),
+                width, (xi,), outer, gamma))
             R = _stack(R, fresh)
             # the pool takes the fresh groups, with new columns for the
             # labels of gamma
@@ -1027,7 +1027,7 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     reciprocity compares int64 keys of the nonzero window entries of P
     with those of P's rows (conj xi, alpha) and (alpha, conj eta), in
     O(n**2 * s); a conjugate outside the window reads its row from the
-    rule.  Associativity takes one block of integer matrix products per
+    rule, through the same reader as P, keeping only its window terms.  Associativity takes one block of integer matrix products per
     first factor xi, where B_xi is the union of the supports of the
     products xi * eta.  Block xi takes the row of the |B| products
     xi * beta, and the row group of the n products beta * zeta of each
@@ -1086,7 +1086,7 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     # label names[c], the window labels first
     n = len(distinct)
     columns = {x: j for j, x in enumerate(distinct)}
-    P = _product_csr(ring, distinct, distinct, columns)
+    P = _product_csr(ring, distinct, distinct, columns, grow=True)
     names = [*columns]
 
     def product(row):

@@ -358,6 +358,11 @@ def dirichlet_norm(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> flo
     arithmetic; only the final r-th root is float, taken past floats too.
     """
     r = count(r, "r", 1)
+    return _root(_energy(ring, mu, f, r), r)
+
+
+def _energy(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> Fraction:
+    # the r-th power of the Dirichlet seminorm, exactly, for a checked r
     _over(ring, mu, ProbMeasure, "mu")
     values = _exact_values(_over(ring, f, Element, "f"), "f")
     conj, exact = ring._conjugate_rule, _exact_measure(mu)
@@ -373,17 +378,20 @@ def dirichlet_norm(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> flo
             diff = value - values.get(eta, 0)
             if diff and p:
                 energy += sigma * p * abs(diff) ** r
-    return _root(energy / 2, r)
+    return energy / 2
 
 
 def lp_sigma_norm(f: Element, r: int) -> float:
     """The l^r norm with respect to the sigma weights, past floats too."""
     r = count(r, "r", 1)
+    return _root(_lp_sum(f, r), r)
+
+
+def _lp_sum(f: Element, r: int) -> Fraction:
+    # the r-th power of the l^r sigma norm, exactly, for a checked r
     ring = _kind(f, Element, "f").ring
-    total = Fraction(0)
-    for label, value in _exact_values(f, "f").items():
-        total += Fraction(ring._sigma(label)) * abs(value) ** r
-    return _root(total, r)
+    return sum(Fraction(ring._sigma(label)) * abs(value) ** r
+               for label, value in _exact_values(f, "f").items())
 
 
 def _exact_values(f: Element, what: str) -> dict:
@@ -418,11 +426,15 @@ def nw_ratio(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> float:
 
     Amenability is equivalent to this ratio having infimum zero over all
     non-zero finitely supported f; the function only evaluates single
-    ratios and never claims an infimum.
+    ratios and never claims an infimum.  Where a norm leaves the floats it
+    is the root of the exact ratio, so scaling f changes nothing.
     """
     if not _over(ring, f, Element, "f").coeffs:
         raise ZeroFunction("nw_ratio is undefined for the zero function")
-    return dirichlet_norm(ring, mu, f, r) / lp_sigma_norm(f, r)
+    r = count(r, "r", 1)
+    energy, total = _energy(ring, mu, f, r), _lp_sum(f, r)
+    D, L = _root(energy, r), _root(total, r)
+    return D / L if D < math.inf and 0 < L < math.inf else _root(energy / total, r)
 
 
 # ---------------------------------------------------------------------------

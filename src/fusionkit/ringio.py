@@ -232,8 +232,12 @@ def export_table(ring: FusionRing, labels) -> dict:
     labels = check_labels(ring, labels)
     if not labels:
         raise InvalidParam("cannot export an empty window")
-    label_set = set(labels)
     fmt = ring.format_label
+    label_set = set()
+    for label in labels:
+        if label in label_set:
+            raise InvalidParam(f"duplicate window label {label!r}")
+        label_set.add(label)
     conj, dim = ring._conjugate_rule, ring._dim_rule
     for label in labels:
         if conj(label) not in label_set:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import core
 from .core import (_FLOAT_EXACT, _INT64_LIMIT, Element, FusionRing,
-                   ProbMeasure, _abs_max, _chain, _int64_array, _kind, _over,
+                   ProbMeasure, _abs_max, _kind, _over,
                    check_labels, conjugate_element)
 from .errors import (BudgetExceeded, EmptySet, InvalidParam, NoConvergence,
                      NonSymmetricMeasure, NotSelfAdjoint, count, positive)
@@ -397,13 +397,15 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
     their own products.  Integer sums do not depend on the order of
     addition, so either way the matrix is the same to the bit.
 
-    Each pass reads xi * eta for one chunk of ``core._CHUNK`` window labels
-    eta at a time, and keeps the in-window terms as int32 row and column
-    arrays and an array of numerators a N; only those arrays outlive a
-    chunk.  At the end the keys i n + j are sorted once (stably) and
-    ``np.add.reduceat`` sums each entry: O(E log E) array work for E
-    terms, after one rule read per product.
-    The numerators are int64 when every structure constant read is an
+    All products xi * eta are read once, straight from the rule, by one
+    ``core._product_csr`` call, xi-major and eta in window order, one read
+    per term or conjugate pair; it keeps the in-window terms only, and a
+    coefficient outside the window is never looked at.  Each read's
+    structure constants N become numerators a N in place, and a paired read
+    appends a transposed copy.  The keys i n + j are then sorted once
+    (stably) and ``np.add.reduceat`` sums each entry: O(E log E) array work
+    for E terms.
+    The numerators are int64 when every structure constant kept is an
     ``int`` and max|a| max|N| 2 len(terms) < 2**63, so no sum can
     overflow; otherwise they are Python ints in object arrays.  The
     division is float64 when the numerators are int64 and D and every
@@ -412,75 +414,55 @@ def _compress(ring: FusionRing, terms, window: TruncationWindow,
     entry is divided as int / int, and an entry past the float range
     raises InvalidParam naming it.
 
-    Each product is read once, straight from the rule; each chunk of
-    products is tested once by ``core._plain_values``, which also flattens
-    its coefficients and rebuilds only a chunk holding maps that are not
-    plain dicts without zeros.  Every label here was
-    checked when the window, measure or element was built, so none is
-    checked again.
+    Every label here was checked when the window, measure or element was
+    built, so none is checked again.
     """
     n = len(window)
     terms = [(xi, Fraction(c)) for xi, c in terms]
     D = math.lcm(*(c.denominator for _, c in terms))
     coefficient = dict(terms)
-    # max|a N| times this stays below 2**63 exactly when no sum can overflow
-    scale = 2 * len(terms) * max(
-        (abs(c.numerator) * (D // c.denominator) for _, c in terms), default=0)
-    index = window._index
-    labels = window.labels
-    rule = ring._product_rule
-    chunk = core._CHUNK
     paired = set()  # conjugates already added as transposes
-    rows = [np.zeros(0, dtype=np.int32)]
-    cols = [np.zeros(0, dtype=np.int32)]
-    numerators = [np.zeros(0, dtype=np.int64)]
-    wide = False  # numerators held as Python ints
+    xis, factors, pairs = [], [], []  # per read: xi, a_xi, transposed too
     for xi, c in terms:
         if xi in paired:
             continue
-        a = c.numerator * (D // c.denominator)
         xibar = ring._conjugate_rule(xi) if selfadjoint else xi
         pair = xibar != xi and coefficient.get(xibar) == c
         if pair:
             paired.add(xibar)
-        for start in range(0, n, chunk):
-            products, N = core._plain_values([*map(
-                rule, itertools.repeat(xi), labels[start:start + chunk])])
-            sizes = np.fromiter(map(len, products), dtype=np.int32,
-                                count=len(products))
-            i = np.fromiter(map(index.get, _chain(products),
-                                itertools.repeat(-1)),
-                            dtype=np.int32, count=int(sizes.sum()))
-            keep = np.flatnonzero(i >= 0)
-            if not keep.size:
-                continue
-            values = None if wide else _int64_array(N)
-            if values is None or _abs_max(values) * scale >= _INT64_LIMIT:
-                if not wide:
-                    numerators = [p.astype(object) for p in numerators]
-                    wide = True
-                values = np.array(N, dtype=object)
-            i = i[keep]
-            j = np.repeat(np.arange(start, start + len(products),
-                                    dtype=np.int32), sizes)[keep]
-            aN = values[keep] * a
-            rows.append(i)
-            cols.append(j)
-            numerators.append(aN)
-            if pair:
-                rows.append(j)
-                cols.append(i)
-                numerators.append(aN)
+        xis.append(xi)
+        factors.append(c.numerator * (D // c.denominator))
+        pairs.append(pair)
+    # max|a N| times this stays below 2**63 exactly when no sum can overflow
+    scale = 2 * len(terms) * max(map(abs, factors), default=0)
+    # term e, of read t when bounds[t] <= e < bounds[t + 1], is
+    # N(xi_t, eta_j -> alpha_i) = numerators[e], i = rows[e], j = cols[e]
+    numerators, rows, indptr = core._product_csr(ring, xis, window.labels,
+                                                 window._index, grow=False)
+    bounds = indptr[::n].tolist()
+    cols = np.repeat(np.tile(np.arange(n, dtype=np.int32), len(xis)),
+                     np.diff(indptr))
+    del indptr
+    # the numerators are held as Python ints when int64 could overflow
+    wide = numerators.dtype != np.int64 or (
+        numerators.size and _abs_max(numerators) * scale >= _INT64_LIMIT)
+    if wide:
+        numerators = numerators.astype(object)
+    for a, lo, hi in zip(factors, bounds, bounds[1:]):
+        if lo < hi:  # an int64 slice cannot take an a past int64
+            numerators[lo:hi] *= a
+    mirrored = np.repeat(np.array(pairs, dtype=bool), np.diff(bounds))
     # each array is freed as soon as the next one is built from it: the
     # E-sized temporaries set the assembly's peak memory
-    keys = np.concatenate(rows, dtype=np.int64)
-    del rows
+    keys = np.concatenate((rows, cols[mirrored]), dtype=np.int64)
     keys *= n
-    keys += np.concatenate(cols)
-    del cols
+    keys += np.concatenate((cols, rows[mirrored]))
+    del rows, cols
+    numerators = np.concatenate((numerators, numerators[mirrored]))
+    del mirrored
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    numerators = np.concatenate(numerators)[order]
+    numerators = numerators[order]
     del order
     new = np.empty(len(keys), dtype=bool)  # where a new entry starts
     new[:1] = True

@@ -9,6 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import collections
+import itertools
 import random
 import types
 from fractions import Fraction
@@ -113,6 +114,29 @@ def reshaped_ring(base, shape):
         conjugate_rule=base._conjugate_rule, dim_rule=base._dim_rule,
         description=base.description, is_label=base._is_label,
         format_label=base.format_label)
+
+
+#: the maps a raw product rule may return: Counters, read-only proxies,
+#: dicts with explicit zeros at x and y, and at the labels of (x*y)*y
+RAW_SHAPES = ["counter", "proxy", "zeros", "far-zeros"]
+
+
+def raw_ring(base, shape):
+    """``base`` with every product returned in one of the RAW_SHAPES.  The
+    far zeros lie mostly where the window search has not been yet, while
+    x and y of a product it reads are reached already."""
+    if shape != "far-zeros":
+        return reshaped_ring(base, shape)
+
+    def rule(x, y):
+        product = base._product_rule(x, y)
+        farther = [a for z in product for a in base._product_rule(z, y)]
+        return dict(zip(farther, itertools.cycle((False, 0.0)))) | product
+
+    return fk.FusionRing(unit=base.unit, product_rule=rule,
+                         conjugate_rule=base._conjugate_rule,
+                         dim_rule=base._dim_rule, is_label=base._is_label,
+                         description=base.description)
 
 
 def label_counting_ring(base):

@@ -18,9 +18,10 @@ import scipy.sparse as sparse
 from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
-from conftest import (counting_ring, fibonacci_ring, label_counting_ring,
-                      patched_ring, pool_for, random_integer_function,
-                      random_real_function, reshape, reshaped_ring)
+from conftest import (RAW_SHAPES, counting_ring, fibonacci_ring,
+                      label_counting_ring, patched_ring, pool_for,
+                      random_integer_function, random_real_function, raw_ring,
+                      reshape, reshaped_ring)
 
 from oracles import direct_associativity, direct_frobenius, su2_product_oracle
 
@@ -690,6 +691,81 @@ class TestVerifyAxiomsRuleReads:
         assert fk.verify_axioms(ring, window) == expected
 
 
+#: the rings and window radii of the product reader tests; each window
+#: has products that leave it
+READER_CASES = {
+    "su2": (fk.build_su2_ring, 6), "f2": (lambda: fk.free_group_ring(2), 2),
+    "z2": (lambda: fk.integer_lattice_ring(2), 3),
+    "z6": (lambda: fk.cyclic_ring(6), 2),
+    "dsu2": (lambda: fk.build_deformed_su2_ring(3), 4),
+    "su2xz3": (lambda: fk.tensor_product(fk.build_su2_ring(), fk.cyclic_ring(3)), 2),
+}
+
+
+def without_outside_columns(csr, width: int):
+    """The CSR arrays ``csr`` without their terms in columns >= ``width``,
+    indptr recounted."""
+    data, indices, indptr = csr
+    keep = indices < width
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))[keep]
+    counts = np.bincount(rows, minlength=len(indptr) - 1)
+    return data[keep], indices[keep], np.concatenate(([0], np.cumsum(counts)))
+
+
+class TestProductReader:
+    """core._product_csr either numbers the labels outside its index or
+    drops their terms: dropping gives the numbered arrays without the new
+    columns, and leaves the index as it was."""
+
+    @pytest.mark.parametrize("chunk", [7, None], ids=["chunk-7", "default"])
+    @pytest.mark.parametrize("shape", ["plain", *RAW_SHAPES])
+    @pytest.mark.parametrize("name", sorted(READER_CASES))
+    def test_dropping_is_numbering_without_the_new_columns(
+            self, monkeypatch, name, shape, chunk):
+        make, radius = READER_CASES[name]
+        base = make()
+        ring = base if shape == "plain" else raw_ring(base, shape)
+        labels = fk.build_window(ring, base.generators, radius).labels
+        if chunk is not None:
+            monkeypatch.setattr(fk.core, "_CHUNK", chunk)
+        index = {label: i for i, label in enumerate(labels)}
+        # all window pairs, as verify_axioms reads them, and the rows of a
+        # few first factors, as the operator assembly reads them
+        for left in (labels, labels[:3]):
+            columns = dict(index)
+            numbered = fk.core._product_csr(ring, left, labels, columns,
+                                            grow=True)
+            assert len(columns) > len(index)
+            kept = dict(index)
+            dropped = fk.core._product_csr(ring, left, labels, kept, grow=False)
+            assert kept == index
+            want = without_outside_columns(numbered, len(index))
+            assert dropped[0].dtype == numbered[0].dtype
+            for got, expected in zip(dropped, want):
+                assert np.array_equal(got, expected)
+
+    def test_dropped_coefficients_decide_nothing(self):
+        # terms outside the index carry coefficients int64 cannot hold:
+        # the kept terms are int64 all the same
+        base = fk.build_su2_ring()
+        odd = itertools.cycle((2 ** 70, Fraction(1, 2), True))
+        ring = fk.FusionRing(
+            unit=0, product_rule=lambda x, y: {
+                a: n if a < 4 else next(odd)
+                for a, n in base._product_rule(x, y).items()},
+            conjugate_rule=base._conjugate_rule, dim_rule=base._dim_rule,
+            is_label=base._is_label)
+        index = {a: a for a in range(4)}
+        numbered = fk.core._product_csr(ring, range(4), range(4), dict(index),
+                                        grow=True)
+        dropped = fk.core._product_csr(ring, range(4), range(4), index,
+                                       grow=False)
+        assert numbered[0].dtype == object
+        assert dropped[0].dtype == np.int64
+        for got, expected in zip(dropped, without_outside_columns(numbered, 4)):
+            assert np.array_equal(got, expected)
+
+
 #: associativity settings: the default choice per block, every block in
 #: dense float64 products (when they are exact) or by sorted int64 keys,
 #: and each of the two in chunks of one zeta (dense) or one eta (sorted)
@@ -1204,6 +1280,21 @@ class TestRingBoundArguments:
         # the check comes before any product is read
         assert len(calls) == called
         assert ring._cache == cached
+
+    def test_same_description_names_another_ring_object(self):
+        # rings are compared by identity: two loads of one document are
+        # two rings, and the message must not read "'X', not to 'X'"
+        doc = {"type": "builtin", "name": "su2", "params": {}}
+        one, other = fk.load_ring(doc), fk.load_ring(doc)
+        mu = fk.ProbMeasure.delta(one, 1)
+        window = fk.build_window(other, {1}, 3)
+        with pytest.raises(fk.RingMismatch, match=r"^mu belongs to another ring "
+                           r"object with the same description 'SU\(2\)"):
+            fk.l_measure_operator(other, mu, window)
+        with pytest.raises(fk.RingMismatch, match=r"^mu belongs to 'SU\(2\).*"
+                           r"not to 'group ring of Z/6'$"):
+            fk.l_measure_operator(fk.cyclic_ring(6), mu,
+                                  fk.build_window(fk.cyclic_ring(6), {1}, 1))
 
     def test_every_ring_bound_parameter_has_an_entry(self):
         names = {"mu", "f", "g", "x", "y", "window", "op"}

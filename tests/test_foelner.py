@@ -455,6 +455,16 @@ class TestNWRatio:
         with pytest.raises(fk.ZeroFunction):
             fk.nw_ratio(su2, mu, fk.Element(su2, {}), 1)
 
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("value", [1e-200, Fraction(10 ** 400)],
+                             ids=["underflow", "overflow"])
+    def test_scale_invariant_past_floats(self, su2, value, r):
+        # both norms underflow to 0.0 or overflow to inf; their ratio is
+        # that of f = delta_0 all the same
+        mu = fk.ProbMeasure.delta(su2, 1)
+        assert fk.nw_ratio(su2, mu, fk.Element(su2, {0: 1}), r) == 1.0
+        assert fk.nw_ratio(su2, mu, fk.Element(su2, {0: value}), r) == 1.0
+
 
 #: the sigma-functions, each the call on (ring, f) of a counting SU(2)
 SIGMA_FUNCTIONS = {

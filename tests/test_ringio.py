@@ -171,6 +171,11 @@ class TestExportRoundTrip:
         with pytest.raises(fk.InvalidParam):
             fk.export_table(su2, [0, 1])
 
+    def test_repeated_label_named(self):
+        # a repeated label is refused as such, not as a rendering clash
+        with pytest.raises(fk.InvalidParam, match="^duplicate window label 0$"):
+            fk.export_table(fk.cyclic_ring(6), [0, 1, 2, 3, 4, 5, 0])
+
     def test_file_round_trip(self, tmp_path, z6):
         doc = fk.export_table(z6, range(6))
         path = tmp_path / "z6.json"

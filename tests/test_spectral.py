@@ -15,8 +15,9 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 import fusionkit as fk
-from conftest import (counting_ring, fibonacci_ring, label_counting_ring,
-                      pool_for, random_symmetric_measure, reshaped_ring)
+from conftest import (RAW_SHAPES, counting_ring, fibonacci_ring,
+                      label_counting_ring, pool_for, random_symmetric_measure,
+                      raw_ring)
 
 from oracles import (direct_apply, direct_compress, direct_window,
                      lattice_ball_top_eigenvalue)
@@ -132,29 +133,6 @@ def level_caps(ring, S, radius):
 
 #: the rings and radii of the window oracle tests
 WINDOW_CASES = [("z2", 6), ("su2", 12), ("f2", 4), ("z6", 9), ("su2xz3", 4)]
-
-#: the maps a raw product rule may return: Counters, read-only proxies,
-#: dicts with explicit zeros at x and y, and at the labels of (x*y)*y
-RAW_SHAPES = ["counter", "proxy", "zeros", "far-zeros"]
-
-
-def raw_ring(base, shape):
-    """``base`` with every product returned in one of the RAW_SHAPES.  The
-    far zeros lie mostly where the window search has not been yet, while
-    x and y of a product it reads are reached already."""
-    if shape != "far-zeros":
-        return reshaped_ring(base, shape)
-
-    def rule(x, y):
-        product = base._product_rule(x, y)
-        farther = [a for z in product for a in base._product_rule(z, y)]
-        return dict(zip(farther, itertools.cycle((False, 0.0)))) | product
-
-    return fk.FusionRing(unit=base.unit, product_rule=rule,
-                         conjugate_rule=base._conjugate_rule,
-                         dim_rule=base._dim_rule, is_label=base._is_label,
-                         description=base.description)
-
 
 class TestWindowOracle:
     @pytest.mark.parametrize("name, radius", WINDOW_CASES)
@@ -482,6 +460,36 @@ class TestCompressOracle:
         op = fk.gns_operator(ring, x, window)
         assert_bitwise_equal(op.matrix, direct_compress(
             ring, sorted(x.coeffs.items()), window))
+
+    @pytest.mark.parametrize("name, radius", [("su2", 6), ("f2", 2)])
+    def test_dropped_coefficients_change_nothing(self, name, radius):
+        # products that leave the window carry 2**70, a Fraction and a
+        # bool there: the assembly drops those terms unread, so its
+        # numerators stay int64 and the matrices match the oracle's
+        base, S = oracle_ring(name)
+        inside = set(fk.build_window(base, S, radius).labels)
+        odd = itertools.cycle((2 ** 70, Fraction(1, 2), True))
+
+        def rule(x, y):
+            return {a: n if a in inside else next(odd)
+                    for a, n in base._product_rule(x, y).items()}
+
+        ring = fk.FusionRing(unit=base.unit, product_rule=rule,
+                             conjugate_rule=base._conjugate_rule,
+                             dim_rule=base._dim_rule, is_label=base._is_label,
+                             description=base.description)
+        window = fk.build_window(ring, S, radius)
+        mu = fk.ProbMeasure.uniform(ring, S | {ring.unit})
+        terms = [(x, Fraction(w) / Fraction(ring.dim(x)))
+                 for x, w in mu.sorted_items()]
+        assert_bitwise_equal(fk.l_measure_operator(ring, mu, window).matrix,
+                             direct_compress(ring, terms, window))
+        x = fk.Element(ring, {label: i + 1 for i, label in enumerate(sorted(S))})
+        assert_bitwise_equal(fk.gns_operator(ring, x, window).matrix,
+                             direct_compress(ring, sorted(x.coeffs.items()), window))
+        data = fk.core._product_csr(ring, [x for x, _ in terms], window.labels,
+                                    window._index, grow=False)[0]
+        assert data.dtype == np.int64
 
     @pytest.mark.parametrize("name", ["su2", "f2", "su2xz3"])
     def test_radius_zero_window_drops_every_product(self, name):
