@@ -209,8 +209,11 @@ class Element:
     def _fold(self, base: dict, other: dict, op) -> "Element":
         # +, -, negation and scaling: base with other folded in by op
         out = dict(base)
-        for label, value in other.items():
-            out[label] = op(out.get(label, 0), value)
+        try:
+            for label, value in other.items():
+                out[label] = op(out.get(label, 0), value)
+        except OverflowError:
+            raise _past_float_range(self.ring, base, other) from None
         return Element._trusted(self.ring, out)
 
     def __add__(self, other):
@@ -243,6 +246,25 @@ class Element:
         fmt = self.ring.format_label
         parts = [f"{v!r}*{fmt(l)}" for l, v in sorted(self.coeffs.items())]
         return "Element(" + " + ".join(parts) + ")"
+
+
+def _past_float_range(ring: FusionRing, *maps) -> InvalidParam:
+    """The error for arithmetic that raised OverflowError: an exact
+    coefficient past the float range met a float.  It names the first
+    label of the coefficient ``maps`` whose coefficient float() cannot
+    hold, or, when each can, says that an exact value reached on the way
+    could not."""
+    for coeffs in maps:
+        for label, value in coeffs.items():
+            try:
+                float(value)
+            except OverflowError:
+                q = abs(Fraction(value))
+                size = math.log2(q.numerator) - math.log2(q.denominator)
+                return InvalidParam(
+                    f"coefficient at {ring.format_label(label)} is "
+                    f"{'-' if value < 0 else ''}2**{size:.1f}, past the float range")
+    return InvalidParam("an exact value past the float range met a float")
 
 
 def check_labels(ring: FusionRing, labels: Iterable) -> list:
@@ -321,11 +343,14 @@ def multiply(x: Element, y: Element) -> Element:
     ring = _kind(x, Element, "x").ring
     _over(ring, y, Element, "y")
     out: dict = {}
-    for xi, a in x.coeffs.items():
-        for (eta, b), p in zip(y.coeffs.items(), _row(ring, xi, y.coeffs)):
-            ab = a * b
-            for alpha, n in p.items():
-                out[alpha] = out.get(alpha, 0) + ab * n
+    try:
+        for xi, a in x.coeffs.items():
+            for (eta, b), p in zip(y.coeffs.items(), _row(ring, xi, y.coeffs)):
+                ab = a * b
+                for alpha, n in p.items():
+                    out[alpha] = out.get(alpha, 0) + ab * n
+    except OverflowError:
+        raise _past_float_range(ring, x.coeffs, y.coeffs) from None
     return Element._trusted(ring, out)
 
 
@@ -354,13 +379,16 @@ def convolve(f: Element, g: Element) -> Element:
     ring = _kind(f, Element, "f").ring
     _over(ring, g, Element, "g")
     out: dict = {}
-    for xi, a in f.coeffs.items():
-        dxi = _exact_dim(ring, xi)
-        for (eta, b), p in zip(g.coeffs.items(), _row(ring, xi, g.coeffs)):
-            w = (a * b) / (dxi * _exact_dim(ring, eta))
-            for alpha, n in p.items():
-                out[alpha] = (out.get(alpha, 0)
-                              + w * n * _exact_dim(ring, alpha))
+    try:
+        for xi, a in f.coeffs.items():
+            dxi = _exact_dim(ring, xi)
+            for (eta, b), p in zip(g.coeffs.items(), _row(ring, xi, g.coeffs)):
+                w = (a * b) / (dxi * _exact_dim(ring, eta))
+                for alpha, n in p.items():
+                    out[alpha] = (out.get(alpha, 0)
+                                  + w * n * _exact_dim(ring, alpha))
+    except OverflowError:
+        raise _past_float_range(ring, f.coeffs, g.coeffs) from None
     return Element._trusted(ring, out)
 
 
@@ -659,27 +687,48 @@ def _exact(csr, width: int, left, right, labels):
     return data.astype(np.int64), csr[1], csr[2]  # int subclasses
 
 
-def _plain(products: list) -> list:
-    """``products`` as plain dicts without zero coefficients: the list
-    itself when each is a dict with no falsy coefficient (one test in C),
-    else ``_rebuilt(products)``."""
-    if {*map(type, products)} == {dict} and all(map(all, map(dict.values, products))):
-        return products
-    return _rebuilt(products)
-
-
-def _rebuilt(products: list) -> list:
-    # a copy of products in which every map that is not a plain dict
-    # without zero coefficients is rebuilt as one
-    return [p if type(p) is dict and all(p.values())
-            else {alpha: n for alpha, n in p.items() if n != 0} for p in products]
+def _rebuilt(ring: FusionRing, products: list, pairs) -> list:
+    """A copy of ``products`` in which every map that is not a plain dict
+    without zero coefficients is rebuilt as one.  ``pairs`` yields the
+    (x, y) of each product in order; it is read only when a product is no
+    Mapping, which raises InvalidParam naming its pair and type."""
+    try:
+        return [p if type(p) is dict and all(p.values())
+                else {alpha: n for alpha, n in p.items() if n != 0} for p in products]
+    except (AttributeError, TypeError):
+        bad = next(((pair, p) for pair, p in zip(pairs, products)
+                    if not isinstance(p, Mapping)), None)
+        if bad is None:
+            raise
+    (x, y), p = bad
+    raise InvalidParam(f"the product rule returned {type(p).__name__}, not a "
+                       f"Mapping, for ({ring.format_label(x)}, {ring.format_label(y)})")
 
 
 def _row(ring: FusionRing, x, others, left: bool = True) -> list:
-    """x * y (y * x unless ``left``) for y in ``others``, read from the rule
-    as every reader but the greedy search's cut reads.  Do not mutate."""
+    """x * y (y * x unless ``left``) for y in the collection ``others``,
+    read from the rule as every reader but the greedy search's cut reads,
+    as plain dicts without zero coefficients: the maps the rule returned
+    when each is such a dict (one test in C), else ``_rebuilt``.  Do not
+    mutate."""
     pairs = (itertools.repeat(x), others)
-    return _plain([*map(ring._product_rule, *(pairs if left else pairs[::-1]))])
+    if not left:
+        pairs = pairs[::-1]
+    products = [*map(ring._product_rule, *pairs)]
+    if {*map(type, products)} == {dict} and all(map(all, map(dict.values, products))):
+        return products
+    return _rebuilt(ring, products, zip(*pairs))
+
+
+def _numbered(columns: dict, labels, count: int):
+    """The column in ``columns`` of each of the ``count`` labels of the
+    iterable ``labels``, as an int32 array; a label not there gets the
+    next free column, len(columns), in the order first met.  One
+    ``setdefault`` per label, whose default len(columns) is taken just
+    before the call."""
+    return np.fromiter(map(columns.setdefault, labels,
+                           map(len, itertools.repeat(columns))),
+                       dtype=np.int32, count=count)
 
 
 def _product_csr(ring, left, right, columns: dict, *, grow: bool):
@@ -687,7 +736,7 @@ def _product_csr(ring, left, right, columns: dict, *, grow: bool):
     ``itertools.product(left, right)``, one row per pair, read from the
     rule in chunks of _CHUNK, each tested once for plain dicts without
     zeros (one type test, one ``all`` over its coefficients) and rebuilt
-    only when it fails.
+    only when it fails; ``left`` and ``right`` are sequences.
 
     Each label goes to its column in ``columns``.  A label not there gets
     the next free column, in the order first read, when ``grow`` is set;
@@ -695,23 +744,28 @@ def _product_csr(ring, left, right, columns: dict, *, grow: bool):
     data are int64 when int64 holds every kept coefficient, each an
     ``int`` (not a subclass), else an object array of the coefficients the
     rule returned.
+
+    Numbering costs one dict operation per term: ``columns.get``, or with
+    ``grow`` ``columns.setdefault`` (``_numbered``).
     """
     read = itertools.starmap(ring._product_rule, itertools.product(left, right))
     counts = [np.zeros(1, dtype=np.int32)]  # the leading 0 of indptr
     indices = [np.zeros(0, dtype=np.int32)]
     data = [np.zeros(0, dtype=np.int64)]
+    done = 0  # the products of earlier chunks
     while products := list(itertools.islice(read, _CHUNK)):
         values = ({*map(type, products)} == {dict}
                   and [*_chain(map(dict.values, products))])
         if not (values and all(values)):
-            products = _rebuilt(products)
+            products = _rebuilt(ring, products, itertools.islice(
+                itertools.product(left, right), done, None))
             values = [*_chain(map(dict.values, products))]
+        done += len(products)
         if grow:
-            new = [label for label in dict.fromkeys(_chain(products))
-                   if label not in columns]
-            columns.update(zip(new, itertools.count(len(columns))))
-        column = np.fromiter(map(columns.get, _chain(products), itertools.repeat(-1)),
-                             dtype=np.int32, count=len(values))
+            column = _numbered(columns, _chain(products), len(values))
+        else:
+            column = np.fromiter(map(columns.get, _chain(products), itertools.repeat(-1)),
+                                 dtype=np.int32, count=len(values))
         sizes = np.fromiter(map(len, products), dtype=np.int32, count=len(products))
         kept = column >= 0
         if not kept.all():  # the terms of labels outside columns
@@ -830,15 +884,31 @@ def _stack(top, bottom):
             np.concatenate((top[2], bottom[2][1:] + top[2][-1])))
 
 
-def _groups(csr, keep, n: int):
-    """The row groups of the CSR arrays ``csr``, group g being the n rows
-    from g * n, at which the boolean array ``keep`` is True, in order."""
-    data, indices, indptr = csr
-    counts = np.diff(indptr)
-    rows = np.repeat(keep, n)
-    terms = np.repeat(rows, counts)
-    return data[terms], indices[terms], np.concatenate(
-        (np.zeros(1, np.int32), np.cumsum(counts[rows], dtype=np.int32)))
+def _groups(parts, keep, n: int):
+    """The row groups of the CSR arrays in ``parts``, taken one after
+    another, group g being the n rows from g * n, at which the boolean
+    array ``keep`` is True, in order, as CSR arrays allocated once, their
+    data of the dtype of the first part's."""
+    keeps = np.split(keep, np.cumsum([(len(part[2]) - 1) // n for part in parts])[:-1])
+    takes = [np.repeat(k, np.diff(part[2][::n])) for part, k in zip(parts, keeps)]
+    size = sum(map(int, map(np.count_nonzero, takes)))
+    data, indices = np.empty(size, parts[0][0].dtype), np.empty(size, np.int32)
+    indptr = np.zeros(n * int(np.count_nonzero(keep)) + 1, np.int32)
+    at = row = 0
+    for part, k, take in zip(parts, keeps, takes):
+        last = at + int(np.count_nonzero(take))
+        data[at:last] = part[0][take]
+        indices[at:last] = part[1][take]
+        # the row ends of the kept groups, moved from their first term
+        # to the group's place in the new arrays
+        starts = part[2][:-1:n][k]
+        ends = part[2][1:].reshape(-1, n)[k]
+        sizes = ends[:, -1] - starts
+        shift = at + np.cumsum(sizes, dtype=np.int32) - sizes - starts
+        np.add(ends, shift[:, None],
+               out=indptr[row + 1:row + 1 + ends.size].reshape(ends.shape))
+        at, row = last, row + ends.size
+    return data, indices, indptr
 
 
 def _next_uses(betas, sizes: list, n: int):
@@ -860,31 +930,42 @@ def _used(indices, size: int):
     return np.flatnonzero(seen)
 
 
-def _compact(names, csr):
-    """``names``, the label of each column of the CSR arrays ``csr`` (an
-    object array), cut to the columns ``csr`` uses, and ``csr`` with its
-    columns numbered as in the cut array."""
-    live = _used(csr[1], len(names))
-    number = np.zeros(len(names), dtype=np.int32)
-    number[live] = np.arange(len(live), dtype=np.int32)
-    return names[live], (csr[0], number[csr[1]], csr[2])
+def _block_difference(block, R, P, L, n: int, p_terms, width: int,
+                      p_max: int, top: int):
+    """The first row j*n + k at which kron(block, I_n) @ R and P @ L
+    differ, or None, their arrays as _dense_difference takes them but
+    with the gamma columns of R and L numbered below ``top``, not each
+    number used.  ``p_terms`` counts P's terms per column,
+    ``width`` is |B| and ``p_max`` max|N| over P.  The rows are compared
+    by _dense_difference, on the G gamma labels R and L use numbered
+    0..G-1 by one lookup, when float64 sums are exact (max|N|**2 * |B| <
+    2**53) and the n**2 * G result cells are fewer than
+    _DENSE_CELLS_PER_TERM per term of the products, else by
+    _sorted_difference on the numbers as they are."""
+    # each term of the block meets its row group of R, and each term of P
+    # its row of L
+    terms = np.diff(R[2][::n])[block[1]].sum() + np.diff(L[2]) @ p_terms
+    bound = max([p_max] + [_abs_max(a) for a in (R[0], L[0]) if a.size])
+    seen = np.zeros(top, dtype=bool)
+    seen[R[1]] = seen[L[1]] = True
+    gammas = np.flatnonzero(seen)  # the labels of R and L
+    G = len(gammas)
+    if bound * bound * width < _FLOAT_EXACT \
+            and n * n * G < _DENSE_CELLS_PER_TERM * terms:
+        number = np.zeros(top, dtype=np.int32)
+        number[gammas] = np.arange(G, dtype=np.int32)
+        return _dense_difference(block, (R[0], number[R[1]], R[2]), P,
+                                 (L[0], number[L[1]], L[2]), n, G)
+    return _sorted_difference(block, R, P, L, n, top)
 
 
-def _renumber(csr, names, gamma: dict):
-    """The CSR arrays ``csr``, whose column c holds the label names[c],
-    with the columns numbered by ``gamma``; a label not in ``gamma`` yet
-    gets the next free number."""
-    ids = _used(csr[1], len(names))
-    column = np.zeros(len(names), dtype=np.int32)
-    column[ids] = [gamma.setdefault(label, len(gamma)) for label in names[ids]]
-    return csr[0], column[csr[1]], csr[2]
-
-
-def _associativity_counterexample(ring, labels, P, names: list):
+def _associativity_counterexample(ring, labels, P, columns: dict):
     """The first window triple with (xi*eta)*zeta != xi*(eta*zeta), as a
     message, or None.  ``P`` holds the window products, one row per pair
-    (xi_i, eta_j) at i*n + j, its column c the label names[c]: the window
-    labels, then the other labels of their supports B in first-seen order.
+    (xi_i, eta_j) at i*n + j, and ``columns`` maps the label of each of its
+    columns to the column: the window labels, then the other labels of
+    their supports B in first-seen order.  The check extends and prunes
+    ``columns`` in place.
 
     For each xi_i in window order,
     rows (j, k) of kron(P_i, I_n) @ R_i are (xi_i eta_j) zeta_k and those of
@@ -900,101 +981,113 @@ def _associativity_counterexample(ring, labels, P, names: list):
     evicting the farthest first.  A block reads the groups of B_i outside
     the window and not in the pool in one batch, in B order, so a group is
     read at its first use and again only after an eviction.
-    All matrices are int64 CSR arrays (data, indices, indptr).  The pool
-    numbers its columns by ``held``, an object array of labels that is
-    cut to the labels of the kept rows after each block; a block numbers
-    its own gamma labels, those of R_i and L_i, from 0.
-    A block's two sides are compared by _dense_difference when float64
-    sums are exact (max|N|**2 * |B| < 2**53) and its n**2 * |gamma|
-    result cells are fewer than _DENSE_CELLS_PER_TERM per term of its
-    products, else by _sorted_difference.
+    All matrices are int64 CSR arrays (data, indices, indptr), but for the
+    pool's data, int32.  Every gamma label has one number for the whole
+    check, kept in ``columns`` (label to number) and the list ``label_at``
+    (number to label), which the reads of each block extend: P's
+    columns keep their numbers, and the rows of the pool, the fresh reads
+    and L keep the numbers they were read with.  After each block the
+    labels that neither P nor a kept pool group holds are dropped, and
+    each live label numbered past the live count moves to a freed number,
+    so the numbers stay 0..len(columns) - 1 and the pool's columns are
+    renumbered by one lookup.  _block_difference compares a block.
     """
     n = len(labels)
     fmt = ring.format_label
-    columns = len(names)
-    outer = names[n:]
-    names = np.fromiter(names, dtype=object, count=columns)
-    width = len(_used(P[1], columns))  # |B|
+    label_at = [*columns]  # the label of each number of columns
+    known = len(label_at)  # P's columns, whose numbers never change
+    outer = label_at[n:]
+    width = len(_used(P[1], known))  # |B|
+
+    def read(left, right):
+        # the products x*y for (x, y) in itertools.product(left, right),
+        # numbered by columns, whose new labels label_at takes in order
+        csr = _product_csr(ring, left, right, columns, grow=True)
+        added = [*itertools.islice(reversed(columns), len(columns) - len(label_at))]
+        label_at.extend(reversed(added))
+        return _exact(csr, width, left, right, label_at)
+
     try:
-        P = _exact(P, width, labels, labels, names)
+        P = _exact(P, width, labels, labels, label_at)
         p_max = _abs_max(P[0]) if P[0].size else 0
-        p_terms = np.bincount(P[1], minlength=columns)  # P's terms per beta
+        p_terms = np.bincount(P[1], minlength=known)  # P's terms per beta
         # B_i for each block i, betas ascending, at betas[at[i]:at[i + 1]],
         # and for each (i, beta) the next block whose B contains beta (n
         # when none does)
         bounds = P[2][::n].tolist()
-        betas = [_used(P[1][lo:hi], columns) for lo, hi in zip(bounds, bounds[1:])]
+        betas = [_used(P[1][lo:hi], known) for lo, hi in zip(bounds, bounds[1:])]
         sizes = [*map(len, betas)]
         at = [0, *itertools.accumulate(sizes)]
         betas = np.concatenate(betas)
         later = _next_uses(betas, sizes, n)
 
-        pool = (np.zeros(0, np.int64), np.zeros(0, np.int32), np.zeros(1, np.int32))
-        held = np.zeros(0, dtype=object)  # the label of each pool column
+        # a pooled group's beta lies outside the window, so that |B| > 1
+        # (the unit is in B too), and its coefficients passed _exact:
+        # N**2 < 2**63 / |B| <= 2**62, so int32 holds them
+        pool = (np.zeros(0, np.int32), np.zeros(0, np.int32), np.zeros(1, np.int32))
         owner = np.zeros(0, dtype=np.int64)  # the beta of each pool group
-        pooled = np.zeros(columns, dtype=bool)  # beta -> its group is pooled
-        next_use = np.full(columns, n)  # beta -> the next block using it
-        group = np.zeros(columns, dtype=np.int32)  # beta -> its row group in R
+        pooled = np.zeros(known, dtype=bool)  # beta -> its group is pooled
+        next_use = np.full(known, n)  # beta -> the next block using it
+        group = np.zeros(known, dtype=np.int32)  # beta -> its row group in R
         for i, xi in enumerate(labels):
             used = betas[at[i]:at[i + 1]]
-            wanted = np.zeros(columns, dtype=bool)
+            wanted = np.zeros(known, dtype=bool)
             wanted[used] = True
             hit = wanted[owner]  # the pool groups the block uses
             new = used[(used >= n) & ~pooled[used]]
             # R holds the block's groups: those of window betas (rows of
-            # P), those from the pool, then those read; gamma numbers the
-            # labels of R and L from 0, one lookup per distinct label
+            # P), those from the pool, then those read
             group[np.concatenate((used[used < n], owner[hit], new))] = np.arange(
                 len(used), dtype=np.int32)
-            gamma: dict = {}
-            R = _stack(_renumber(_groups(P, wanted[:n], n), names, gamma),
-                       _renumber(_groups(pool, hit, n), held, gamma))
             lo, hi = P[2][i * n], P[2][(i + 1) * n]
             own = P[0][lo:hi], P[1][lo:hi], P[2][i * n:(i + 1) * n + 1] - lo
-            L = _renumber(own, names, gamma)  # its rows xi * beta for window betas
-            read = [names[b] for b in new.tolist()]
-            fresh = _exact(_product_csr(ring, read, labels, gamma, grow=True),
-                           width, read, labels, gamma)
-            L = _stack(L, _exact(
-                _product_csr(ring, (xi,), outer, gamma, grow=True),
-                width, (xi,), outer, gamma))
-            R = _stack(R, fresh)
-            # the pool takes the fresh groups, with new columns for the
-            # labels of gamma
-            pool = _stack(pool, (fresh[0], fresh[1] + len(held), fresh[2]))
-            held = np.concatenate((held, np.fromiter(gamma, dtype=object,
-                                                     count=len(gamma))))
-            owner = np.concatenate((owner, new))
-
-            # the pool keeps the groups the next block uses, then, while
-            # their terms fit in _BLOCK_CHUNK, those with the nearest next use
-            next_use[used] = later[at[i]:at[i + 1]]
-            ahead = next_use[owner]
-            keep = ahead == i + 1
-            spare = np.flatnonzero((ahead > i + 1) & (ahead < n))
-            spare = spare[np.argsort(ahead[spare], kind="stable")]
-            size = np.diff(pool[2][::n])
-            keep[spare[np.cumsum(size[spare]) <= _BLOCK_CHUNK]] = True
-            held, pool = _compact(held, _groups(pool, keep, n))
-            pooled[owner] = False
-            owner = owner[keep]
-            pooled[owner] = True
-
-            block = own[0], group[own[1]], own[2]
-            # each term of the block meets its row group of R, and each
-            # term of P its row of L
-            terms = (np.diff(R[2][::n])[block[1]].sum()
-                     + np.diff(L[2]) @ p_terms)
-            bound = max([p_max] + [_abs_max(a) for a in (R[0], L[0]) if a.size])
-            dense = (bound * bound * width < _FLOAT_EXACT
-                     and n * n * len(gamma) < _DENSE_CELLS_PER_TERM * terms)
-            row = (_dense_difference if dense else _sorted_difference)(
-                block, R, P, L, n, len(gamma))
+            fresh = read([label_at[b] for b in new.tolist()], labels)
+            # L holds the rows xi * beta: of P for window betas, then read
+            row = _block_difference(
+                (own[0], group[own[1]], own[2]),
+                _groups((P, pool, fresh), np.concatenate(
+                    (wanted[:n], hit, np.ones(len(new), dtype=bool))), n),
+                P, _stack(own, read((xi,), outer)), n, p_terms, width, p_max,
+                len(columns))
             if row is not None:
                 j, k = divmod(row, n)
                 eta, zeta = labels[j], labels[k]
                 return (f"({fmt(xi)}*{fmt(eta)})*{fmt(zeta)} != "
                         f"{fmt(xi)}*({fmt(eta)}*{fmt(zeta)})")
+
+            # the pool keeps the groups the next block uses, then, while
+            # their terms fit in _BLOCK_CHUNK, those with the nearest next use
+            next_use[used] = later[at[i]:at[i + 1]]
+            owner = np.concatenate((owner, new))
+            ahead = next_use[owner]
+            keep = ahead == i + 1
+            spare = np.flatnonzero((ahead > i + 1) & (ahead < n))
+            spare = spare[np.argsort(ahead[spare], kind="stable")]
+            size = np.concatenate((np.diff(pool[2][::n]), np.diff(fresh[2][::n])))
+            keep[spare[np.cumsum(size[spare]) <= _BLOCK_CHUNK]] = True
+            pool = _groups((pool, fresh), keep, n)
+            pooled[owner] = False
+            owner = owner[keep]
+            pooled[owner] = True
+
+            # columns keeps P's labels and the pool's: each live label
+            # numbered past the live count moves to a freed number
+            alive = np.zeros(len(label_at), dtype=bool)
+            alive[:known] = alive[pool[1]] = True
+            dead = np.flatnonzero(~alive)
+            if dead.size:
+                top = len(label_at) - dead.size
+                holes = dead[dead < top]
+                moved = np.flatnonzero(alive[top:]) + top
+                for c in dead.tolist():
+                    del columns[label_at[c]]
+                for h, m in zip(holes.tolist(), moved.tolist()):
+                    label_at[h] = label_at[m]
+                    columns[label_at[h]] = h
+                del label_at[top:]
+                number = np.arange(len(alive), dtype=np.int32)
+                number[moved] = holes
+                pool = pool[0], number[pool[1]], pool[2]
     except _Inexact as exc:
         x, y, label, c = exc.args
         entry = f"N({fmt(x)},{fmt(y)}->{fmt(label)}) = {c!r}"
@@ -1002,6 +1095,63 @@ def _associativity_counterexample(ring, labels, P, names: list):
             return f"{entry}: only int coefficients are checked exactly"
         return f"{entry}: too large for exact int64 sums over {width} labels"
     return None
+
+
+def _not_real(fmt, x, y, alpha, c):
+    """The counterexample of a check that met the coefficient c of x*y at
+    alpha, when c is not a real number, else None."""
+    if isinstance(c, numbers.Real):
+        return None
+    return f"N({fmt(x)},{fmt(y)}->{fmt(alpha)}) = {c!r} is not a real number"
+
+
+def _dimension_checks(fmt, labels, P, d, entry) -> tuple:
+    """The checks dimension_multiplicativity (sum_alpha N(xi,eta->alpha)
+    d(alpha) = d(xi) d(eta)) and dimension_bound (N(xi,eta->alpha) > 0
+    implies d(alpha) d(eta) >= d(xi)) on the window products ``P`` of
+    ``labels``, ``d`` holding the dimension of each column's label and
+    ``entry(at)`` giving (x, y, alpha) of P's entry at.  A coefficient that
+    is not a real number fails both, named, where it makes the arithmetic
+    raise TypeError."""
+    n = len(labels)
+    values, bounds, cols = P[0].tolist(), P[2].tolist(), P[1].tolist()
+    bad = None
+    for row, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        rhs = d[row // n] * d[row % n]
+        try:
+            lhs = sum(c * d[k] for k, c in zip(cols[lo:hi], values[lo:hi]))
+            if isinstance(lhs, int) and isinstance(rhs, int):
+                equal = lhs == rhs
+            else:
+                equal = math.isclose(lhs, rhs, rel_tol=FLOAT_TOL, abs_tol=FLOAT_TOL)
+        except TypeError:
+            bad = next(filter(None, (_not_real(fmt, *entry(at), values[at])
+                                     for at in range(lo, hi))), None)
+            if bad is None:
+                raise
+            break
+        if not equal:
+            x, y = labels[row // n], labels[row % n]
+            bad = f"sum N*d for {fmt(x)}*{fmt(y)} is {lhs}, expected {rhs}"
+            break
+    multiplicativity = AxiomCheck("dimension_multiplicativity", bad is None, bad)
+
+    bad = None
+    rows = np.repeat(np.arange(n * n), np.diff(P[2])).tolist()  # of each entry
+    for at, (row, k, c) in enumerate(zip(rows, cols, values)):
+        try:
+            fails = c > 0 and d[k] * d[row % n] < d[row // n]
+        except TypeError:
+            bad = _not_real(fmt, *entry(at), c)
+            if bad is None:
+                raise
+            break
+        if fails:
+            x, y, alpha = entry(at)
+            bad = (f"N({fmt(x)},{fmt(y)}->{fmt(alpha)}) = {c} but "
+                   f"d({fmt(alpha)})*d({fmt(y)}) < d({fmt(x)})")
+            break
+    return multiplicativity, AxiomCheck("dimension_bound", bad is None, bad)
 
 
 def verify_axioms(ring: FusionRing, window) -> AxiomReport:
@@ -1013,7 +1163,8 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     the dimension bound
     (N(xi,eta->alpha) > 0 implies d(alpha) d(eta) >= d(xi)).  The report
     names the window; nothing is claimed beyond it.  A failing check names
-    the first failing label, pair or triple in window order.  A label a
+    the first failing label, pair or triple in window order; a coefficient
+    that is not a real number fails both dimension checks, named.  A label a
     rule returns outside the window is checked once, and every conjugate
     before any axiom reads it.
 
@@ -1022,12 +1173,16 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     CSR arrays P, one row per pair, that every check reads; a repeated
     label adds no product.  P's columns number the window labels first,
     then the other labels of B, the union of the supports of the window
-    products, in first-seen order, and its coefficients are int64 where
-    int64 holds them, else the objects the rule returned.  Frobenius
+    products, in first-seen order, one dict operation per term, and its
+    coefficients are int64 where int64 holds them, else the objects the
+    rule returned.  Frobenius
     reciprocity compares int64 keys of the nonzero window entries of P
     with those of P's rows (conj xi, alpha) and (alpha, conj eta), in
     O(n**2 * s); a conjugate outside the window reads its row from the
-    rule, through the same reader as P, keeping only its window terms.  Associativity takes one block of integer matrix products per
+    rule, through the same reader as P, keeping only its window terms.
+    The dimension checks run before associativity, so that its blocks
+    hold no Python list of P.  Associativity takes one block of integer
+    matrix products per
     first factor xi, where B_xi is the union of the supports of the
     products xi * eta.  Block xi takes the row of the |B| products
     xi * beta, and the row group of the n products beta * zeta of each
@@ -1040,13 +1195,17 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     beta * zeta is read from the rule at its first use and again only
     after an eviction, never more often than when a block kept only the
     groups the next block shares, and besides P one block's rows and at
-    most _BLOCK_CHUNK kept terms live at a time.  A block compares its
-    n**2 rows (xi eta) zeta and xi (eta zeta) in one of two ways, both on
-    numpy arrays: as dense float64 matrix products, one chunk of zeta at a
-    time, when its n**2 * |G| result cells (G the labels of its rows) are
-    few against the terms of its sparse products; else by sorting the
-    int64 keys of those terms and summing each key's terms.  No check
-    imports scipy or numpy.ma.
+    most _BLOCK_CHUNK kept terms live at a time.  Each label is numbered
+    once per check, by one dict the reads extend, which drops after each
+    block the labels that neither P nor a kept group holds; no block
+    numbers its labels again.  A block compares its n**2 rows
+    (xi eta) zeta and xi (eta zeta) in one of two ways, both on numpy
+    arrays: as dense float64 matrix products, one chunk of zeta at a time,
+    on its G labels numbered 0..G-1 by one numpy lookup, when its
+    n**2 * G result cells are few against the terms of its sparse
+    products; else by sorting the int64 keys of those terms, made of the
+    check-wide numbers, and summing each key's terms.  No check imports
+    scipy or numpy.ma.
 
     Associativity is decided in exact integer arithmetic: int64, which is
     exact only when every coefficient it reads is an ``int`` (``bool``
@@ -1150,8 +1309,7 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
 
     # structure constants: non-negative integers
     bad = None
-    values = P[0].tolist()
-    for at, c in enumerate(values):
+    for at, c in enumerate(P[0].tolist()):
         if not isinstance(c, int) or c < 0:
             x, y, alpha = entry(at)
             bad = f"N({fmt(x)},{fmt(y)}->{fmt(alpha)}) = {c!r}"
@@ -1163,37 +1321,16 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
     bad = _frobenius_counterexample(ring, distinct, conj, P)
     checks.append(AxiomCheck("frobenius_reciprocity", bad is None, bad))
 
-    # dimension multiplicativity: sum_alpha N*d(alpha) = d(xi)*d(eta)
-    bad = None
-    d = [*map(dim_of, names)]  # d of each column's label
-    bounds, cols = P[2].tolist(), P[1].tolist()
-    for row, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        lhs = sum(c * d[k] for k, c in zip(cols[lo:hi], values[lo:hi]))
-        rhs = d[row // n] * d[row % n]
-        if isinstance(lhs, int) and isinstance(rhs, int):
-            equal = lhs == rhs
-        else:
-            equal = math.isclose(lhs, rhs, rel_tol=FLOAT_TOL, abs_tol=FLOAT_TOL)
-        if not equal:
-            x, y = distinct[row // n], distinct[row % n]
-            bad = f"sum N*d for {fmt(x)}*{fmt(y)} is {lhs}, expected {rhs}"
-            break
-    checks.append(AxiomCheck("dimension_multiplicativity", bad is None, bad))
+    # dimension multiplicativity and the dimension bound, computed before
+    # associativity so that its blocks hold no Python lists of P
+    multiplicativity, bound = _dimension_checks(
+        fmt, distinct, P, [*map(dim_of, names)], entry)
+    checks.append(multiplicativity)
 
     # associativity: (xi eta) zeta = xi (eta zeta) as coefficient maps
-    bad = _associativity_counterexample(ring, distinct, P, names)
+    bad = _associativity_counterexample(ring, distinct, P, columns)
     checks.append(AxiomCheck("associativity", bad is None, bad))
-
-    # dimension bound: N(xi,eta->alpha) > 0 implies d(alpha)*d(eta) >= d(xi)
-    bad = None
-    rows = np.repeat(np.arange(n * n), np.diff(P[2])).tolist()  # of each entry
-    for at, (row, k, c) in enumerate(zip(rows, cols, values)):
-        if c > 0 and d[k] * d[row % n] < d[row // n]:
-            x, y, alpha = entry(at)
-            bad = (f"N({fmt(x)},{fmt(y)}->{fmt(alpha)}) = {c} but "
-                   f"d({fmt(alpha)})*d({fmt(y)}) < d({fmt(x)})")
-            break
-    checks.append(AxiomCheck("dimension_bound", bad is None, bad))
+    checks.append(bound)
 
     return AxiomReport(description=ring.description,
                        window_labels=tuple(labels),

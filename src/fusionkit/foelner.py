@@ -368,7 +368,7 @@ def _energy(ring: FusionRing, mu: ProbMeasure, f: Element, r: int) -> Fraction:
     conj, exact = ring._conjugate_rule, _exact_measure(mu)
     sources = dict.fromkeys(f.support)
     for eta in f.support:
-        for p in _row(ring, eta, map(conj, mu.support)):
+        for p in _row(ring, eta, [*map(conj, mu.support)]):
             sources.update(dict.fromkeys(p))
     energy = Fraction(0)
     for xi in sources:

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -197,7 +197,7 @@ def _bfs_levels(ring: FusionRing, S: set, cap: int):
         level += 1
         frontier = _next_level(ring, itertools.starmap(
             ring._product_rule, itertools.product(frontier, steps)),
-            seen, cap, level)
+            seen, cap, level, ((w, t) for w in frontier for t in steps))
         yield frontier
 
 
@@ -210,7 +210,7 @@ def _steps(ring: FusionRing, S: set) -> list:
 
 
 def _next_level(ring: FusionRing, products, seen: set, cap: int,
-                level: int) -> list:
+                level: int, pairs=()) -> list:
     """The labels first reached at breadth-first level ``level``, from
     ``products``, the maps w * t of level - 1 by the steps, in order: the
     labels of each map not in ``seen``, in label order, each with its
@@ -218,25 +218,38 @@ def _next_level(ring: FusionRing, products, seen: set, cap: int,
     0 is skipped, so a map may be any Mapping, explicit zeros included.
 
     Raises BudgetExceeded as soon as the label count would exceed ``cap``,
-    in the middle of the level.
+    in the middle of the level.  A product that is no Mapping and fails
+    the loop raises InvalidParam naming its type and the first pair of
+    ``pairs``, the (x, y) of each product, whose product is no Mapping;
+    only then are they read again from the rule.
     """
     conj = ring._conjugate_rule
     new = []
-    for p in products:
-        for alpha in sorted(p):
-            # a seen label's conjugate entered together with it
-            if alpha in seen or not p[alpha]:
-                continue
-            for cand in (alpha, conj(alpha)):
-                if cand not in seen:
-                    if len(seen) + 1 > cap:
-                        raise BudgetExceeded(
-                            f"window would exceed cap {cap} while "
-                            f"expanding radius {level} "
-                            f"(completed radius {level - 1})",
-                            cap=cap, achieved_radius=level - 1)
-                    seen.add(cand)
-                    new.append(cand)
+    p = {}
+    try:
+        for p in products:
+            for alpha in sorted(p):
+                # a seen label's conjugate entered together with it
+                if alpha in seen or not p[alpha]:
+                    continue
+                for cand in (alpha, conj(alpha)):
+                    if cand not in seen:
+                        if len(seen) + 1 > cap:
+                            raise BudgetExceeded(
+                                f"window would exceed cap {cap} while "
+                                f"expanding radius {level} "
+                                f"(completed radius {level - 1})",
+                                cap=cap, achieved_radius=level - 1)
+                        seen.add(cand)
+                        new.append(cand)
+    except (TypeError, LookupError):
+        if isinstance(p, Mapping):
+            raise
+        where = next((f", for ({ring.format_label(x)}, {ring.format_label(y)})"
+                      for x, y in pairs
+                      if not isinstance(ring._product_rule(x, y), Mapping)), "")
+        raise InvalidParam(f"the product rule returned {type(p).__name__}, "
+                           f"not a Mapping{where}") from None
     return new
 
 
@@ -560,18 +573,21 @@ def _apply(ring: FusionRing, mu: ProbMeasure, f: Element, left: bool) -> Element
     dim = ring._dim_rule
     position = {alpha: i for i, alpha in enumerate(f.coeffs)}
     out: dict = {}
-    for xi, w in mu.sorted_items():
-        xibar = ring._conjugate_rule(xi)
-        first, second = (xi, xibar) if left else (xibar, xi)
-        candidates = [*set().union(*core._row(ring, first, f.support, left))]
-        dxi = dim(xi)
-        for eta, p in zip(candidates, core._row(ring, second, candidates, left)):
-            s = 0.0
-            for alpha in sorted((a for a in p if a in position),
-                                key=position.__getitem__):
-                s += f.coeffs[alpha] * p[alpha] * dim(alpha)
-            if s:
-                out[eta] = out.get(eta, 0) + w * (s / (dim(eta) * dxi))
+    try:
+        for xi, w in mu.sorted_items():
+            xibar = ring._conjugate_rule(xi)
+            first, second = (xi, xibar) if left else (xibar, xi)
+            candidates = [*set().union(*core._row(ring, first, f.support, left))]
+            dxi = dim(xi)
+            for eta, p in zip(candidates, core._row(ring, second, candidates, left)):
+                s = 0.0
+                for alpha in sorted((a for a in p if a in position),
+                                    key=position.__getitem__):
+                    s += f.coeffs[alpha] * p[alpha] * dim(alpha)
+                if s:
+                    out[eta] = out.get(eta, 0) + w * (s / (dim(eta) * dxi))
+    except OverflowError:
+        raise core._past_float_range(ring, f.coeffs) from None
     return Element._trusted(ring, out)
 
 

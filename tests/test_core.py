@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -713,9 +714,10 @@ def without_outside_columns(csr, width: int):
 
 
 class TestProductReader:
-    """core._product_csr either numbers the labels outside its index or
-    drops their terms: dropping gives the numbered arrays without the new
-    columns, and leaves the index as it was."""
+    """core._product_csr either numbers the labels outside its index, in
+    the order first read, or drops their terms: dropping gives the
+    numbered arrays without the new columns, and leaves the index as it
+    was."""
 
     @pytest.mark.parametrize("chunk", [7, None], ids=["chunk-7", "default"])
     @pytest.mark.parametrize("shape", ["plain", *RAW_SHAPES])
@@ -764,6 +766,52 @@ class TestProductReader:
         assert dropped[0].dtype == np.int64
         for got, expected in zip(dropped, without_outside_columns(numbered, 4)):
             assert np.array_equal(got, expected)
+
+    @staticmethod
+    def reference(products, columns: dict):
+        """The arrays of grow=True by one label at a time: each new label
+        numbered in the order first read (dict.fromkeys over the terms),
+        explicit zeros dropped, int64 data when every kept coefficient is
+        an int."""
+        terms = [[(a, c) for a, c in p.items() if c != 0] for p in products]
+        order = [a for row in terms for a, _ in row]
+        new = [a for a in dict.fromkeys(order) if a not in columns]
+        numbered = columns | dict(zip(new, itertools.count(len(columns))))
+        values = [c for row in terms for _, c in row]
+        return (np.array(values, dtype=np.int64),
+                np.array([numbered[a] for a in order], dtype=np.int32),
+                np.cumsum([0] + [len(row) for row in terms], dtype=np.int32)), numbered
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_numbering_matches_first_seen_order(self, data):
+        # products over a small label pool, so that chunks mix labels
+        # already numbered with new ones and repeat labels of earlier
+        # chunks; the maps are plain dicts, Counters, read-only proxies or
+        # dicts with explicit zeros
+        pool = list(range(12))
+        pairs = data.draw(st.integers(1, 30))
+        products = [data.draw(st.dictionaries(st.sampled_from(pool),
+                                              st.integers(1, 3), max_size=5))
+                    for _ in range(pairs)]
+        shapes = data.draw(st.lists(st.sampled_from(["plain", "counter", "proxy", "zeros"]),
+                                    min_size=pairs, max_size=pairs))
+        known = data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=6))
+        table = {(0, y): reshape(p, shape, (pool[-1], pool[-2]))
+                 for y, (p, shape) in enumerate(zip(products, shapes))}
+        ring = fk.FusionRing(unit=0, product_rule=lambda x, y: table[(x, y)],
+                             conjugate_rule=lambda x: x, dim_rule=lambda x: 1)
+        index = {label: i for i, label in enumerate(known)}
+        want, numbered = self.reference([table[(0, y)] for y in range(pairs)], index)
+        for chunk in (7, 3, fk.core._CHUNK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fk.core, "_CHUNK", chunk)
+                columns = dict(index)
+                got = fk.core._product_csr(ring, [0], range(pairs), columns, grow=True)
+            assert list(columns.items()) == list(numbered.items())
+            for array, expected in zip(got, want):
+                assert array.dtype == expected.dtype
+                assert np.array_equal(array, expected)
 
 
 #: associativity settings: the default choice per block, every block in
@@ -955,6 +1003,78 @@ class TestRowGroupEviction:
                 checks = {c.name: c for c in fk.verify_axioms(ring, window).checks}
             assert checks["associativity"].counterexample == expected
             assert associativity_reads(ring, window, terms) <= most
+
+
+class TestArithmeticPastFloatRange:
+    """An exact coefficient past the float range that meets a float:
+    InvalidParam naming its label, not an OverflowError."""
+
+    @pytest.mark.parametrize("big", [10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)],
+                             ids=["int", "negative", "fraction"])
+    @pytest.mark.parametrize("op", ["multiply", "scale", "add", "sub", "convolve",
+                                    "rho_measure_apply"])
+    def test_names_the_label(self, su2, op, big):
+        x = fk.Element(su2, {0: big})
+        y = fk.Element(su2, {0: 1.5, 1: 1.5})
+        run = {"multiply": lambda: x * y, "scale": lambda: x * 1.5,
+               "add": lambda: x + y, "sub": lambda: x - y,
+               "convolve": lambda: fk.convolve(x, y),
+               "rho_measure_apply": lambda: fk.rho_measure_apply(
+                   su2, fk.ProbMeasure(su2, {1: 1.0}), x + fk.Element(su2, {2: 1}))}[op]
+        size = "2**1327.2" if isinstance(big, Fraction) else "2**1328.8"
+        sign = "-" if big < 0 else ""
+        with pytest.raises(fk.InvalidParam,
+                           match=rf"^coefficient at 0 is {sign}{re.escape(size)}, "
+                                 "past the float range$"):
+            run()
+
+    def test_exact_arithmetic_is_unchanged(self, su2):
+        x = fk.Element(su2, {0: 10 ** 400, 1: 2})
+        assert (x * x)[0] == 10 ** 800 + 4 and (x - x) == fk.Element(su2)
+
+    def test_exact_scalar_past_the_range(self, su2):
+        with pytest.raises(fk.InvalidParam, match="exact value past the float range"):
+            fk.Element(su2, {1: 1.5}) * 10 ** 400
+
+
+@pytest.mark.parametrize("coefficient", ["1", None, 1j])
+def test_non_real_coefficient_fails_the_dimension_checks(coefficient):
+    # the arithmetic of both checks raised TypeError on these
+    ring = patched_ring(fk.cyclic_ring(3), {(1, 2): {0: coefficient}})
+    checks = {c.name: c for c in fk.verify_axioms(ring, [0, 1, 2]).checks}
+    named = f"N(1,2->0) = {coefficient!r}"
+    assert checks["structure_constants"].counterexample == named
+    for name in ("dimension_multiplicativity", "dimension_bound"):
+        assert checks[name].counterexample == f"{named} is not a real number"
+
+
+class TestProductRuleReturnsNoMapping:
+    """A product rule returning None or a list: InvalidParam naming the
+    pair and the type, from verify_axioms, the FC checks and windows."""
+
+    @staticmethod
+    def ring(value):
+        base = fk.cyclic_ring(3)
+        return fk.FusionRing(
+            unit=0, product_rule=lambda x, y: value if (x, y) == (1, 1)
+            else base._product_rule(x, y),
+            conjugate_rule=base._conjugate_rule, dim_rule=base._dim_rule,
+            is_label=base._is_label)
+
+    @pytest.mark.parametrize("value", [None, [7]], ids=["None", "list"])
+    @pytest.mark.parametrize("how", ["verify_axioms", "fc3_check", "boundary",
+                                     "build_window", "multiply"])
+    def test_names_the_pair_and_type(self, how, value):
+        ring = self.ring(value)
+        run = {"verify_axioms": lambda: fk.verify_axioms(ring, [0, 1, 2]),
+               "fc3_check": lambda: fk.fc3_check(ring, [1], [0, 1], 0.5),
+               "boundary": lambda: fk.boundary(ring, [1], [1]),
+               "build_window": lambda: fk.build_window(ring, (1,), 2),
+               "multiply": lambda: fk.Element(ring, {1: 1}) * fk.Element(ring, {1: 1})}[how]
+        with pytest.raises(fk.InvalidParam, match=re.escape(
+                f"the product rule returned {type(value).__name__}, not a Mapping, "
+                "for (1, 1)")):
+            run()
 
 
 class TestElementBasics:
