@@ -120,13 +120,13 @@ class FusionRing:
         # Internal read-only view of the memoized product, for the greedy
         # search's cut alone, since only it reads products again.
         # Callers must not mutate it, and pass labels checked at the public
-        # API or read off products of such labels.
+        # API or read off products of such labels.  A miss is read as
+        # every other reader reads, through _rebuilt.
         key = (xi, eta)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        raw = self._product_rule(xi, eta)
-        result = {alpha: n for alpha, n in raw.items() if n != 0}
+        result = _rebuilt(self, (self._product_rule(xi, eta),), (key,))[0]
         self._cache[key] = result
         return result
 
@@ -1110,9 +1110,51 @@ def _dimension_checks(fmt, labels, P, d, entry) -> tuple:
     d(alpha) = d(xi) d(eta)) and dimension_bound (N(xi,eta->alpha) > 0
     implies d(alpha) d(eta) >= d(xi)) on the window products ``P`` of
     ``labels``, ``d`` holding the dimension of each column's label and
-    ``entry(at)`` giving (x, y, alpha) of P's entry at.  A coefficient that
-    is not a real number fails both, named, where it makes the arithmetic
-    raise TypeError."""
+    ``entry(at)`` giving (x, y, alpha) of P's entry at.
+
+    They are decided on arrays when P's coefficients are int64 and every
+    d is an int with max|d|**2 and max|N| max|d| t below 2**53, t the most
+    terms in a row: every product is then an exact int64, and every
+    partial row sum that ``np.bincount`` adds in float64 an exact integer.
+    Other inputs (object coefficients, float dimensions, huge int
+    dimensions) take ``_dimension_loops``.  Both name the same first
+    failing row and entry."""
+    n = len(labels)
+    values, cols, bounds = P
+    if values.dtype != np.int64 or not all(isinstance(x, int) for x in d):
+        return _dimension_loops(fmt, labels, P, d, entry)
+    top = max(map(abs, d))
+    terms = int(np.diff(bounds).max(initial=0))
+    if top * top >= _FLOAT_EXACT or (
+            values.size and _abs_max(values) * top * terms >= _FLOAT_EXACT):
+        return _dimension_loops(fmt, labels, P, d, entry)
+    dims = np.array(d, dtype=np.int64)
+    rows = np.repeat(np.arange(n * n), np.diff(bounds))  # of each entry
+    left, right = np.divmod(rows, n)  # the window positions of x and y
+
+    lhs = np.bincount(rows, values * dims[cols], minlength=n * n)
+    wrong = np.flatnonzero(lhs != np.outer(dims[:n], dims[:n]).ravel())
+    bad = None
+    for row in wrong[:1].tolist():
+        i, j = divmod(row, n)
+        bad = (f"sum N*d for {fmt(labels[i])}*{fmt(labels[j])} is "
+               f"{int(lhs[row])}, expected {d[i] * d[j]}")
+    multiplicativity = AxiomCheck("dimension_multiplicativity", bad is None, bad)
+
+    fails = (values > 0) & (dims[cols] * dims[right] < dims[left])
+    bad = None
+    for at in np.flatnonzero(fails)[:1].tolist():
+        x, y, alpha = entry(at)
+        bad = (f"N({fmt(x)},{fmt(y)}->{fmt(alpha)}) = {int(values[at])} but "
+               f"d({fmt(alpha)})*d({fmt(y)}) < d({fmt(x)})")
+    return multiplicativity, AxiomCheck("dimension_bound", bad is None, bad)
+
+
+def _dimension_loops(fmt, labels, P, d, entry) -> tuple:
+    """``_dimension_checks`` entry by entry in Python, for any real
+    coefficients and dimensions.  A coefficient that is not a real number
+    fails both checks, named, where it makes the arithmetic raise
+    TypeError."""
     n = len(labels)
     values, bounds, cols = P[0].tolist(), P[2].tolist(), P[1].tolist()
     bad = None
@@ -1307,13 +1349,19 @@ def verify_axioms(ring: FusionRing, window) -> AxiomReport:
                 break
     checks.append(AxiomCheck("involution", bad is None, bad))
 
-    # structure constants: non-negative integers
+    # structure constants: non-negative integers; int64 coefficients are
+    # ints, so among them the first negative one fails first
     bad = None
-    for at, c in enumerate(P[0].tolist()):
-        if not isinstance(c, int) or c < 0:
-            x, y, alpha = entry(at)
-            bad = f"N({fmt(x)},{fmt(y)}->{fmt(alpha)}) = {c!r}"
-            break
+    values = P[0]
+    if values.dtype == np.int64:
+        at = next(iter(np.flatnonzero(values < 0)[:1].tolist()), None)
+    else:
+        at = next((at for at, c in enumerate(values.tolist())
+                   if not isinstance(c, int) or c < 0), None)
+    if at is not None:
+        x, y, alpha = entry(at)
+        c = values[at:at + 1].tolist()[0]
+        bad = f"N({fmt(x)},{fmt(y)}->{fmt(alpha)}) = {c!r}"
     checks.append(AxiomCheck("structure_constants", bad is None, bad))
 
     # Frobenius reciprocity on window triples:

@@ -514,10 +514,13 @@ def foelner_search(ring: FusionRing, S: Iterable, eps: float,
         F = {ring.unit}
         order = [ring.unit]
         weight_F = ring._sigma(ring.unit)
+        new = [ring.unit]
         rows = [_row(ring, ring.unit, steps)]
         try:
             for radius in itertools.count(1):
-                new = _next_level(ring, _chain(rows), F, budget, radius)
+                new = _next_level(ring, _chain(rows),
+                                  itertools.product(new, steps), F, budget,
+                                  radius)
                 order += new
                 for label in new:
                     weight_F += ring._sigma(label)

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -197,7 +197,7 @@ def _bfs_levels(ring: FusionRing, S: set, cap: int):
         level += 1
         frontier = _next_level(ring, itertools.starmap(
             ring._product_rule, itertools.product(frontier, steps)),
-            seen, cap, level, ((w, t) for w in frontier for t in steps))
+            itertools.product(frontier, steps), seen, cap, level)
         yield frontier
 
 
@@ -209,47 +209,40 @@ def _steps(ring: FusionRing, S: set) -> list:
     return sorted((S | {conj(xi) for xi in S}) - {ring.unit})
 
 
-def _next_level(ring: FusionRing, products, seen: set, cap: int,
-                level: int, pairs=()) -> list:
+def _next_level(ring: FusionRing, products, pairs, seen: set, cap: int,
+                level: int) -> list:
     """The labels first reached at breadth-first level ``level``, from
-    ``products``, the maps w * t of level - 1 by the steps, in order: the
-    labels of each map not in ``seen``, in label order, each with its
-    conjugate.  Each is added to ``seen``.  A label whose coefficient is
-    0 is skipped, so a map may be any Mapping, explicit zeros included.
+    ``products``, the maps w * t of level - 1 by the steps, in order, and
+    ``pairs``, the (w, t) of each, read in step with them: the labels of
+    each map not in ``seen``, in label order, each with its conjugate.
+    Each is added to ``seen``.
 
-    Raises BudgetExceeded as soon as the label count would exceed ``cap``,
-    in the middle of the level.  A product that is no Mapping and fails
-    the loop raises InvalidParam naming its type and the first pair of
-    ``pairs``, the (x, y) of each product, whose product is no Mapping;
-    only then are they read again from the rule.
+    Each map is checked once, as it is read: a plain dict without zero
+    coefficients is used as it is; anything else goes through
+    ``core._rebuilt``, which drops zero coefficients and raises
+    InvalidParam naming the pair and the type of a product that is no
+    Mapping.  Raises BudgetExceeded as soon as the label count would
+    exceed ``cap``, in the middle of the level.
     """
     conj = ring._conjugate_rule
     new = []
-    p = {}
-    try:
-        for p in products:
-            for alpha in sorted(p):
-                # a seen label's conjugate entered together with it
-                if alpha in seen or not p[alpha]:
-                    continue
-                for cand in (alpha, conj(alpha)):
-                    if cand not in seen:
-                        if len(seen) + 1 > cap:
-                            raise BudgetExceeded(
-                                f"window would exceed cap {cap} while "
-                                f"expanding radius {level} "
-                                f"(completed radius {level - 1})",
-                                cap=cap, achieved_radius=level - 1)
-                        seen.add(cand)
-                        new.append(cand)
-    except (TypeError, LookupError):
-        if isinstance(p, Mapping):
-            raise
-        where = next((f", for ({ring.format_label(x)}, {ring.format_label(y)})"
-                      for x, y in pairs
-                      if not isinstance(ring._product_rule(x, y), Mapping)), "")
-        raise InvalidParam(f"the product rule returned {type(p).__name__}, "
-                           f"not a Mapping{where}") from None
+    for p, pair in zip(products, pairs):
+        if type(p) is not dict or not all(p.values()):
+            p = core._rebuilt(ring, (p,), (pair,))[0]
+        for alpha in sorted(p) if len(p) > 1 else p:
+            # a seen label's conjugate entered together with it
+            if alpha in seen:
+                continue
+            for cand in (alpha, conj(alpha)):
+                if cand not in seen:
+                    if len(seen) + 1 > cap:
+                        raise BudgetExceeded(
+                            f"window would exceed cap {cap} while "
+                            f"expanding radius {level} "
+                            f"(completed radius {level - 1})",
+                            cap=cap, achieved_radius=level - 1)
+                    seen.add(cand)
+                    new.append(cand)
     return new
 
 
@@ -811,7 +804,11 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
     its compression is the leading principal submatrix, so each radius only
     takes the top eigenvalue of a slice of the CSR arrays, accepted as
     ``top_eigenvalue`` accepts it; no window or operator is built per
-    radius.  The verdict is EVIDENCE_AMENABLE
+    radius.  Only those arrays and the window's level sizes live through
+    the solves: the window, its label index and the operator wrapper are
+    dropped once l_mu is assembled, so the peak memory is the larger of
+    the search-and-assembly phase and the solve phase, not their sum.
+    The verdict is EVIDENCE_AMENABLE
     when the final gap drops below GAP_THRESHOLD; EVIDENCE_NONAMENABLE
     when the sequence has numerically stalled (successive differences below
     STALL_THRESHOLD over at least three radii) at a gap larger than ten
@@ -837,12 +834,13 @@ def amenability_estimate(ring: FusionRing, mu: ProbMeasure,
     tol = _float_tol(tol)
     support = tuple(sorted(mu.support))
     window = _build_window(ring, set(support), radii[-1], cap)
-    op = l_measure_operator(ring, mu, window)
     sizes = window.level_sizes  # the window of a radius is a prefix
+    csr = l_measure_operator(ring, mu, window)._csr
+    del window  # the solves read the CSR arrays alone
     entries = []
     for radius in radii:
         n = sizes[min(radius, len(sizes) - 1)]
-        est = _accepted_top(op._csr.leading(n), tol)
+        est = _accepted_top(csr.leading(n), tol)
         entries.append(RadiusEstimate(radius=radius, window_size=n,
                                       lambda_max=est.value, method=est.method,
                                       iterations=est.iterations))

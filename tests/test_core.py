@@ -1048,9 +1048,71 @@ def test_non_real_coefficient_fails_the_dimension_checks(coefficient):
         assert checks[name].counterexample == f"{named} is not a real number"
 
 
+#: windows that fail a dimension check on int64 arrays: one row whose sum
+#: N*d is wrong (2*2 given an extra 4), one entry that breaks the bound
+#: (3*1 = 3*0 + 4 keeps its sum 8 = d(3) d(1), but d(0) d(1) < d(3))
+DIMENSION_CASES = {
+    "failing-row": lambda: (patched_ring(fk.build_su2_ring(),
+                                         {(2, 2): {0: 1, 2: 1, 4: 2}}), range(6)),
+    "failing-entry": lambda: (patched_ring(fk.build_su2_ring(),
+                                           {(3, 1): {0: 3, 4: 1}}), range(6)),
+}
+
+
+class TestDimensionCheckPaths:
+    """The dimension checks decided on arrays against their loops, the
+    reference: the same AxiomReport, on every report case."""
+
+    @staticmethod
+    def reports(ring, window, monkeypatch):
+        # the report as verify_axioms makes it, whether it took the loops,
+        # and the report with the loops forced
+        loops = []
+        reference = fk.core._dimension_loops
+
+        def counted(*args):
+            loops.append(args)
+            return reference(*args)
+
+        monkeypatch.setattr(fk.core, "_dimension_loops", counted)
+        report = fk.verify_axioms(ring, window)
+        monkeypatch.setattr(fk.core, "_dimension_checks", reference)
+        return report, bool(loops), fk.verify_axioms(ring, window)
+
+    @pytest.mark.parametrize("case", sorted(REPORT_CASES))
+    def test_report_cases(self, case, monkeypatch):
+        report, _, looped = self.reports(*REPORT_CASES[case](), monkeypatch)
+        assert report == looped
+
+    @pytest.mark.parametrize("case, check, counterexample", [
+        ("failing-row", "dimension_multiplicativity",
+         "sum N*d for 2*2 is 14, expected 9"),
+        ("failing-entry", "dimension_bound",
+         "N(3,1->0) = 3 but d(0)*d(1) < d(3)")])
+    def test_failing_row_and_entry(self, case, check, counterexample, monkeypatch):
+        report, looped_here, looped = self.reports(*DIMENSION_CASES[case](),
+                                                   monkeypatch)
+        assert not looped_here
+        assert report == looped
+        failed = {c.name: c.counterexample for c in report.failures()}
+        assert failed[check] == counterexample
+        # the other dimension check passes: each case breaks only one
+        assert not ({"dimension_multiplicativity", "dimension_bound"} - {check}) & {*failed}
+
+    @pytest.mark.parametrize("ring, radius", [
+        (fibonacci_ring, 2), (lambda: fk.build_deformed_su2_ring(10 ** 6), 3)],
+        ids=["float-dims", "huge-int-dims"])
+    def test_other_dimensions_take_the_loops(self, ring, radius, monkeypatch):
+        ring = ring()
+        window = fk.build_window(ring, ring.generators, radius)
+        report, looped_here, looped = self.reports(ring, window, monkeypatch)
+        assert looped_here and report.passed and report == looped
+
+
 class TestProductRuleReturnsNoMapping:
     """A product rule returning None or a list: InvalidParam naming the
-    pair and the type, from verify_axioms, the FC checks and windows."""
+    pair and the type, from verify_axioms, the FC checks, windows, the
+    estimate and both Foelner searches."""
 
     @staticmethod
     def ring(value):
@@ -1061,20 +1123,41 @@ class TestProductRuleReturnsNoMapping:
             conjugate_rule=base._conjugate_rule, dim_rule=base._dim_rule,
             is_label=base._is_label)
 
-    @pytest.mark.parametrize("value", [None, [7]], ids=["None", "list"])
+    # [2] holds only a label the window search has already met
+    @pytest.mark.parametrize("value", [None, [7], [2]],
+                             ids=["None", "list", "seen-list"])
     @pytest.mark.parametrize("how", ["verify_axioms", "fc3_check", "boundary",
-                                     "build_window", "multiply"])
+                                     "build_window", "amenability_estimate",
+                                     "balls", "greedy", "multiply"])
     def test_names_the_pair_and_type(self, how, value):
         ring = self.ring(value)
         run = {"verify_axioms": lambda: fk.verify_axioms(ring, [0, 1, 2]),
                "fc3_check": lambda: fk.fc3_check(ring, [1], [0, 1], 0.5),
                "boundary": lambda: fk.boundary(ring, [1], [1]),
                "build_window": lambda: fk.build_window(ring, (1,), 2),
+               "amenability_estimate": lambda: fk.amenability_estimate(
+                   ring, fk.ProbMeasure.uniform(ring, [1, 2]), [2]),
+               "balls": lambda: fk.foelner_search(ring, [1], 0.1, budget=20),
+               "greedy": lambda: fk.foelner_search(ring, [1], 0.1,
+                                                   strategy="greedy", budget=20),
                "multiply": lambda: fk.Element(ring, {1: 1}) * fk.Element(ring, {1: 1})}[how]
         with pytest.raises(fk.InvalidParam, match=re.escape(
                 f"the product rule returned {type(value).__name__}, not a Mapping, "
                 "for (1, 1)")):
             run()
+
+    @pytest.mark.parametrize("strategy", ["balls", "greedy"])
+    def test_search_on_z_names_the_pair(self, strategy):
+        # the greedy cut's cache read the miss as a Mapping, and raised
+        # AttributeError on None
+        base = fk.integer_lattice_ring(1)
+        ring = fk.FusionRing(
+            unit=base.unit, product_rule=lambda x, y: None if x == -3
+            else base._product_rule(x, y), conjugate_rule=base._conjugate_rule,
+            dim_rule=base._dim_rule, is_label=base._is_label)
+        with pytest.raises(fk.InvalidParam, match=re.escape(
+                "the product rule returned NoneType, not a Mapping, for (-3, ")):
+            fk.foelner_search(ring, [1], 0.1, strategy=strategy, budget=20)
 
 
 class TestElementBasics:

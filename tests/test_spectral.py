@@ -614,6 +614,24 @@ class TestLMeasureOperator:
         assert op.nnz == 4 * 13_121 - 4 * 3 ** 8
         assert peak < 2_800_000
 
+    def test_estimate_peak_traced_memory(self):
+        # F2 radii 1..8: the estimate keeps only the level sizes and the
+        # CSR arrays through its solves, and peaks at 4.65 MB here; it
+        # peaked at 6.27 MB when the window lived through them too
+        ring = fk.free_group_ring(2)
+        mu = fk.ProbMeasure.uniform(ring, ring.generators)
+        # a first small estimate, so one-time set-up stays out of the trace
+        fk.amenability_estimate(ring, mu, [1, 2])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            report = fk.amenability_estimate(ring, mu, range(1, 9))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert report.entries[-1].window_size == 13_121
+        assert peak < 5_400_000
+
 
 class TestRhoApply:
     def test_su2_worked_values(self, su2):
