@@ -5,7 +5,8 @@ going through the fusion-rule oracles under test: character polynomials for
 the SU(2) rules, a definition-level boundary scan and a direct two-scan
 boundary, the FC2 distance summed label by label, a letter-by-letter
 reduced-word test and a stack free reduction, triple-loop Frobenius and
-associativity scans, a breadth-first window that conjugates every product
+associativity scans, the middle set of the associativity check placed
+product by product, a breadth-first window that conjugates every product
 label it meets, operator compression accumulated in `Fraction`s,
 convolution applies that scan every coefficient of f for each output
 label, the Dirichlet norm summed pair by pair, exact return probabilities
@@ -160,14 +161,15 @@ def direct_frobenius(ring, labels):
     return None
 
 
-def direct_associativity(ring, labels):
-    """The first window triple, in loop order, with
-    (xi*eta)*zeta != xi*(eta*zeta) as coefficient maps, as a message, or
-    None."""
+def direct_associativity(ring, labels, middle=None):
+    """The first triple (xi, eta, zeta), in loop order, of window labels
+    xi and zeta and eta in ``middle`` (window labels; default every
+    label), with (xi*eta)*zeta != xi*(eta*zeta) as coefficient maps, as a
+    message, or None."""
     fmt = ring.format_label
     prods = _window_products(ring, labels)
     for xi in labels:
-        for eta in labels:
+        for eta in labels if middle is None else middle:
             for zeta in labels:
                 lhs: dict = {}
                 for beta, n in prods[(xi, eta)].items():
@@ -181,6 +183,31 @@ def direct_associativity(ring, labels):
                     return (f"({fmt(xi)}*{fmt(eta)})*{fmt(zeta)} != "
                             f"{fmt(xi)}*({fmt(eta)}*{fmt(zeta)})")
     return None
+
+
+def direct_middle(ring, labels, steps):
+    """The middle set of the window ``labels`` for the steps ``steps``, in
+    window order: the unit, each step in the window and its conjugate when
+    that is in the window too, and every label that the span test leaves
+    unplaced.  The test places the unit, then, pass after pass until a pass
+    places nothing, the one unplaced label of a product x*s of a placed x
+    and a step s whose labels all lie in the window."""
+    window = set(labels)
+    inside = [s for s in steps if s in window]
+    steps = {t for s in inside for t in (s, ring.conj(s)) if t in window}
+    placed = {ring.unit}
+    grew = True
+    while grew:
+        grew = False
+        for x in list(placed):
+            for s in steps:
+                product = {a for a, c in ring.product(x, s).items() if c}
+                unplaced = product - placed
+                if product <= window and len(unplaced) == 1:
+                    placed |= unplaced
+                    grew = True
+    return [x for x in dict.fromkeys(labels)
+            if x == ring.unit or x in steps or x not in placed]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import itertools
 import math
-import os
 import random
 
 import pytest
@@ -213,9 +212,9 @@ class TestTensorProduct:
 
 
 class TestDefaultRadiusWindows:
-    @pytest.mark.skipif(not os.environ.get("FUSIONKIT_SLOW_TESTS"),
-                        reason="set FUSIONKIT_SLOW_TESTS=1 for the radius-5 free ball")
     def test_axioms_at_default_free_radius(self, f2):
+        # 485 labels; with every window triple in the middle this took
+        # minutes, so it ran only on request
         window = fk.build_window(f2, f2.generators, 5)
         assert fk.verify_axioms(f2, window).passed
 
