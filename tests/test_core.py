@@ -894,7 +894,7 @@ FINITE_RINGS = {
     "z5": lambda: fk.cyclic_ring(5), "z6": lambda: fk.cyclic_ring(6),
     "z2xz3": lambda: fk.tensor_product(fk.cyclic_ring(2), fk.cyclic_ring(3)),
     "z4xz2": lambda: fk.tensor_product(fk.cyclic_ring(4), fk.cyclic_ring(2)),
-    "s3": _s3_ring,
+    "s3": _s3_ring, "rep-q8": _rep_q8_like,
 }
 
 
@@ -911,6 +911,22 @@ def wide_pool(name):
     radius."""
     ring = axiom_window(name)[0]
     return pool_for(ring, {"su2": 8, "z6": 4, "f2": 4, "su2xz3": 4}[name])
+
+
+#: every ordered pair of labels of each ring of FINITE_RINGS, as positions
+FINITE_PAIRS = [(name, i, j) for name in sorted(FINITE_RINGS)
+                for i in range(len(finite_ring(name)[1]))
+                for j in range(len(finite_ring(name)[1]))]
+
+#: the REPORT_CASES whose coefficients int64 sums take exactly, so that
+#: associativity compares products rather than stopping at the guard
+EXACT_CASES = sorted(set(REPORT_CASES) - {
+    "coefficient-0.5", "coefficient-True", "coefficient-4294967296"})
+
+#: single mutated products of the axiom windows, some in blocks that read
+#: rows other blocks read too
+MUTATIONS = [("su2", 2, 1), ("su2", 3, 2), ("su2", 0, 3), ("z6", 1, 2),
+             ("f2", "a", "b"), ("z5", 4, 1), ("z", 2, -1)]
 
 
 def associativity(ring, window):
@@ -962,6 +978,57 @@ class TestMiddleSet:
         assert check.passed == (direct_associativity(ring, labels) is None)
         assert check.counterexample == direct_associativity(
             ring, labels, direct_middle(ring, labels, base.generators))
+
+    @pytest.mark.parametrize("name,i,j", FINITE_PAIRS)
+    def test_each_mutated_product_of_a_finite_ring(self, name, i, j):
+        # x*y gains one more of the unit: the ring is no longer
+        # associative, and the check says so at the middle oracle's triple
+        base, labels = finite_ring(name)
+        x, y = labels[i], labels[j]
+        product = base.product(x, y)
+        product[base.unit] = product.get(base.unit, 0) + 1
+        ring = patched_ring(base, {(x, y): product}, generators=base.generators)
+        check = associativity(ring, labels)
+        assert not check.passed
+        assert direct_associativity(ring, labels) is not None
+        assert check.counterexample == direct_associativity(
+            ring, labels, direct_middle(ring, labels, base.generators))
+
+    @pytest.mark.parametrize("case", EXACT_CASES)
+    def test_report_cases_match_the_middle_oracle(self, case):
+        ring, window = REPORT_CASES[case]()
+        labels = list(getattr(window, "labels", window))
+        steps = getattr(window, "generator_support", ring.generators)
+        middle = direct_middle(ring, labels, steps)
+        assert associativity(ring, window).counterexample == \
+            direct_associativity(ring, labels, middle)
+
+    @pytest.mark.parametrize("case", EXACT_CASES)
+    def test_report_cases_without_steps_test_every_triple(self, case):
+        ring, window = REPORT_CASES[case]()
+        bare = patched_ring(ring, {})
+        labels = list(getattr(window, "labels", window))
+        assert direct_middle(bare, labels, bare.generators) == \
+            list(dict.fromkeys(labels))
+        assert associativity(bare, labels).counterexample == \
+            direct_associativity(bare, labels)
+
+    @pytest.mark.parametrize("steps", ["steps", "no-steps"])
+    @pytest.mark.parametrize("name,x,y", MUTATIONS)
+    def test_mutation_in_a_block_with_carried_rows(self, name, x, y, steps):
+        # with the ring's steps, the middle oracle's counterexample, and a
+        # failing check names a ring that is not associative; without them
+        # every triple is in the middle
+        base, window, _ = axiom_window(name)
+        product = base.product(x, y)
+        product[min(product, key=repr)] += 1
+        gens = base.generators if steps == "steps" else ()
+        ring = patched_ring(base, {(x, y): product}, generators=gens)
+        check = associativity(ring, window)
+        assert check.counterexample == direct_associativity(
+            ring, window, direct_middle(ring, window, gens))
+        if not check.passed:
+            assert direct_associativity(ring, window) is not None
 
     def test_labels_outside_the_span_of_the_steps_join_the_middle(self):
         # the powers of V span 1, V and 1 + a + b + c, so a, b and c are
